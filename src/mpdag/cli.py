@@ -28,16 +28,17 @@ from .graphio import (
 )
 from .identify import (
     NotIdentifiedError,
+    _violating_search,
     find_adjustment_set,
     g_formula,
     is_adjustment_set,
     is_identified,
-    violating_paths,
 )
 from .idgraphs import id_graphs, method2_graphs, method3_graphs, verify_partition
 from .linear import (
     ExactCovariance,
     LinearScm,
+    RejectionBudgetError,
     count_distinct,
     covariance,
     estimate_effect,
@@ -196,20 +197,20 @@ def _cmd_adjust(args: argparse.Namespace) -> int:
 def _cmd_idgraphs(args: argparse.Namespace) -> int:
     h = _load_mpdag(args.graph)
     treat, out = _node_list(args.treat), _node_list(args.out)
-    m = len(violating_paths(h, treat, out))
-    if args.method == 1:
-        graphs = [Mpdag(d) for d in enumerate_dags(h)]
-        audit = []
-    elif args.method == 2:
-        graphs = method2_graphs(h, treat, out)
-        audit = []
-    elif args.method == 3:
-        graphs = method3_graphs(h, treat, out)
-        audit = []
-    else:
+    if args.method == 4:
         result = id_graphs(h, treat, out)
+        m = result.m
         graphs = list(result.graphs)
         audit = [record.to_json() for record in result.audit]
+    else:
+        m = _violating_search(h, treat, out).count()
+        audit = []
+        if args.method == 1:
+            graphs = [Mpdag(d) for d in enumerate_dags(h)]
+        elif args.method == 2:
+            graphs = method2_graphs(h, treat, out)
+        else:
+            graphs = method3_graphs(h, treat, out)
     payload = {
         "method": args.method,
         "m": m,
@@ -293,7 +294,7 @@ def _simulate_one(seed: int, args: argparse.Namespace) -> dict:
     record: dict = {"seed": seed, "p": args.p, "avg_degree": args.deg}
     try:
         inst = random_instance(args.p, args.deg, seed, n_treatments=args.a_size)
-    except Exception as exc:  # rejection budget: report, caller retries
+    except RejectionBudgetError as exc:
         record["skipped"] = str(exc)
         return record
     record["treatments"] = list(inst.treatments)

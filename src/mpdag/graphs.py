@@ -5,13 +5,26 @@ PDAGs.  Node names are plain strings; the canonical node order (used for every
 tie-break in the package) is lexicographic, so results never depend on the
 order in which edges were supplied.
 
-Path-based queries (possibly causal paths, definite-status paths, possible
-descendants) are implemented by exhaustive depth-first enumeration with
-visited-set pruning.  A "possibly causal" verdict requires checking *all*
+Proper possibly causal paths come from one iterative depth-first search over
+per-node bitmasks.  A "possibly causal" verdict requires checking *all*
 ordered node pairs of a path for a backward edge, not only consecutive ones,
-which rules out the usual transitive-closure shortcuts.  The exhaustive search
-is exponential in the worst case and intended for desk-scale graphs (roughly
-p <= 15); there is no silent truncation.
+which rules out the usual transitive-closure shortcuts; the search enforces it
+by never appending a node that has a child already on the path.  Its callers
+use it in three ways:
+
+* listing every path (:func:`proper_possibly_causal_paths`), exponential in
+  the worst case;
+* counting paths without building them (the diagnostic m and the per-branch
+  counts of the minimal enumeration), still exponential, since every path is
+  visited;
+* the first shortest path (identifiability witness, branch edge), where each
+  hit bounds the rest of the search to shorter paths: a short witness ends the
+  search early, while an identified effect still costs a full search.
+
+Definite-status paths, d-separation and possible descendants use exhaustive
+recursive enumeration with visited-set pruning.  These exponential queries
+are intended for desk-scale graphs (roughly p <= 15); there is no silent
+truncation.
 """
 
 from __future__ import annotations
@@ -20,7 +33,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 DIRECTED_MARK = "->"
 REVERSED_MARK = "<-"
@@ -96,33 +109,44 @@ def validate_pdag(
 def _find_directed_cycle(
     nodes: Sequence[str], directed: Iterable[tuple[str, str]]
 ) -> Optional[tuple[str, ...]]:
+    """First directed cycle met by a depth-first search in node order.
+
+    Iterative, so a long directed chain cannot exhaust the interpreter stack.
+    """
     children: dict[str, list[str]] = {n: [] for n in nodes}
     for tail, head in directed:
         children[tail].append(head)
     state: dict[str, int] = {}  # 0 on stack, 1 done
-    stack_path: list[str] = []
-
-    def visit(v: str) -> Optional[tuple[str, ...]]:
-        state[v] = 0
-        stack_path.append(v)
-        for w in sorted(children[v]):
-            if w not in state:
-                found = visit(w)
-                if found is not None:
-                    return found
-            elif state[w] == 0:
-                i = stack_path.index(w)
-                return tuple(stack_path[i:]) + (w,)
-        stack_path.pop()
-        state[v] = 1
-        return None
-
-    for n in sorted(nodes):
-        if n not in state:
-            found = visit(n)
-            if found is not None:
-                return found
+    for root in sorted(nodes):
+        if root in state:
+            continue
+        state[root] = 0
+        stack_path = [root]
+        pending = [iter(sorted(children[root]))]
+        while pending:
+            for w in pending[-1]:
+                if w not in state:
+                    state[w] = 0
+                    stack_path.append(w)
+                    pending.append(iter(sorted(children[w])))
+                    break
+                if state[w] == 0:
+                    i = stack_path.index(w)
+                    return tuple(stack_path[i:]) + (w,)
+            else:
+                state[stack_path.pop()] = 1
+                pending.pop()
     return None
+
+
+@dataclass(frozen=True)
+class _AdjacencyMasks:
+    """Adjacency as bitmasks: bit ``i`` of an entry stands for ``nodes[i]``."""
+
+    index: dict[str, int]
+    neighbours: tuple[int, ...]
+    children: tuple[int, ...]
+    undirected: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -178,6 +202,22 @@ class PartiallyDirectedGraph:
             out[u].add(v)
             out[v].add(u)
         return {n: frozenset(s) for n, s in out.items()}
+
+    @cached_property
+    def _masks(self) -> _AdjacencyMasks:
+        index = {n: i for i, n in enumerate(self.nodes)}
+
+        def bits(sets: dict[str, frozenset[str]]) -> tuple[int, ...]:
+            return tuple(sum(1 << index[w] for w in sets[n]) for n in self.nodes)
+
+        children, und = bits(self._children), bits(self._und_neighbours)
+        parents = bits(self._parents)
+        return _AdjacencyMasks(
+            index=index,
+            neighbours=tuple(c | p | u for c, p, u in zip(children, parents, und)),
+            children=children,
+            undirected=und,
+        )
 
     def parents(self, v: str) -> frozenset[str]:
         return self._parents[v]
@@ -385,6 +425,125 @@ def _check_disjoint(name_a: str, a: set[str], name_b: str, b: set[str]) -> None:
         raise GraphError(f"{name_a} and {name_b} overlap: {sorted(overlap)}")
 
 
+class _PathSearch:
+    """Depth-first search for the proper possibly causal paths from a
+    treatment set to an outcome set, over the adjacency bitmasks.
+
+    A path may not revisit a node or pass through a treatment, and a node
+    ``w`` is not appended when it has a child already on the path: that edge
+    would point backwards and make the path non-causal.  With
+    ``start_undirected_only`` the first edge must be undirected.  Paths are
+    visited in node order (by first node, then second, ...), so among paths
+    of one length the first found is the smallest.  The callers differ only
+    in what they do on a hit: list every path, count them, or keep the first
+    shortest one.  Invalid endpoint sets raise :class:`GraphError` here, when
+    the search is set up.
+    """
+
+    def __init__(
+        self,
+        g: PartiallyDirectedGraph,
+        treatments: Iterable[str],
+        outcomes: Iterable[str],
+        start_undirected_only: bool = False,
+    ) -> None:
+        a_set, y_set = set(treatments), set(outcomes)
+        if not a_set or not y_set:
+            raise GraphError("treatment and outcome sets must be nonempty")
+        _check_disjoint("treatments", a_set, "outcomes", y_set)
+        for n in sorted(a_set | y_set):
+            if n not in g._parents:
+                raise GraphError(f"unknown node: [{n!r}]")
+        masks = g._masks
+        self._nodes = g.nodes
+        self._masks = masks
+        self._starts = sorted(masks.index[a] for a in a_set)
+        self._banned = sum(1 << i for i in self._starts)
+        self._outcomes = sum(1 << masks.index[y] for y in y_set)
+        self._first_step = masks.undirected if start_undirected_only else masks.neighbours
+
+    def walk(self) -> Iterator[list[int]]:
+        """Yield every path that ends in an outcome, as the live list of node
+        indices (valid until the next step).  Sending a node count into the
+        generator bounds the paths that are still to come to that many nodes.
+        """
+        neighbours, children = self._masks.neighbours, self._masks.children
+        banned, outcomes = self._banned, self._outcomes
+        limit = len(neighbours)
+        for a in self._starts:
+            path = [a]
+            members = 1 << a
+            # pending[k]: the untried extensions of path[: k + 1]
+            pending = [self._first_step[a] & ~banned]
+            while pending:
+                candidates = pending[-1]
+                if not candidates or len(path) >= limit:
+                    pending.pop()
+                    members ^= 1 << path.pop()
+                    continue
+                low = candidates & -candidates
+                pending[-1] = candidates ^ low
+                w = low.bit_length() - 1
+                if children[w] & members:
+                    continue
+                path.append(w)
+                members |= low
+                if low & outcomes:
+                    limit = (yield path) or limit
+                # once every outcome is on the path, no extension can end in one
+                if outcomes & ~members:
+                    pending.append(neighbours[w] & ~(members | banned))
+                else:
+                    pending.append(0)
+
+    def node_path(self, seq: Sequence[int]) -> NodePath:
+        """The path of node indices ``seq`` as a :class:`NodePath`.  A found
+        path has no ``<-`` mark: the search never appends a parent."""
+        children = self._masks.children
+        return NodePath(
+            tuple(self._nodes[i] for i in seq),
+            tuple(
+                DIRECTED_MARK if children[u] >> v & 1 else UNDIRECTED_MARK
+                for u, v in zip(seq, seq[1:])
+            ),
+        )
+
+    def paths(self) -> list[NodePath]:
+        """Every path, sorted by length, then by node sequence."""
+        found = [tuple(seq) for seq in self.walk()]
+        found.sort(key=lambda seq: (len(seq), seq))
+        return [self.node_path(seq) for seq in found]
+
+    def count(self) -> int:
+        return sum(1 for _ in self.walk())
+
+    def shortest(self) -> Optional[NodePath]:
+        """The first path by length, then node sequence, or None.
+
+        Each hit bounds the rest of the search to strictly shorter paths, so
+        the last hit is the first shortest path in node order.
+        """
+        walk = self.walk()
+        best = None
+        try:
+            seq = next(walk)
+            while True:
+                best = tuple(seq)
+                seq = walk.send(len(best) - 1)
+        except StopIteration:
+            pass
+        return None if best is None else self.node_path(best)
+
+    def count_and_shortest(self) -> tuple[int, Optional[NodePath]]:
+        """Both :meth:`count` and :meth:`shortest`, from one full search."""
+        count, best = 0, None
+        for seq in self.walk():
+            count += 1
+            if best is None or len(seq) < len(best):
+                best = tuple(seq)
+        return count, None if best is None else self.node_path(best)
+
+
 def proper_possibly_causal_paths(
     g: PartiallyDirectedGraph,
     treatments: Iterable[str],
@@ -398,39 +557,7 @@ def proper_possibly_causal_paths(
     outcome node it reaches).  With ``start_undirected_only`` the first edge
     must be undirected.  Output is sorted by length, then by node sequence.
     """
-    a_set, y_set = set(treatments), set(outcomes)
-    if not a_set or not y_set:
-        raise GraphError("treatment and outcome sets must be nonempty")
-    _check_disjoint("treatments", a_set, "outcomes", y_set)
-    for n in sorted(a_set | y_set):
-        if n not in g._parents:
-            raise GraphError(f"unknown node: [{n!r}]")
-
-    found: list[tuple[str, ...]] = []
-
-    def extend(seq: list[str], members: set[str]) -> None:
-        tip = seq[-1]
-        for w in sorted(g.neighbours(tip)):
-            if w in members or w in a_set:
-                continue
-            # a backward edge w -> seq[i] would make the extension non-causal
-            if g._children[w] & members:
-                continue
-            if len(seq) == 1 and start_undirected_only:
-                if g.mark(seq[0], w) != UNDIRECTED_MARK:
-                    continue
-            seq.append(w)
-            members.add(w)
-            if w in y_set:
-                found.append(tuple(seq))
-            extend(seq, members)
-            members.remove(w)
-            seq.pop()
-
-    for a in sorted(a_set):
-        extend([a], {a})
-    found.sort(key=lambda seq: (len(seq), seq))
-    return [path_in(g, seq) for seq in found]
+    return _PathSearch(g, treatments, outcomes, start_undirected_only).paths()
 
 
 def possible_descendants(g: PartiallyDirectedGraph, start: str) -> frozenset[str]:

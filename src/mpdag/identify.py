@@ -22,6 +22,7 @@ from .graphs import (
     NodePath,
     PartiallyDirectedGraph,
     PathKind,
+    _PathSearch,
     ancestors,
     bucket_decomposition,
     classify_path,
@@ -58,6 +59,14 @@ class Identifiability:
         return self.identified
 
 
+def _violating_search(
+    h: Mpdag, treatments: Iterable[str], outcomes: Iterable[str]
+) -> _PathSearch:
+    """Search for the violating paths: proper possibly causal paths that
+    start with an undirected edge."""
+    return _PathSearch(h.graph, treatments, outcomes, start_undirected_only=True)
+
+
 def violating_paths(
     h: Mpdag, treatments: Iterable[str], outcomes: Iterable[str]
 ) -> list[NodePath]:
@@ -73,9 +82,9 @@ def is_identified(
 ) -> Identifiability:
     """Graphical identifiability of the total effect, with a shortest witness
     path when the answer is no."""
-    bad = violating_paths(h, treatments, outcomes)
-    if bad:
-        return Identifiability(False, bad[0])
+    witness = _violating_search(h, treatments, outcomes).shortest()
+    if witness is not None:
+        return Identifiability(False, witness)
     return Identifiability(True)
 
 

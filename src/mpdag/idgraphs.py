@@ -27,7 +27,7 @@ from .graphs import (
     InternalInconsistencyError,
     proper_possibly_causal_paths,
 )
-from .identify import GFormula, g_formula, is_identified, violating_paths
+from .identify import GFormula, _violating_search, g_formula, is_identified
 from .meek import Mpdag, OrientationConflictError, construct_mpdag, enumerate_dags
 
 
@@ -75,10 +75,9 @@ def select_branch_edge(
     Only meaningful while the effect is unidentified; calling this on an
     identified input is an error.
     """
-    bad = violating_paths(h, treatments, outcomes)
-    if not bad:
+    shortest = _violating_search(h, treatments, outcomes).shortest()
+    if shortest is None:
         raise GraphError("effect already identified; no branch edge")
-    shortest = bad[0]
     return shortest.nodes[0], shortest.nodes[1]
 
 
@@ -95,23 +94,24 @@ def id_graphs(
     """
     a_list = tuple(sorted(set(treatments)))
     y_list = tuple(sorted(set(outcomes)))
-    root_bad = violating_paths(h, a_list, y_list)
     audit: list[BranchRecord] = []
     leaves: dict[tuple, Mpdag] = {}
 
-    def recurse(current: Mpdag) -> None:
-        bad = violating_paths(current, a_list, y_list)
-        if not bad:
+    def recurse(current: Mpdag) -> int:
+        """Enumerate below ``current``; returns its violating-path count."""
+        violating, shortest = _violating_search(
+            current, a_list, y_list
+        ).count_and_shortest()
+        if shortest is None:
             leaves[current.key()] = current
-            return
-        shortest = bad[0]
+            return violating
         a1, v1 = shortest.nodes[0], shortest.nodes[1]
         audit.append(
             BranchRecord(
                 graph=current.graph.edge_lines(),
                 edge=(a1, v1),
                 path=shortest.nodes,
-                violating=len(bad),
+                violating=violating,
             )
         )
         for request in ((a1, v1), (v1, a1)):
@@ -122,10 +122,11 @@ def id_graphs(
                     f"branch orientation {request} failed on a valid MPDAG"
                 ) from exc
             recurse(child)
+        return violating
 
-    recurse(h)
+    m = recurse(h)
     graphs = tuple(leaves[k] for k in sorted(leaves))
-    result = EnumerationResult(graphs=graphs, audit=tuple(audit), m=len(root_bad))
+    result = EnumerationResult(graphs=graphs, audit=tuple(audit), m=m)
     if result.n > 2 ** result.m:
         raise InternalInconsistencyError(
             f"enumeration produced {result.n} graphs with m={result.m}"

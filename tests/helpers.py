@@ -213,3 +213,67 @@ def formula_effect(
                     rows[b] = np.zeros(len(treatments))
             remaining.remove((nodes, parents))
     return rows[outcome]
+
+
+def exhaustive_possibly_causal_paths(
+    g: M.PartiallyDirectedGraph,
+    treatments,
+    outcomes,
+    start_undirected_only: bool = False,
+) -> list[M.NodePath]:
+    """Proper possibly causal paths by plain recursive enumeration over node
+    names, each re-checked with ``path_in``, sorted by length then sequence.
+
+    This is the search the package used before its bitmask search, kept
+    unchanged as the reference the fast path is compared against.
+    """
+    a_set, y_set = set(treatments), set(outcomes)
+    found: list[tuple[str, ...]] = []
+
+    def extend(seq: list[str], members: set[str]) -> None:
+        tip = seq[-1]
+        for w in sorted(g.neighbours(tip)):
+            if w in members or w in a_set:
+                continue
+            # a backward edge w -> seq[i] would make the extension non-causal
+            if g.children(w) & members:
+                continue
+            if len(seq) == 1 and start_undirected_only:
+                if g.mark(seq[0], w) != "--":
+                    continue
+            seq.append(w)
+            members.add(w)
+            if w in y_set:
+                found.append(tuple(seq))
+            extend(seq, members)
+            members.remove(w)
+            seq.pop()
+
+    for a in sorted(a_set):
+        extend([a], {a})
+    found.sort(key=lambda seq: (len(seq), seq))
+    return [M.path_in(g, seq) for seq in found]
+
+
+def exhaustive_id_graphs(h: M.Mpdag, treatments, outcomes):
+    """The minimal enumeration rebuilt on the exhaustive path oracle: lists
+    every violating path at each recursion node, branches on the first.
+    Returns ``(m, graphs, audit)`` with audit entries ``(edge, path, count)``.
+    """
+    a_list, y_list = sorted(set(treatments)), sorted(set(outcomes))
+    audit: list[tuple[tuple[str, str], tuple[str, ...], int]] = []
+    leaves: dict[tuple, M.Mpdag] = {}
+
+    def recurse(current: M.Mpdag) -> None:
+        bad = exhaustive_possibly_causal_paths(current.graph, a_list, y_list, True)
+        if not bad:
+            leaves[current.key()] = current
+            return
+        a1, v1 = bad[0].nodes[:2]
+        audit.append(((a1, v1), bad[0].nodes, len(bad)))
+        for request in ((a1, v1), (v1, a1)):
+            recurse(M.construct_mpdag(current, [request]))
+
+    recurse(h)
+    m = len(exhaustive_possibly_causal_paths(h.graph, a_list, y_list, True))
+    return m, [leaves[k] for k in sorted(leaves)], audit

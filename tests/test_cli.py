@@ -4,6 +4,8 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+import mpdag.cli
+from mpdag import RejectionBudgetError
 from mpdag.cli import main
 from helpers import FIXTURES
 
@@ -184,6 +186,33 @@ def test_simulate_respects_thread_env(capsys, tmp_path, monkeypatch):
     run(capsys, "simulate", "--p", "4", "--deg", "1.5", "--n", "60",
         "--reps", "3", "--seed", "3", "--out", single)
     assert single.read_text() == threaded.read_text()
+
+
+def test_simulate_skips_an_exhausted_rejection_budget(capsys, tmp_path, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise RejectionBudgetError("no unidentified treatment/outcome pair found")
+
+    monkeypatch.setattr(mpdag.cli, "random_instance", exhausted)
+    out_file = tmp_path / "r.jsonl"
+    code, out, _ = run(capsys, "simulate", "--p", "4", "--deg", "1.5", "--n", "20",
+                       "--reps", "2", "--seed", "1", "--out", out_file)
+    rows = [json.loads(line) for line in out_file.read_text().splitlines()]
+    assert code == 0 and "(0 usable" in out
+    assert [row["skipped"] for row in rows] == [
+        "no unidentified treatment/outcome pair found"
+    ] * 2
+
+
+def test_simulate_does_not_record_other_errors_as_skips(capsys, tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ZeroDivisionError("a bug, not a budget")
+
+    monkeypatch.setattr(mpdag.cli, "random_instance", broken)
+    out_file = tmp_path / "r.jsonl"
+    with pytest.raises(ZeroDivisionError):
+        run(capsys, "simulate", "--p", "4", "--deg", "1.5", "--n", "20",
+            "--reps", "2", "--seed", "1", "--out", out_file)
+    assert not out_file.exists()  # no record at all, so none says skipped
 
 
 def test_idgraphs_verify_never_flags_fixture_corpus(capsys):

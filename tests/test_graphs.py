@@ -39,6 +39,17 @@ class TestValidation:
         with pytest.raises(M.GraphError):
             M.PartiallyDirectedGraph("AB", [("A", "C")])
 
+    def test_long_directed_chain_is_accepted(self):
+        names = [f"n{i:04d}" for i in range(5000)]
+        g = M.PartiallyDirectedGraph(names, zip(names, names[1:]), ())
+        assert len(g.directed) == 4999
+
+    def test_long_directed_cycle_is_reported(self):
+        names = [f"n{i:04d}" for i in range(5000)]
+        verdict = M.validate_pdag(names, list(zip(names, names[1:])) + [(names[-1], names[0])])
+        assert verdict.violation == "directed cycle"
+        assert verdict.witness == (*names, names[0])
+
 
 class TestInducedSubgraph:
     def test_drop_treatment_node(self, four_mpdag):

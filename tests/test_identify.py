@@ -44,6 +44,17 @@ class TestIsIdentified:
         assert len(M.violating_paths(sim_cpdag, ["A1"], ["Y"])) == 3
         assert len(M.violating_paths(sim_cpdag, ["A1", "A2"], ["Y"])) == 2
 
+    def test_long_undirected_chain(self):
+        names = [f"n{i:04d}" for i in range(5000)]
+        h = M.Mpdag(M.PartiallyDirectedGraph(names, (), zip(names, names[1:])))
+        verdict = M.is_identified(h, [names[0]], [names[-1]])
+        assert not verdict
+        assert verdict.witness.nodes == tuple(names)
+        assert M.is_identified(h, [names[1]], [names[0]]).witness.nodes == (
+            names[1],
+            names[0],
+        )
+
 
 class TestGFormula:
     def test_two_bucket_formula(self, parent_of_both):

@@ -3,11 +3,14 @@
 import itertools
 
 import numpy as np
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import mpdag as M
+from mpdag.graphs import _PathSearch
 from helpers import (
     adjustment_functional,
+    exhaustive_id_graphs,
+    exhaustive_possibly_causal_paths,
     formula_effect,
     partial_correlation,
     random_dag,
@@ -28,6 +31,53 @@ def pdags(draw, max_nodes: int = 6):
         if tuple(sorted(edge)) in graph.undirected and rng.random() < 0.4:
             graph = graph.orient(*edge)
     return graph
+
+
+@st.composite
+def mpdag_queries(draw, max_nodes: int = 7):
+    """An MPDAG (a random CPDAG with part of its true orientations added as
+    background knowledge) and disjoint treatment and outcome sets of one or
+    two nodes each."""
+    seed = draw(st.integers(0, 2**31 - 1))
+    rng = np.random.default_rng(seed)
+    p = int(rng.integers(3, max_nodes + 1))
+    dag = random_dag(rng, p, rng.choice((0.4, 0.6, 0.8)))
+    knowledge = [e for e in sorted(dag.directed) if rng.random() < 0.25]
+    h = M.construct_mpdag(M.cpdag_of_dag(dag), knowledge)
+    order = [dag.nodes[i] for i in rng.permutation(p)]
+    k = int(rng.integers(1, 3))
+    j = int(rng.integers(1, 3))
+    return h, order[:k], order[k:k + j]
+
+
+@settings(max_examples=200)
+@given(mpdag_queries(), st.booleans())
+def test_path_search_matches_exhaustive_oracle(query, start_undirected_only):
+    h, a, y = query
+    expected = exhaustive_possibly_causal_paths(h.graph, a, y, start_undirected_only)
+    assert M.proper_possibly_causal_paths(h.graph, a, y, start_undirected_only) == expected
+    search = _PathSearch(h.graph, a, y, start_undirected_only)
+    first = expected[0] if expected else None
+    assert search.count() == len(expected)
+    assert search.shortest() == first
+    assert search.count_and_shortest() == (len(expected), first)
+    if start_undirected_only:
+        verdict = M.is_identified(h, a, y)
+        assert verdict.identified == (not expected)
+        assert verdict.witness == first
+
+
+@settings(max_examples=200)
+@given(mpdag_queries(max_nodes=6))
+def test_id_graphs_audit_matches_exhaustive_oracle(query):
+    h, a, y = query
+    m, graphs, audit = exhaustive_id_graphs(h, a, y)
+    result = M.id_graphs(h, a, y)
+    assert result.m == m
+    assert [g.key() for g in result.graphs] == [g.key() for g in graphs]
+    assert [(r.edge, r.path, r.violating) for r in result.audit] == audit
+    if audit:
+        assert M.select_branch_edge(h, a, y) == audit[0][0]
 
 
 @given(pdags())
