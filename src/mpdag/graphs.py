@@ -21,10 +21,12 @@ use it in three ways:
   hit bounds the rest of the search to shorter paths: a short witness ends the
   search early, while an identified effect still costs a full search.
 
-Definite-status paths, d-separation and possible descendants use exhaustive
-recursive enumeration with visited-set pruning.  These exponential queries
-are intended for desk-scale graphs (roughly p <= 15); there is no silent
-truncation.
+Possible descendants are the ends of the paths of the same search, started
+at one node and ending anywhere.  Definite-status paths (for d-separation and
+the adjustment criterion) come from a second depth-first search over the
+bitmasks, which d-separation stops at blocked triples.  Both searches keep an
+explicit stack, so a long chain cannot exhaust the interpreter stack.  These exponential queries are intended for desk-scale
+graphs (roughly p <= 15); there is no silent truncation.
 """
 
 from __future__ import annotations
@@ -139,6 +141,36 @@ def _find_directed_cycle(
     return None
 
 
+def _bit_indices(mask: int) -> Iterator[int]:
+    """The indices of the set bits of ``mask``, in increasing order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _is_acyclic(masks: "_AdjacencyMasks") -> bool:
+    """Kahn's algorithm over the adjacency bitmasks."""
+    children = masks.children
+    indegree = [
+        (n & ~(c | u)).bit_count()
+        for n, c, u in zip(masks.neighbours, children, masks.undirected)
+    ]
+    ready = [i for i, d in enumerate(indegree) if not d]
+    removed = 0
+    while ready:
+        out = children[ready.pop()]
+        removed += 1
+        while out:
+            low = out & -out
+            out ^= low
+            w = low.bit_length() - 1
+            indegree[w] -= 1
+            if not indegree[w]:
+                ready.append(w)
+    return removed == len(indegree)
+
+
 @dataclass(frozen=True)
 class _AdjacencyMasks:
     """Adjacency as bitmasks: bit ``i`` of an entry stands for ``nodes[i]``."""
@@ -178,6 +210,33 @@ class PartiallyDirectedGraph:
         object.__setattr__(self, "nodes", node_tuple)
         object.__setattr__(self, "directed", dir_set)
         object.__setattr__(self, "undirected", und_set)
+
+    @classmethod
+    def _trusted(
+        cls,
+        nodes: tuple[str, ...],
+        directed: frozenset[tuple[str, str]],
+        undirected: frozenset[tuple[str, str]],
+        masks: _AdjacencyMasks,
+    ) -> "PartiallyDirectedGraph":
+        """A graph from already normalised parts: sorted ``nodes``, edges as
+        the constructor stores them, and the matching ``masks``, which become
+        its ``_masks``.
+
+        The parts must be consistent by construction: known endpoints, no
+        self loop, at most one edge per adjacent pair.  Those checks are
+        skipped; acyclicity is not.  A cyclic directed part goes through the
+        validating constructor, which raises the same :class:`GraphError`,
+        witness included, as for any other input.
+        """
+        if not _is_acyclic(masks):
+            return cls(nodes, directed, undirected)
+        g = object.__new__(cls)
+        object.__setattr__(g, "nodes", nodes)
+        object.__setattr__(g, "directed", directed)
+        object.__setattr__(g, "undirected", undirected)
+        object.__setattr__(g, "_masks", masks)
+        return g
 
     # -- adjacency -----------------------------------------------------------
 
@@ -396,6 +455,60 @@ def _is_definite_status(g: PartiallyDirectedGraph, path: NodePath) -> bool:
     return True
 
 
+def _definite_status_walk(
+    g: PartiallyDirectedGraph,
+    starts: Iterable[str],
+    banned: Iterable[str] = (),
+    blocking: Iterable[str] = (),
+    open_colliders: Optional[Iterable[str]] = None,
+) -> Iterator[list[int]]:
+    """Depth-first search over the definite-status paths from each node of
+    ``starts`` that avoid the ``banned`` nodes, over the adjacency bitmasks.
+
+    A path is not extended past a definite non-collider in ``blocking`` or a
+    collider outside ``open_colliders`` (None: every node).  Iterative, with
+    one mask of untried extensions per path node; starts and extensions are
+    taken in node order.  Yields each path right after it is extended, as the
+    live list of node indices (valid until the next step).
+    """
+    masks = g._masks
+    index, neighbours = masks.index, masks.neighbours
+    children, undirected = masks.children, masks.undirected
+
+    def bits(names: Iterable[str]) -> int:
+        return sum(1 << index[n] for n in set(names))
+
+    banned_bits, blocking_bits = bits(banned), bits(blocking)
+    open_bits = -1 if open_colliders is None else bits(open_colliders)
+    for a in sorted(index[n] for n in set(starts)):
+        path, members = [a], 1 << a
+        pending = [neighbours[a] & ~(members | banned_bits)]
+        while pending:
+            candidates = pending[-1]
+            if not candidates:
+                pending.pop()
+                members ^= 1 << path.pop()
+                continue
+            low = candidates & -candidates
+            pending[-1] = candidates ^ low
+            v = low.bit_length() - 1
+            path.append(v)
+            members |= low
+            yield path
+            # the next nodes w for which v is of definite status and open
+            u, step = path[-2], 0
+            if not blocking_bits >> v & 1:
+                if children[v] >> u & 1:  # u <- v: a non-collider whatever w
+                    step = neighbours[v]
+                else:  # v -> w, or u -- v -- w with u, w nonadjacent
+                    step = children[v]
+                    if undirected[v] >> u & 1:
+                        step |= undirected[v] & ~neighbours[u]
+            if children[u] >> v & 1 and open_bits >> v & 1:  # u -> v <- w
+                step |= neighbours[v] & ~(children[v] | undirected[v])
+            pending.append(step & ~(members | banned_bits))
+
+
 def classify_path(
     g: PartiallyDirectedGraph, path: NodePath | Sequence[str]
 ) -> PathClassification:
@@ -517,6 +630,14 @@ class _PathSearch:
     def count(self) -> int:
         return sum(1 for _ in self.walk())
 
+    def nodes_on_paths(self) -> frozenset[str]:
+        """Every node of every path, without listing the paths."""
+        on_path = 0
+        for seq in self.walk():
+            for i in seq:
+                on_path |= 1 << i
+        return frozenset(self._nodes[i] for i in _bit_indices(on_path))
+
     def shortest(self) -> Optional[NodePath]:
         """The first path by length, then node sequence, or None.
 
@@ -561,25 +682,19 @@ def proper_possibly_causal_paths(
 
 
 def possible_descendants(g: PartiallyDirectedGraph, start: str) -> frozenset[str]:
-    """Nodes reachable from ``start`` by a possibly causal path (reflexive)."""
+    """Nodes reachable from ``start`` by a possibly causal path (reflexive).
+
+    Every node ends some path of the proper possibly causal path search from
+    ``start`` to all other nodes; that search is iterative, so a long chain
+    cannot exhaust the interpreter stack.
+    """
     if start not in g._parents:
         raise GraphError(f"unknown node: [{start!r}]")
-    out: set[str] = {start}
-
-    def extend(seq: list[str], members: set[str]) -> None:
-        tip = seq[-1]
-        for w in sorted(g.neighbours(tip)):
-            if w in members or g._children[w] & members:
-                continue
-            out.add(w)
-            seq.append(w)
-            members.add(w)
-            extend(seq, members)
-            members.remove(w)
-            seq.pop()
-
-    extend([start], {start})
-    return frozenset(out)
+    others = set(g.nodes) - {start}
+    if not others:
+        return frozenset({start})
+    ends = _PathSearch(g, [start], others).walk()
+    return frozenset({start}).union(g.nodes[seq[-1]] for seq in ends)
 
 
 def possible_ancestors(g: PartiallyDirectedGraph, targets: Iterable[str]) -> frozenset[str]:
@@ -705,52 +820,12 @@ def d_separated(
         if n not in g._parents:
             raise GraphError(f"unknown node: [{n!r}]")
 
-    de_cache: dict[str, frozenset[str]] = {}
-
-    def opens(collider: str) -> bool:
-        if collider not in de_cache:
-            de_cache[collider] = descendants(g, [collider])
-        return bool(de_cache[collider] & z_set)
-
-    # DFS over definite-status paths; prune as soon as a prefix is blocked.
-    def connected(seq: list[str], members: set[str]) -> bool:
-        tip = seq[-1]
-        for w in sorted(g.neighbours(tip)):
-            if w in members:
-                continue
-            if len(seq) >= 2:
-                u, v = seq[-2], seq[-1]
-                left, right = g.mark(u, v), g.mark(v, w)
-                if left == DIRECTED_MARK and right == REVERSED_MARK:
-                    if not opens(v):
-                        continue
-                elif (
-                    left == REVERSED_MARK
-                    or right == DIRECTED_MARK
-                    or (
-                        left == UNDIRECTED_MARK
-                        and right == UNDIRECTED_MARK
-                        and not g.adjacent(u, w)
-                    )
-                ):
-                    if v in z_set:
-                        continue
-                else:
-                    continue  # not of definite status
-            if w in y_set:
-                return True
-            seq.append(w)
-            members.add(w)
-            if connected(seq, members):
-                return True
-            members.remove(w)
-            seq.pop()
-        return False
-
-    for a in sorted(a_set):
-        if connected([a], {a}):
-            return False
-    return True
+    # a collider opens when it has a descendant in the conditioning set
+    y_bits = sum(1 << g._masks.index[y] for y in y_set)
+    walk = _definite_status_walk(
+        g, a_set, blocking=z_set, open_colliders=ancestors(g, z_set)
+    )
+    return not any(y_bits >> seq[-1] & 1 for seq in walk)
 
 
 def unshielded_subsequence(g: PartiallyDirectedGraph, path: NodePath) -> NodePath:

@@ -16,13 +16,13 @@ from typing import Iterable, Optional
 from .graphs import (
     DIRECTED_MARK,
     REVERSED_MARK,
-    UNDIRECTED_MARK,
     GraphError,
     InternalInconsistencyError,
     NodePath,
     PartiallyDirectedGraph,
     PathKind,
     _PathSearch,
+    _definite_status_walk,
     ancestors,
     bucket_decomposition,
     classify_path,
@@ -179,10 +179,7 @@ def forbidden_set(
     possibly causal path from the treatments to the outcomes."""
     a_set, y_set = _checked_sets(h, treatments, outcomes)
     g = h.graph
-    on_path: set[str] = set()
-    for path in proper_possibly_causal_paths(g, a_set, y_set):
-        on_path.update(path.nodes)
-    on_path -= a_set
+    on_path = _PathSearch(g, a_set, y_set).nodes_on_paths() - a_set
     out: set[str] = set()
     for w in sorted(on_path):
         out |= possible_descendants(g, w)
@@ -204,38 +201,12 @@ def _proper_definite_status_paths(
     g: PartiallyDirectedGraph, a_set: set[str], y_set: set[str]
 ) -> list[NodePath]:
     """Proper definite-status paths from ``a_set`` to ``y_set``."""
-    found: list[tuple[str, ...]] = []
-
-    def extend(seq: list[str], members: set[str]) -> None:
-        tip = seq[-1]
-        for w in sorted(g.neighbours(tip)):
-            if w in members or w in a_set:
-                continue
-            if len(seq) >= 2:
-                u, v = seq[-2], seq[-1]
-                left, right = g.mark(u, v), g.mark(v, w)
-                is_collider = left == DIRECTED_MARK and right == REVERSED_MARK
-                is_noncollider = (
-                    left == REVERSED_MARK
-                    or right == DIRECTED_MARK
-                    or (
-                        left == UNDIRECTED_MARK
-                        and right == UNDIRECTED_MARK
-                        and not g.adjacent(u, w)
-                    )
-                )
-                if not (is_collider or is_noncollider):
-                    continue
-            seq.append(w)
-            members.add(w)
-            if w in y_set:
-                found.append(tuple(seq))
-            extend(seq, members)
-            members.remove(w)
-            seq.pop()
-
-    for a in sorted(a_set):
-        extend([a], {a})
+    nodes = g.nodes
+    found = [
+        tuple(nodes[i] for i in seq)
+        for seq in _definite_status_walk(g, a_set, banned=a_set)
+        if nodes[seq[-1]] in y_set
+    ]
     found.sort(key=lambda seq: (len(seq), seq))
     return [path_in(g, seq) for seq in found]
 

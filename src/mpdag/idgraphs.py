@@ -22,11 +22,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
-from .graphs import (
-    GraphError,
-    InternalInconsistencyError,
-    proper_possibly_causal_paths,
-)
+from .graphs import GraphError, InternalInconsistencyError, _PathSearch
 from .identify import GFormula, _violating_search, g_formula, is_identified
 from .meek import Mpdag, OrientationConflictError, construct_mpdag, enumerate_dags
 
@@ -175,10 +171,7 @@ def method3_graphs(
     """
     a_set = set(treatments)
     g = h.graph
-    on_path: set[str] = set()
-    for path in proper_possibly_causal_paths(g, a_set, set(outcomes)):
-        on_path.update(path.nodes)
-    on_path -= a_set
+    on_path = _PathSearch(g, a_set, outcomes).nodes_on_paths() - a_set
     edges = sorted(
         pair
         for pair in g.undirected

@@ -11,14 +11,34 @@ The rules, phrased as "orient u -- v into u -> v when ...":
 
 Applying them to a fixpoint turns a valid PDAG into a maximally oriented one;
 orienting an undirected edge of an MPDAG and re-closing implements the
-background-knowledge construction.  Rule application order is fixed (R1..R4,
-edges scanned in node order) so intermediate traces are reproducible; the
-fixpoint itself is order-independent.
+background-knowledge construction.  Rule application order is fixed so that
+intermediate traces are reproducible: each step applies the first firing
+(rule, edge, direction) triple, rules in the order R1..R4, undirected edges in
+node order, and ``u -> v`` before ``v -> u`` for an edge ``u -- v`` with
+``u < v``.  The fixpoint itself is order-independent (Meek 1995); the order
+decides which directed cycle a class-empty PDAG reports.
+
+The closure works on per-node bitmasks and keeps a table of the edges on
+which some rule fires.  The skeleton never changes, and a rule for ``u -> v``
+reads only the parents, children and undirected neighbours of ``u``, the
+parents of ``v`` and the parents of the undirected neighbours of ``u``.  So
+orienting ``t -> h`` re-checks only the undirected edges at ``t`` or ``h``
+and those joining an undirected neighbour of ``h`` to a child of ``h``, all
+of them within the closed neighbourhood N[h].  Graphs a closure produced are
+marked as closed, so orienting an edge of one re-checks only that
+neighbourhood; any other input, a plain ``Mpdag(g)`` wrapper included, gets
+one full scan at its first closure.
+
+The result graph is built without re-validation from the builder's edge sets
+and bitmasks, which it keeps for its own path searches.  Only the checks that
+hold by construction are skipped (known endpoints, no self loop, one edge per
+pair); acyclicity is still checked by a Kahn pass over the masks, and a
+cyclic result goes through the validating constructor, so a class-empty
+input reports the directed-cycle witness that constructor finds.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -26,6 +46,8 @@ from .graphs import (
     GraphError,
     InternalInconsistencyError,
     PartiallyDirectedGraph,
+    _AdjacencyMasks,
+    _bit_indices,
 )
 
 
@@ -59,74 +81,147 @@ class Mpdag:
         )
 
 
+_CLOSED = "_meek_closed"  # set on graphs a closure produced
+
+
 class _Builder:
-    """Mutable adjacency view used while running the rules."""
+    """Mutable adjacency bitmasks used while running the rules.
+
+    Bit ``i`` of a mask stands for ``nodes[i]``; node index order is name
+    order.  ``adj`` is the skeleton, which the rules never change.
+    ``_firing`` maps each undirected edge ``(i, j)``, ``i < j``, on which a
+    rule fires to its first firing ``(rule, i, j, direction)``, direction 0
+    meaning ``i -> j``.  Until ``_unscanned`` is cleared by a full scan the
+    table is empty and means nothing; from then on each orientation updates
+    it.
+    """
 
     def __init__(self, g: PartiallyDirectedGraph) -> None:
+        masks = g._masks
+        self.source = g
         self.nodes = g.nodes
-        self.parents: dict[str, set[str]] = {n: set(g.parents(n)) for n in g.nodes}
-        self.children: dict[str, set[str]] = {n: set(g.children(n)) for n in g.nodes}
-        self.und: dict[str, set[str]] = {
-            n: set(g.undirected_neighbours(n)) for n in g.nodes
-        }
+        self.index = masks.index
+        self.adj = masks.neighbours
+        self.children = list(masks.children)
+        self.und = list(masks.undirected)
+        self.parents = [
+            n & ~(c | u) for n, c, u in zip(self.adj, self.children, self.und)
+        ]
+        self._firing: dict[tuple[int, int], tuple[int, int, int, int]] = {}
+        self._oriented: list[tuple[int, int]] = []
+        # A graph from a closure has no firing edge; any other input gets a
+        # full scan at its first closure.
+        self._unscanned = not getattr(g, _CLOSED, False)
 
-    def adjacent(self, u: str, v: str) -> bool:
-        return v in self.parents[u] or v in self.children[u] or v in self.und[u]
+    @property
+    def closed(self) -> bool:
+        return not self._unscanned and not self._firing
 
-    def orient(self, tail: str, head: str) -> None:
-        self.und[tail].discard(head)
-        self.und[head].discard(tail)
-        self.children[tail].add(head)
-        self.parents[head].add(tail)
-
-    def undirected_edges(self) -> list[tuple[str, str]]:
-        return sorted(
-            (u, v) for u in self.nodes for v in self.und[u] if u < v
-        )
+    def orient(self, tail: int, head: int) -> None:
+        self.und[tail] &= ~(1 << head)
+        self.und[head] &= ~(1 << tail)
+        self.children[tail] |= 1 << head
+        self.parents[head] |= 1 << tail
+        self._oriented.append((tail, head))
+        self._firing.pop((min(tail, head), max(tail, head)), None)
+        if not self._unscanned:
+            self._recheck_around(tail, head)
 
     def snapshot(self) -> PartiallyDirectedGraph:
-        directed = {(t, h) for t in self.nodes for h in self.children[t]}
-        undirected = {(u, v) for u in self.nodes for v in self.und[u] if u < v}
-        return PartiallyDirectedGraph(self.nodes, directed, undirected)
-
-    # -- rule predicates: orient u -- v as u -> v? ---------------------------
-
-    def _r1(self, u: str, v: str) -> bool:
-        return any(not self.adjacent(w, v) for w in self.parents[u])
-
-    def _r2(self, u: str, v: str) -> bool:
-        return bool(self.children[u] & self.parents[v])
-
-    def _r3(self, u: str, v: str) -> bool:
-        shared = sorted(self.und[u] & self.parents[v])
-        return any(
-            not self.adjacent(w1, w2) for w1, w2 in itertools.combinations(shared, 2)
+        """The current graph: the source graph's edge sets with the
+        orientations applied, and the builder's masks as its ``_masks``."""
+        nodes = self.nodes
+        new = [(nodes[t], nodes[h]) for t, h in self._oriented]
+        g = PartiallyDirectedGraph._trusted(
+            nodes,
+            self.source.directed.union(new),
+            self.source.undirected.difference(
+                (t, h) if t < h else (h, t) for t, h in new
+            ),
+            _AdjacencyMasks(
+                self.index, self.adj, tuple(self.children), tuple(self.und)
+            ),
         )
+        if self.closed:
+            object.__setattr__(g, _CLOSED, True)
+        return g
 
-    def _r4(self, u: str, v: str) -> bool:
-        for b in sorted(self.und[u] & self.parents[v]):
-            for a in sorted(self.und[u] & self.parents[b]):
-                if not self.adjacent(a, v):
-                    return True
-        return False
+    # -- the table of firing edges -------------------------------------------
+
+    def _r3(self, shared: int) -> bool:
+        """R3 for a tail whose undirected neighbours among the head's parents
+        are ``shared``: two of them are nonadjacent."""
+        if not shared & (shared - 1):  # fewer than two
+            return False
+        adj = self.adj
+        return any(shared & ~(adj[w] | 1 << w) for w in _bit_indices(shared))
+
+    def _r4(self, und_tail: int, shared: int, head: int) -> bool:
+        """R4: some ``b`` in ``shared`` has a parent ``a`` that is an
+        undirected neighbour of the tail and nonadjacent to the head."""
+        # the head is undirected at the tail but never a parent of b; leaving
+        # it out lets the test below end early
+        candidates = und_tail & ~(self.adj[head] | 1 << head)
+        if not (shared and candidates):
+            return False
+        parents = self.parents
+        return any(candidates & parents[b] for b in _bit_indices(shared))
+
+    def _update(self, u: int, v: int) -> None:
+        """Re-check the undirected edge ``u -- v``, ``u < v``: record its
+        first firing, trying R1..R4 in turn, ``u -> v`` before ``v -> u``."""
+        parents, children, und, adj = self.parents, self.children, self.und, self.adj
+        pu, pv = parents[u], parents[v]
+        # R3 and R4 look at the tail's undirected neighbours among the head's
+        # parents
+        shared_u, shared_v = und[u] & pv, und[v] & pu
+        if pu & ~adj[v]:
+            hit = 0, 0
+        elif pv & ~adj[u]:
+            hit = 0, 1
+        elif children[u] & pv:
+            hit = 1, 0
+        elif children[v] & pu:
+            hit = 1, 1
+        elif self._r3(shared_u):
+            hit = 2, 0
+        elif self._r3(shared_v):
+            hit = 2, 1
+        elif self._r4(und[u], shared_u, v):
+            hit = 3, 0
+        elif self._r4(und[v], shared_v, u):
+            hit = 3, 1
+        else:
+            self._firing.pop((u, v), None)
+            return
+        self._firing[u, v] = (hit[0], u, v, hit[1])
+
+    def _recheck_around(self, tail: int, head: int) -> None:
+        """Re-check every edge whose rules read a mask that ``tail -> head``
+        changed: the edges at ``tail`` or ``head``, and for R4 (with ``b =
+        head``) those joining an undirected neighbour of ``head`` to a child
+        of ``head``.  All of them have an endpoint in N[head]."""
+        und, children = self.und, self.children[head]
+        pairs = [(x, y) for x in (tail, head) for y in _bit_indices(und[x])]
+        pairs += [
+            (u, v)
+            for u in _bit_indices(und[head])
+            for v in _bit_indices(und[u] & children)
+        ]
+        for u, v in {(x, y) if x < y else (y, x) for x, y in pairs}:
+            self._update(u, v)
 
     def close(self) -> None:
-        """Apply R1-R4 until no rule fires anywhere."""
-        rules = (self._r1, self._r2, self._r3, self._r4)
-        changed = True
-        while changed:
-            changed = False
-            for rule in rules:
-                for u, v in self.undirected_edges():
-                    for tail, head in ((u, v), (v, u)):
-                        if rule(tail, head):
-                            self.orient(tail, head)
-                            changed = True
-                            break
-                    if changed:
-                        break
-                if changed:
-                    break
+        """Apply R1-R4 until no rule fires anywhere, each step taking the
+        first firing (rule, edge, direction)."""
+        if self._unscanned:
+            self._unscanned = False
+            for u, mask in enumerate(self.und):
+                for v in _bit_indices(mask >> (u + 1) << (u + 1)):
+                    self._update(u, v)
+        while self._firing:
+            _, u, v, direction = min(self._firing.values())
+            self.orient(*((v, u) if direction else (u, v)))
 
 
 def _snapshot_or_raise(builder: "_Builder", context: str) -> PartiallyDirectedGraph:
@@ -139,12 +234,6 @@ def _snapshot_or_raise(builder: "_Builder", context: str) -> PartiallyDirectedGr
         raise InternalInconsistencyError(f"{context}: {exc}") from exc
 
 
-def _closed_graph(g: PartiallyDirectedGraph) -> PartiallyDirectedGraph:
-    builder = _Builder(g)
-    builder.close()
-    return _snapshot_or_raise(builder, "rule closure produced an invalid graph")
-
-
 def meek_closure(g: PartiallyDirectedGraph) -> Mpdag:
     """Close a valid PDAG under R1-R4.
 
@@ -152,7 +241,9 @@ def meek_closure(g: PartiallyDirectedGraph) -> Mpdag:
     set only grows.  Soundness of the rules means no directed cycle can
     appear; if one does, an internal-inconsistency error is raised.
     """
-    return Mpdag(_closed_graph(g))
+    builder = _Builder(g)
+    builder.close()
+    return Mpdag(_snapshot_or_raise(builder, "rule closure produced an invalid graph"))
 
 
 def construct_mpdag(h: Mpdag, requests: Sequence[tuple[str, str]]) -> Mpdag:
@@ -161,25 +252,29 @@ def construct_mpdag(h: Mpdag, requests: Sequence[tuple[str, str]]) -> Mpdag:
     Requests are processed in the given order.  A request whose edge is
     currently undirected is oriented and the rules are iterated to a fixpoint;
     one that already holds is a no-op; one that contradicts the graph (edge
-    missing or directed the other way) raises :class:`OrientationConflictError`
-    -- the FAIL outcome.
+    or endpoint missing, or edge directed the other way) raises
+    :class:`OrientationConflictError` -- the FAIL outcome.
 
     After the final closure every request is re-verified, so a closure-induced
     contradiction with an earlier request is also reported as a conflict.
     """
     builder = _Builder(h.graph)
+    index = builder.index
     for tail, head in requests:
-        if head in builder.und[tail]:
-            builder.orient(tail, head)
+        t, v = index.get(tail), index.get(head)
+        if t is None or v is None:
+            raise OrientationConflictError((tail, head), "no such edge")
+        if builder.und[t] >> v & 1:
+            builder.orient(t, v)
             builder.close()
-        elif head in builder.children[tail]:
+        elif builder.children[t] >> v & 1:
             pass
-        elif head in builder.parents[tail]:
+        elif builder.parents[t] >> v & 1:
             raise OrientationConflictError((tail, head), f"graph has {head} -> {tail}")
         else:
             raise OrientationConflictError((tail, head), "no such edge")
     for tail, head in requests:
-        if head not in builder.children[tail]:
+        if not builder.children[index[tail]] >> index[head] & 1:
             raise OrientationConflictError((tail, head), "lost after closure")
     return Mpdag(_snapshot_or_raise(builder, "orientation produced an invalid graph"))
 

@@ -277,3 +277,105 @@ def exhaustive_id_graphs(h: M.Mpdag, treatments, outcomes):
     recurse(h)
     m = len(exhaustive_possibly_causal_paths(h.graph, a_list, y_list, True))
     return m, [leaves[k] for k in sorted(leaves)], audit
+
+
+class RescanningBuilder:
+    """The Meek-rule loop the package used before its bitmask builder, over
+    node names: after every orientation it rescans every undirected edge,
+    rule by rule, and applies the first firing (rule, edge, direction).
+
+    Kept unchanged as the reference the incremental closure is compared
+    against.
+    """
+
+    def __init__(self, g: M.PartiallyDirectedGraph) -> None:
+        self.nodes = g.nodes
+        self.parents = {n: set(g.parents(n)) for n in g.nodes}
+        self.children = {n: set(g.children(n)) for n in g.nodes}
+        self.und = {n: set(g.undirected_neighbours(n)) for n in g.nodes}
+
+    def adjacent(self, u: str, v: str) -> bool:
+        return v in self.parents[u] or v in self.children[u] or v in self.und[u]
+
+    def orient(self, tail: str, head: str) -> None:
+        self.und[tail].discard(head)
+        self.und[head].discard(tail)
+        self.children[tail].add(head)
+        self.parents[head].add(tail)
+
+    def undirected_edges(self) -> list[tuple[str, str]]:
+        return sorted((u, v) for u in self.nodes for v in self.und[u] if u < v)
+
+    def snapshot(self, context: str) -> M.PartiallyDirectedGraph:
+        directed = {(t, h) for t in self.nodes for h in self.children[t]}
+        undirected = {(u, v) for u in self.nodes for v in self.und[u] if u < v}
+        try:
+            return M.PartiallyDirectedGraph(self.nodes, directed, undirected)
+        except M.GraphError as exc:
+            raise M.InternalInconsistencyError(f"{context}: {exc}") from exc
+
+    def _r1(self, u: str, v: str) -> bool:
+        return any(not self.adjacent(w, v) for w in self.parents[u])
+
+    def _r2(self, u: str, v: str) -> bool:
+        return bool(self.children[u] & self.parents[v])
+
+    def _r3(self, u: str, v: str) -> bool:
+        shared = sorted(self.und[u] & self.parents[v])
+        return any(
+            not self.adjacent(w1, w2) for w1, w2 in itertools.combinations(shared, 2)
+        )
+
+    def _r4(self, u: str, v: str) -> bool:
+        for b in sorted(self.und[u] & self.parents[v]):
+            for a in sorted(self.und[u] & self.parents[b]):
+                if not self.adjacent(a, v):
+                    return True
+        return False
+
+    def close(self) -> None:
+        rules = (self._r1, self._r2, self._r3, self._r4)
+        changed = True
+        while changed:
+            changed = False
+            for rule in rules:
+                for u, v in self.undirected_edges():
+                    for tail, head in ((u, v), (v, u)):
+                        if rule(tail, head):
+                            self.orient(tail, head)
+                            changed = True
+                            break
+                    if changed:
+                        break
+                if changed:
+                    break
+
+
+def rescanning_meek_closure(g: M.PartiallyDirectedGraph) -> M.PartiallyDirectedGraph:
+    builder = RescanningBuilder(g)
+    builder.close()
+    return builder.snapshot("rule closure produced an invalid graph")
+
+
+def rescanning_construct_mpdag(
+    g: M.PartiallyDirectedGraph, requests
+) -> M.PartiallyDirectedGraph:
+    """Background-knowledge orientation on :class:`RescanningBuilder`, with a
+    full rescan after each request, as for a graph not known to be closed."""
+    builder = RescanningBuilder(g)
+    for tail, head in requests:
+        if tail not in builder.und or head not in builder.und:
+            raise M.OrientationConflictError((tail, head), "no such edge")
+        if head in builder.und[tail]:
+            builder.orient(tail, head)
+            builder.close()
+        elif head in builder.children[tail]:
+            pass
+        elif head in builder.parents[tail]:
+            raise M.OrientationConflictError((tail, head), f"graph has {head} -> {tail}")
+        else:
+            raise M.OrientationConflictError((tail, head), "no such edge")
+    for tail, head in requests:
+        if head not in builder.children[tail]:
+            raise M.OrientationConflictError((tail, head), "lost after closure")
+    return builder.snapshot("orientation produced an invalid graph")

@@ -91,6 +91,23 @@ def test_orient_success_and_failure(capsys, tmp_path):
     assert payload["request"] == ["Y", "A"]
 
 
+@pytest.mark.parametrize("request_", [("Z", "A"), ("A", "Z")])
+def test_orient_unknown_node_fails(capsys, tmp_path, request_):
+    bg = tmp_path / "bg.txt"
+    bg.write_text(f"{request_[0]} -> {request_[1]}\n")
+    code, out, _ = run(capsys, "orient", FIXTURES / "four_node_mpdag.txt",
+                       "--bg", bg, "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    jsonschema.validate(payload, schema("orient.json"))
+    assert payload == {"status": "FAIL", "request": list(request_),
+                       "reason": "no such edge"}
+    code, out, _ = run(capsys, "orient", FIXTURES / "four_node_mpdag.txt",
+                       "--bg", bg)
+    assert code == 0
+    assert out == f"FAIL: cannot orient {request_[0]} -> {request_[1]} (no such edge)\n"
+
+
 def test_enumerate_dags_json(capsys):
     code, out, _ = run(capsys, "enumerate-dags", FIXTURES / "four_node_mpdag.txt",
                        "--format", "json")

@@ -51,6 +51,11 @@ class TestValidation:
         assert verdict.witness == (*names, names[0])
 
 
+def undirected_chain(n):
+    names = [f"n{i:04d}" for i in range(n)]
+    return names, M.PartiallyDirectedGraph(names, (), zip(names, names[1:]))
+
+
 class TestInducedSubgraph:
     def test_drop_treatment_node(self, four_mpdag):
         sub = four_mpdag.graph.induced_subgraph({"Y", "V1", "V2"})
@@ -164,6 +169,12 @@ class TestAncestralSets:
         assert M.possible_descendants(g, "x") == {"x", "m"}
 
 
+    def test_long_undirected_chain_possible_descendants(self):
+        names, g = undirected_chain(5000)
+        assert M.possible_descendants(g, names[0]) == set(names)
+        assert M.possible_descendants(g, names[2500]) == set(names)
+
+
 class TestBuckets:
     def test_directed_edge_splits_buckets(self):
         buckets = M.bucket_decomposition(third_minimal(), {"V1", "Y"})
@@ -214,6 +225,11 @@ class TestDSeparation:
         g = chain(("A", "B"), ("B", "C"))
         with pytest.raises(M.GraphError):
             M.d_separated(g, ["A"], ["C"], ["A"])
+
+    def test_long_undirected_chain(self):
+        names, g = undirected_chain(5000)
+        assert not M.d_separated(g, [names[0]], [names[-1]])
+        assert M.d_separated(g, [names[0]], [names[-1]], [names[2500]])
 
 
 class TestUnshieldedSubsequence:

@@ -113,6 +113,13 @@ class TestForbiddenSet:
         h = M.meek_closure(M.parse_graph("Y -> A\n"))
         assert M.forbidden_set(h, ["A"], ["Y"]) == frozenset()
 
+    def test_long_undirected_chain(self):
+        # the one on-path node n0001 has every node as a possible descendant,
+        # reached along a path of 1,199 edges
+        names = [f"n{i:04d}" for i in range(1200)]
+        h = M.Mpdag(M.PartiallyDirectedGraph(names, (), zip(names, names[1:])))
+        assert M.forbidden_set(h, [names[0]], [names[1]]) == set(names)
+
     def test_direct_from_definition(self, parent_of_both):
         g = parent_of_both.graph
         on_paths = set()

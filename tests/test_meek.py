@@ -7,6 +7,7 @@ from helpers import (
     brute_force_class,
     lines,
     random_dag,
+    rescanning_meek_closure,
 )
 
 
@@ -72,6 +73,48 @@ class TestClosureRules:
         with pytest.raises(M.InternalInconsistencyError):
             M.meek_closure(g)
 
+    @pytest.mark.parametrize(
+        "directed, undirected, cycle",
+        [
+            # R3 fires on p -- q both ways: p -> q, the smaller tail, goes first
+            (
+                "rq sq tp wp",
+                "pq pr ps qt qw rt rw st sw",
+                "('p', 'q', 'w', 'p')",
+            ),
+            # R3 on one edge goes before R4 on a smaller edge
+            (
+                "eb gb gd",
+                "ab ad ae ag bc bf cd ce cg de fg",
+                "('a', 'b', 'c', 'd', 'a')",
+            ),
+            # R4 fires on an edge both ways: the smaller tail goes first
+            (
+                "dg fe ga",
+                "ab ae af bc be bf bg cd ce cg de df eg fg",
+                "('b', 'c', 'd', 'e', 'b')",
+            ),
+        ],
+    )
+    def test_first_firing_order_decides_the_reported_cycle(
+        self, directed, undirected, cycle
+    ):
+        # class-empty PDAGs, where the rules end in a directed cycle that
+        # depends on the order of the firings
+        g = M.PartiallyDirectedGraph(
+            {n for pair in (directed + undirected).split() for n in pair},
+            [tuple(pair) for pair in directed.split()],
+            [tuple(pair) for pair in undirected.split()],
+        )
+        with pytest.raises(M.InternalInconsistencyError) as err:
+            M.meek_closure(g)
+        assert str(err.value) == (
+            f"rule closure produced an invalid graph: directed cycle: {cycle}"
+        )
+        with pytest.raises(M.InternalInconsistencyError) as oracle_err:
+            rescanning_meek_closure(g)
+        assert str(oracle_err.value) == str(err.value)
+
     def test_shielded_triple_stays_undirected(self):
         g = pdag(directed=[("a", "b")], undirected=[("b", "c"), ("a", "c")])
         closed = M.meek_closure(g)
@@ -101,6 +144,13 @@ class TestConstructMpdag:
     def test_missing_edge_fails(self, four_mpdag):
         with pytest.raises(M.OrientationConflictError):
             M.construct_mpdag(four_mpdag, [("V2", "Y")])
+
+    @pytest.mark.parametrize("request_", [("Z", "A"), ("A", "Z")])
+    def test_unknown_node_is_missing_edge(self, four_mpdag, request_):
+        with pytest.raises(M.OrientationConflictError) as err:
+            M.construct_mpdag(four_mpdag, [request_])
+        assert err.value.request == request_
+        assert err.value.reason == "no such edge"
 
     def test_agreeing_request_is_noop(self, four_mpdag):
         refined = M.construct_mpdag(four_mpdag, [("A", "Y")])

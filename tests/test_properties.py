@@ -15,6 +15,8 @@ from helpers import (
     partial_correlation,
     random_dag,
     random_scm,
+    rescanning_construct_mpdag,
+    rescanning_meek_closure,
 )
 
 
@@ -48,6 +50,124 @@ def mpdag_queries(draw, max_nodes: int = 7):
     k = int(rng.integers(1, 3))
     j = int(rng.integers(1, 3))
     return h, order[:k], order[k:k + j]
+
+
+@st.composite
+def orientation_cases(draw, max_nodes: int = 7):
+    """A valid PDAG and up to three orientation requests.
+
+    The PDAG is one of: a CPDAG with some true orientations added; the same
+    with some of them reversed, which can leave a class-empty graph; or
+    arbitrary edge marks over a random node order, some against it.  The
+    requests are ordered node pairs, so they include missing edges,
+    reversed edges and conflicts with each other, and now and then a node
+    that is not in the graph; most are edges of the skeleton.
+    """
+    seed = draw(st.integers(0, 2**31 - 1))
+    rng = np.random.default_rng(seed)
+    p = int(rng.integers(2, max_nodes + 1))
+    density = rng.choice((0.3, 0.5, 0.8))
+    kind = int(rng.integers(0, 3))
+    if kind < 2:
+        dag = random_dag(rng, p, density)
+        cpdag = M.cpdag_of_dag(dag).graph
+        picked = [  # (true orientation, reverse it?)
+            (
+                (u, v) if (u, v) in dag.directed else (v, u),
+                kind == 1 and rng.random() < 0.4,
+            )
+            for u, v in sorted(cpdag.undirected)
+            if rng.random() < 0.3
+        ]
+        undirected = cpdag.undirected - {tuple(sorted(e)) for e, _ in picked}
+        try:
+            graph = M.PartiallyDirectedGraph(
+                cpdag.nodes,
+                cpdag.directed | {e[::-1] if flip else e for e, flip in picked},
+                undirected,
+            )
+        except M.GraphError:  # a reversed edge closed a cycle
+            graph = M.PartiallyDirectedGraph(
+                cpdag.nodes, cpdag.directed | {e for e, _ in picked}, undirected
+            )
+    else:
+        names = [f"n{i}" for i in rng.permutation(p)]
+        marks = [
+            (u, v, rng.random())
+            for i, u in enumerate(names)
+            for v in names[i + 1:]
+            if rng.random() < density
+        ]
+        try:
+            graph = M.PartiallyDirectedGraph(
+                names,
+                [(u, v) if r < 0.7 else (v, u) for u, v, r in marks if r >= 0.4],
+                [(u, v) for u, v, r in marks if r < 0.4],
+            )
+        except M.GraphError:  # a reversed edge closed a cycle
+            graph = M.PartiallyDirectedGraph(
+                names,
+                [(u, v) for u, v, r in marks if r >= 0.4],
+                [(u, v) for u, v, r in marks if r < 0.4],
+            )
+    skeleton = sorted(graph.skeleton)
+    pool = list(graph.nodes) + (["zz"] if rng.random() < 0.1 else [])
+    requests = []
+    for _ in range(int(rng.integers(0, 4))):
+        if skeleton and rng.random() < 0.8:
+            u, v = skeleton[int(rng.integers(len(skeleton)))]
+            requests.append((u, v) if rng.random() < 0.5 else (v, u))
+        else:
+            i, j = rng.choice(len(pool), size=2, replace=False)
+            requests.append((pool[i], pool[j]))
+    return graph, requests
+
+
+def _outcome(call):
+    """The result of ``call``, or the type, text and fields of its error."""
+    try:
+        return "ok", call()
+    except (M.GraphError, M.InternalInconsistencyError) as exc:
+        return (
+            "error",
+            type(exc),
+            str(exc),
+            getattr(exc, "request", None),
+            getattr(exc, "reason", None),
+        )
+
+
+def _assert_trusted_snapshot(g):
+    """``g`` came from the trusted constructor with its masks preset, and is
+    the graph the validating constructor builds from its edges."""
+    assert "_masks" in vars(g)
+    validated = M.PartiallyDirectedGraph(g.nodes, g.directed, g.undirected)
+    assert g == validated
+    assert hash(g) == hash(validated)
+    assert g._masks == validated._masks
+    if getattr(g, "_meek_closed", False):
+        assert rescanning_meek_closure(g) == g
+
+
+@settings(max_examples=300)
+@given(orientation_cases())
+def test_closure_matches_rescanning_oracle(case):
+    g, requests = case
+    closed = _outcome(lambda: M.meek_closure(g).graph)
+    assert closed == _outcome(lambda: rescanning_meek_closure(g))
+    outcomes = [closed]
+    # an unclosed wrapper is scanned in full; a closure's output is trusted
+    inputs = [M.Mpdag(g)] + ([M.Mpdag(closed[1])] if closed[0] == "ok" else [])
+    for h in inputs:
+        oriented = _outcome(lambda: M.construct_mpdag(h, requests).graph)
+        expected = _outcome(lambda: rescanning_construct_mpdag(h.graph, requests))
+        assert oriented == expected
+        outcomes.append(oriented)
+    for outcome in outcomes:
+        if outcome[0] == "ok":
+            _assert_trusted_snapshot(outcome[1])
+    if closed[0] == "ok":
+        assert closed[1]._meek_closed
 
 
 @settings(max_examples=200)
