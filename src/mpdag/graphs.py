@@ -22,11 +22,13 @@ use it in three ways:
   search early, while an identified effect still costs a full search.
 
 Possible descendants are the ends of the paths of the same search, started
-at one node and ending anywhere.  Definite-status paths (for d-separation and
-the adjustment criterion) come from a second depth-first search over the
-bitmasks, which d-separation stops at blocked triples.  Both searches keep an
-explicit stack, so a long chain cannot exhaust the interpreter stack.  These exponential queries are intended for desk-scale
-graphs (roughly p <= 15); there is no silent truncation.
+at one node (or at every node of a set at once) and ending anywhere.
+Definite-status paths (for d-separation and the adjustment criterion) come
+from a second depth-first search over the bitmasks, which both stop at
+blocked triples, so only open paths are visited.  Both searches keep an
+explicit stack, so a long chain cannot exhaust the interpreter stack.  These
+exponential queries are intended for desk-scale graphs (roughly p <= 15);
+there is no silent truncation.
 """
 
 from __future__ import annotations
@@ -681,20 +683,32 @@ def proper_possibly_causal_paths(
     return _PathSearch(g, treatments, outcomes, start_undirected_only).paths()
 
 
-def possible_descendants(g: PartiallyDirectedGraph, start: str) -> frozenset[str]:
-    """Nodes reachable from ``start`` by a possibly causal path (reflexive).
+def _possible_descendants_of_set(
+    g: PartiallyDirectedGraph, sources: Iterable[str]
+) -> frozenset[str]:
+    """The union of the possible descendants of the ``sources`` (reflexive).
 
-    Every node ends some path of the proper possibly causal path search from
-    ``start`` to all other nodes; that search is iterative, so a long chain
-    cannot exhaust the interpreter stack.
+    A subpath of a possibly causal path is possibly causal, so a possible
+    descendant outside the set ends a proper possibly causal path from the
+    last source on the path: it is an end of one search started at every
+    source at once.  That search is iterative, so a long chain cannot exhaust
+    the interpreter stack.
     """
+    sources = frozenset(sources)
+    others = set(g.nodes) - sources
+    if not sources or not others:
+        return sources
+    ends = 0
+    for seq in _PathSearch(g, sources, others).walk():
+        ends |= 1 << seq[-1]
+    return sources.union(g.nodes[i] for i in _bit_indices(ends))
+
+
+def possible_descendants(g: PartiallyDirectedGraph, start: str) -> frozenset[str]:
+    """Nodes reachable from ``start`` by a possibly causal path (reflexive)."""
     if start not in g._parents:
         raise GraphError(f"unknown node: [{start!r}]")
-    others = set(g.nodes) - {start}
-    if not others:
-        return frozenset({start})
-    ends = _PathSearch(g, [start], others).walk()
-    return frozenset({start}).union(g.nodes[seq[-1]] for seq in ends)
+    return _possible_descendants_of_set(g, {start})
 
 
 def possible_ancestors(g: PartiallyDirectedGraph, targets: Iterable[str]) -> frozenset[str]:
@@ -759,14 +773,11 @@ def ancestral_sets(g: PartiallyDirectedGraph, nodes: Iterable[str]) -> Ancestral
     unknown = node_set - set(g.nodes)
     if unknown:
         raise GraphError(f"unknown node: {sorted(unknown)}")
-    poss = set()
-    for v in node_set:
-        poss |= possible_descendants(g, v)
     return AncestralSets(
         parents=parents_of_set(g, node_set),
         ancestors=ancestors(g, node_set),
         descendants=descendants(g, node_set),
-        possible_descendants=frozenset(poss),
+        possible_descendants=_possible_descendants_of_set(g, node_set),
     )
 
 

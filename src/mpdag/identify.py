@@ -3,39 +3,31 @@
 Covers the graphical identifiability test (every proper possibly causal path
 from the treatments to the outcomes must start with a directed edge), the
 bucket factorisation of the interventional density for identified effects,
-the forbidden set, and the generalized adjustment criterion with a search for
-a valid adjustment set.
+the forbidden set, and the generalized adjustment criterion.  An adjustment
+set exists exactly when the canonical one does (Perkovic, Textor, Kalisch &
+Maathuis, JMLR 2018), so that set is the only candidate tried.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .graphs import (
-    DIRECTED_MARK,
-    REVERSED_MARK,
     GraphError,
     InternalInconsistencyError,
     NodePath,
-    PartiallyDirectedGraph,
-    PathKind,
     _PathSearch,
     _definite_status_walk,
+    _possible_descendants_of_set,
     ancestors,
     bucket_decomposition,
-    classify_path,
-    descendants,
     parents_of_set,
     path_in,
     possible_ancestors,
-    possible_descendants,
     proper_possibly_causal_paths,
 )
 from .meek import Mpdag
-
-EXHAUSTIVE_SEARCH_NODE_CAP = 20
 
 
 class NotIdentifiedError(GraphError):
@@ -44,10 +36,6 @@ class NotIdentifiedError(GraphError):
     def __init__(self, witness: NodePath) -> None:
         super().__init__(f"effect not identified; witness path {witness}")
         self.witness = witness
-
-
-class SearchBudgetError(GraphError):
-    """Exhaustive subset search refused: too many nodes."""
 
 
 @dataclass(frozen=True)
@@ -180,10 +168,7 @@ def forbidden_set(
     a_set, y_set = _checked_sets(h, treatments, outcomes)
     g = h.graph
     on_path = _PathSearch(g, a_set, y_set).nodes_on_paths() - a_set
-    out: set[str] = set()
-    for w in sorted(on_path):
-        out |= possible_descendants(g, w)
-    return frozenset(out)
+    return _possible_descendants_of_set(g, on_path)
 
 
 @dataclass(frozen=True)
@@ -195,32 +180,6 @@ class AdjustmentVerdict:
 
     def __bool__(self) -> bool:
         return self.valid
-
-
-def _proper_definite_status_paths(
-    g: PartiallyDirectedGraph, a_set: set[str], y_set: set[str]
-) -> list[NodePath]:
-    """Proper definite-status paths from ``a_set`` to ``y_set``."""
-    nodes = g.nodes
-    found = [
-        tuple(nodes[i] for i in seq)
-        for seq in _definite_status_walk(g, a_set, banned=a_set)
-        if nodes[seq[-1]] in y_set
-    ]
-    found.sort(key=lambda seq: (len(seq), seq))
-    return [path_in(g, seq) for seq in found]
-
-
-def _blocked(g: PartiallyDirectedGraph, path: NodePath, z_set: set[str]) -> bool:
-    for i in range(1, len(path.nodes) - 1):
-        left, right = path.marks[i - 1], path.marks[i]
-        node = path.nodes[i]
-        if left == DIRECTED_MARK and right == REVERSED_MARK:
-            if not descendants(g, [node]) & z_set:
-                return True
-        elif node in z_set:
-            return True
-    return False
 
 
 def is_adjustment_set(
@@ -235,6 +194,12 @@ def is_adjustment_set(
     proper non-causal definite-status path from the treatments to the
     outcomes.  Stated only under the identifiability premise, so an
     unidentified effect raises :class:`NotIdentifiedError`.
+
+    One search walks the proper definite-status paths that the candidate
+    leaves open (the d-separation walk: a non-collider in the set or a
+    collider without a descendant in it ends the path).  The witness of an
+    invalid set is the smallest open non-causal path by length, then node
+    sequence.
     """
     a_set, y_set = _checked_sets(h, treatments, outcomes)
     z_set = set(adjust)
@@ -251,24 +216,40 @@ def is_adjustment_set(
     hit = z_set & forbidden_set(h, a_set, y_set)
     if hit:
         return AdjustmentVerdict(False, "forbidden", witness_node=min(hit))
-    for path in _proper_definite_status_paths(g, a_set, y_set):
-        if classify_path(g, path).kind is not PathKind.NON_CAUSAL:
+    masks = g._masks
+    children = masks.children
+    y_bits = sum(1 << masks.index[y] for y in y_set)
+    best: Optional[list[int]] = None
+    walk = _definite_status_walk(
+        g, a_set, banned=a_set, blocking=z_set, open_colliders=ancestors(g, z_set)
+    )
+    # the walk visits paths in node order, so among paths of one length the
+    # first one found is the smallest
+    for seq in walk:
+        if not y_bits >> seq[-1] & 1 or best is not None and len(seq) >= len(best):
             continue
-        if not _blocked(g, path, z_set):
-            return AdjustmentVerdict(False, "open_path", witness_path=path)
-    return AdjustmentVerdict(True)
+        # non-causal: some node has a child earlier on the path
+        members = 0
+        for i in seq:
+            if children[i] & members:
+                best = list(seq)
+                break
+            members |= 1 << i
+    if best is None:
+        return AdjustmentVerdict(True)
+    witness = path_in(g, [g.nodes[i] for i in best])
+    return AdjustmentVerdict(False, "open_path", witness_path=witness)
 
 
 def find_adjustment_set(
     h: Mpdag, treatments: Iterable[str], outcomes: Iterable[str]
 ) -> Optional[frozenset[str]]:
-    """A valid adjustment set, or None when none exists.
+    """The canonical adjustment set, or None when no adjustment set exists.
 
-    Tries the canonical candidate first: the possible ancestors of the
-    treatments and outcomes, minus the forbidden set and the two sets
-    themselves.  Falls back to exhaustive subset search in increasing size
-    (first valid set in lexicographic order), which is refused above
-    EXHAUSTIVE_SEARCH_NODE_CAP nodes.
+    The canonical set is the possible ancestors of the treatments and
+    outcomes, minus the forbidden set and the two sets themselves.  Some
+    adjustment set exists exactly when this one is valid (Perkovic, Textor,
+    Kalisch & Maathuis, JMLR 2018), so no other candidate is tried.
 
     For a singleton treatment and outcome joined by some proper possibly
     causal path, a set is guaranteed to exist and failing to find one is an
@@ -288,19 +269,6 @@ def find_adjustment_set(
     )
     if is_adjustment_set(h, a_set, y_set, candidate):
         return candidate
-    pool = sorted(set(g.nodes) - a_set - y_set - forb)
-    if len(g.nodes) > EXHAUSTIVE_SEARCH_NODE_CAP:
-        raise SearchBudgetError(
-            f"exhaustive adjustment search capped at "
-            f"{EXHAUSTIVE_SEARCH_NODE_CAP} nodes, graph has {len(g.nodes)}"
-        )
-    for size in range(len(pool) + 1):
-        for combo in itertools.combinations(pool, size):
-            z = frozenset(combo)
-            if z == candidate:
-                continue
-            if is_adjustment_set(h, a_set, y_set, z):
-                return z
     if (
         len(a_set) == 1
         and len(y_set) == 1

@@ -254,9 +254,6 @@ def construct_mpdag(h: Mpdag, requests: Sequence[tuple[str, str]]) -> Mpdag:
     one that already holds is a no-op; one that contradicts the graph (edge
     or endpoint missing, or edge directed the other way) raises
     :class:`OrientationConflictError` -- the FAIL outcome.
-
-    After the final closure every request is re-verified, so a closure-induced
-    contradiction with an earlier request is also reported as a conflict.
     """
     builder = _Builder(h.graph)
     index = builder.index
@@ -273,9 +270,6 @@ def construct_mpdag(h: Mpdag, requests: Sequence[tuple[str, str]]) -> Mpdag:
             raise OrientationConflictError((tail, head), f"graph has {head} -> {tail}")
         else:
             raise OrientationConflictError((tail, head), "no such edge")
-    for tail, head in requests:
-        if not builder.children[index[tail]] >> index[head] & 1:
-            raise OrientationConflictError((tail, head), "lost after closure")
     return Mpdag(_snapshot_or_raise(builder, "orientation produced an invalid graph"))
 
 

@@ -279,6 +279,113 @@ def exhaustive_id_graphs(h: M.Mpdag, treatments, outcomes):
     return m, [leaves[k] for k in sorted(leaves)], audit
 
 
+def exhaustive_possible_descendants(g: M.PartiallyDirectedGraph, sources) -> set[str]:
+    """Possible descendants of each source (reflexive), united: the ends of
+    the exhaustive possibly causal paths from each source on its own."""
+    out = set(sources)
+    for w in sources:
+        others = set(g.nodes) - {w}
+        if others:
+            out |= {p.nodes[-1] for p in exhaustive_possibly_causal_paths(g, [w], others)}
+    return out
+
+
+def exhaustive_forbidden_set(h: M.Mpdag, treatments, outcomes) -> frozenset[str]:
+    """The forbidden set from its definition: possible descendants of every
+    non-treatment node on some proper possibly causal path."""
+    g = h.graph
+    on_paths: set[str] = set()
+    for path in exhaustive_possibly_causal_paths(g, treatments, outcomes):
+        on_paths |= set(path.nodes)
+    return frozenset(exhaustive_possible_descendants(g, on_paths - set(treatments)))
+
+
+def exhaustive_definite_status_paths(
+    g: M.PartiallyDirectedGraph, treatments, outcomes
+) -> list[M.NodePath]:
+    """Proper definite-status paths by plain recursive enumeration of simple
+    paths, each kept when ``classify_path`` finds it of definite status,
+    sorted by length then sequence."""
+    a_set, y_set = set(treatments), set(outcomes)
+    found: list[tuple[str, ...]] = []
+
+    def extend(seq: list[str]) -> None:
+        for w in sorted(g.neighbours(seq[-1])):
+            if w in seq or w in a_set:
+                continue
+            seq.append(w)
+            if w in y_set and M.classify_path(g, seq).definite_status:
+                found.append(tuple(seq))
+            extend(seq)
+            seq.pop()
+
+    for a in sorted(a_set):
+        extend([a])
+    found.sort(key=lambda seq: (len(seq), seq))
+    return [M.path_in(g, seq) for seq in found]
+
+
+def _blocked(g: M.PartiallyDirectedGraph, path: M.NodePath, z_set: set[str]) -> bool:
+    for i in range(1, len(path.nodes) - 1):
+        left, right = path.marks[i - 1], path.marks[i]
+        node = path.nodes[i]
+        if left == "->" and right == "<-":
+            if not M.descendants(g, [node]) & z_set:
+                return True
+        elif node in z_set:
+            return True
+    return False
+
+
+def exhaustive_is_adjustment_set(h: M.Mpdag, treatments, outcomes, adjust):
+    """The generalized adjustment criterion as the package checked it before
+    walking only open paths: list every proper definite-status path, then
+    return the first non-causal one the candidate leaves open.  Takes the
+    preconditions (valid, disjoint sets; identified effect) as given."""
+    a_set, y_set, z_set = set(treatments), set(outcomes), set(adjust)
+    g = h.graph
+    hit = z_set & exhaustive_forbidden_set(h, a_set, y_set)
+    if hit:
+        return M.AdjustmentVerdict(False, "forbidden", witness_node=min(hit))
+    for path in exhaustive_definite_status_paths(g, a_set, y_set):
+        if M.classify_path(g, path).kind is not M.PathKind.NON_CAUSAL:
+            continue
+        if not _blocked(g, path, z_set):
+            return M.AdjustmentVerdict(False, "open_path", witness_path=path)
+    return M.AdjustmentVerdict(True)
+
+
+def exhaustive_find_adjustment_set(h: M.Mpdag, treatments, outcomes):
+    """The adjustment-set search as the package ran it before it tried the
+    canonical set only, without a node cap: the canonical set first, then
+    every subset of the allowed nodes in increasing size (first valid set in
+    lexicographic order)."""
+    a_set, y_set = set(treatments), set(outcomes)
+    g = h.graph
+    forb = exhaustive_forbidden_set(h, a_set, y_set)
+    possible_ancestors = {
+        w for w in g.nodes if exhaustive_possible_descendants(g, [w]) & (a_set | y_set)
+    }
+    candidate = frozenset(possible_ancestors - forb - a_set - y_set)
+    if exhaustive_is_adjustment_set(h, a_set, y_set, candidate):
+        return candidate
+    pool = sorted(set(g.nodes) - a_set - y_set - forb)
+    for size in range(len(pool) + 1):
+        for combo in itertools.combinations(pool, size):
+            z = frozenset(combo)
+            if z != candidate and exhaustive_is_adjustment_set(h, a_set, y_set, z):
+                return z
+    if (
+        len(a_set) == 1
+        and len(y_set) == 1
+        and exhaustive_possibly_causal_paths(g, a_set, y_set)
+    ):
+        raise M.InternalInconsistencyError(
+            "no adjustment set found for singleton treatment and outcome"
+        )
+    return None
+
+
 class RescanningBuilder:
     """The Meek-rule loop the package used before its bitmask builder, over
     node names: after every orientation it rescans every undirected edge,

@@ -140,6 +140,17 @@ def test_adjust_find_and_check(capsys):
     assert code == 0
 
 
+def test_adjust_find_reports_no_set_on_a_large_graph(capsys, tmp_path):
+    # 23 nodes, and no adjustment set exists for x2 on x1
+    graph = tmp_path / "x.txt"
+    graph.write_text("x1 -> x2\nx1 -- x3\nx2 -- x3\n"
+                     + "".join(f"iso{i:02d}\n" for i in range(20)))
+    code, out, _ = run(capsys, "adjust", graph, "--treat", "x2", "--out", "x1",
+                       "--find")
+    assert code == 0
+    assert out == "adjustment set: None\n"
+
+
 def test_effects_exact_population(capsys):
     code, out, _ = run(capsys, "effects", "--scm", FIXTURES / "sim_scm.json",
                        "--treat", "A1", "--out", "Y", "--cov", "exact")

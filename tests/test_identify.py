@@ -114,11 +114,13 @@ class TestForbiddenSet:
         assert M.forbidden_set(h, ["A"], ["Y"]) == frozenset()
 
     def test_long_undirected_chain(self):
-        # the one on-path node n0001 has every node as a possible descendant,
-        # reached along a path of 1,199 edges
+        # with Y next to A, the one on-path node n0001 has every node as a
+        # possible descendant, reached along a path of 1,199 edges; with Y at
+        # the far end, all 1,199 non-treatment nodes lie on the path
         names = [f"n{i:04d}" for i in range(1200)]
         h = M.Mpdag(M.PartiallyDirectedGraph(names, (), zip(names, names[1:])))
         assert M.forbidden_set(h, [names[0]], [names[1]]) == set(names)
+        assert M.forbidden_set(h, [names[0]], [names[-1]]) == set(names)
 
     def test_direct_from_definition(self, parent_of_both):
         g = parent_of_both.graph
@@ -207,4 +209,13 @@ class TestFindAdjustmentSet:
         # blocked, so no adjustment set exists even for a singleton pair
         h = M.meek_closure(M.parse_graph("x1 -> x2\nx1 -- x3\nx2 -- x3\n"))
         assert M.is_identified(h, ["x2"], ["x1"])
+        assert M.find_adjustment_set(h, ["x2"], ["x1"]) is None
+
+    def test_no_set_on_a_graph_of_more_than_twenty_nodes(self):
+        # the same query with 20 isolated nodes added: only the canonical set
+        # is tried, so the answer does not depend on the size of the graph
+        text = "x1 -> x2\nx1 -- x3\nx2 -- x3\n"
+        text += "".join(f"iso{i:02d}\n" for i in range(20))
+        h = M.meek_closure(M.parse_graph(text))
+        assert len(h.nodes) == 23
         assert M.find_adjustment_set(h, ["x2"], ["x1"]) is None

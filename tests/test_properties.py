@@ -9,7 +9,11 @@ import mpdag as M
 from mpdag.graphs import _PathSearch
 from helpers import (
     adjustment_functional,
+    exhaustive_find_adjustment_set,
+    exhaustive_forbidden_set,
     exhaustive_id_graphs,
+    exhaustive_is_adjustment_set,
+    exhaustive_possible_descendants,
     exhaustive_possibly_causal_paths,
     formula_effect,
     partial_correlation,
@@ -198,6 +202,42 @@ def test_id_graphs_audit_matches_exhaustive_oracle(query):
     assert [(r.edge, r.path, r.violating) for r in result.audit] == audit
     if audit:
         assert M.select_branch_edge(h, a, y) == audit[0][0]
+
+
+@settings(max_examples=200)
+@given(mpdag_queries(), st.integers(0, 2**31 - 1))
+def test_possible_descendants_of_a_set_match_exhaustive_oracle(query, seed):
+    h, a, y = query
+    rng = np.random.default_rng(seed)
+    nodes = [n for n in h.nodes if rng.random() < 0.4]
+    sets = M.ancestral_sets(h.graph, nodes)
+    assert sets.possible_descendants == exhaustive_possible_descendants(h.graph, nodes)
+    assert M.forbidden_set(h, a, y) == exhaustive_forbidden_set(h, a, y)
+
+
+def _verdict(v):
+    return (v.valid, v.reason, v.witness_node, v.witness_path)
+
+
+@settings(max_examples=200)
+@given(mpdag_queries(), st.integers(0, 2**31 - 1))
+def test_adjustment_matches_exhaustive_oracle(query, seed):
+    # on every member of the minimal enumeration: the found set against the
+    # canonical-then-every-subset search, and the verdict with its witness
+    # against the list-every-path criterion, for a random candidate and a
+    # random one that avoids the forbidden set
+    h, a, y = query
+    rng = np.random.default_rng(seed)
+    members = [h] if M.is_identified(h, a, y) else M.id_graphs(h, a, y).graphs
+    for member in members:
+        found = _outcome(lambda: M.find_adjustment_set(member, a, y))
+        assert found == _outcome(lambda: exhaustive_find_adjustment_set(member, a, y))
+        pool = sorted(set(member.nodes) - set(a) - set(y))
+        allowed = sorted(set(pool) - exhaustive_forbidden_set(member, a, y))
+        for candidates in (pool, allowed):
+            z = [n for n in candidates if rng.random() < 0.5]
+            verdict = M.is_adjustment_set(member, a, y, z)
+            assert _verdict(verdict) == _verdict(exhaustive_is_adjustment_set(member, a, y, z))
 
 
 @given(pdags())
