@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -371,18 +370,10 @@ def _simulate_one(seed: int, args: argparse.Namespace) -> dict:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    seeds = [args.seed + i for i in range(args.reps)]
-    threads = int(os.environ.get("MPDAG_THREADS", "1"))
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(lambda s: _simulate_one(s, args), seeds))
-    else:
-        records = [_simulate_one(s, args) for s in seeds]
+    records = [_simulate_one(args.seed + i, args) for i in range(args.reps)]
     out_path = Path(args.out)
     with out_path.open("w", encoding="utf-8") as fh:
-        for record in records:  # seed order regardless of completion order
+        for record in records:
             fh.write(json.dumps(record) + "\n")
     done = [r for r in records if "skipped" not in r]
     matches = sum(1 for r in done if r["match"])

@@ -5,12 +5,17 @@ PDAGs.  Node names are plain strings; the canonical node order (used for every
 tie-break in the package) is lexicographic, so results never depend on the
 order in which edges were supplied.
 
-Proper possibly causal paths come from one iterative depth-first search over
-per-node bitmasks.  A "possibly causal" verdict requires checking *all*
-ordered node pairs of a path for a backward edge, not only consecutive ones,
-which rules out the usual transitive-closure shortcuts; the search enforces it
-by never appending a node that has a child already on the path.  Its callers
-use it in three ways:
+Reachability (possible descendants and ancestors, ancestors, descendants,
+d-separation) is one polynomial search over edge states ``(u, v)``: it visits
+each state once and steps on by a local rule, in O(|E|·Δ) whatever the number
+of paths.  In an MPDAG every possibly causal path has an unshielded possibly
+causal subsequence (Perković, Kalisch & Maathuis, UAI 2017), and d-connection
+is a rule on consecutive triples (Bayes-ball, Shachter 1998).
+
+Proper possibly causal paths come from a depth-first search over per-node
+bitmasks that never appends a node with a child already on the path, since a
+"possibly causal" verdict checks *all* ordered node pairs for a backward
+edge.  Its callers use it in three ways:
 
 * listing every path (:func:`proper_possibly_causal_paths`), exponential in
   the worst case;
@@ -21,23 +26,20 @@ use it in three ways:
   hit bounds the rest of the search to shorter paths: a short witness ends the
   search early, while an identified effect still costs a full search.
 
-Possible descendants are the ends of the paths of the same search, started
-at one node (or at every node of a set at once) and ending anywhere.
-Definite-status paths (for d-separation and the adjustment criterion) come
-from a second depth-first search over the bitmasks, which both stop at
-blocked triples, so only open paths are visited.  Both searches keep an
-explicit stack, so a long chain cannot exhaust the interpreter stack.  These
-exponential queries are intended for desk-scale graphs (roughly p <= 15);
-there is no silent truncation.
+The adjustment witness comes from a second depth-first search, which steps
+by the definite-status rule of d-separation and so visits only open paths.
+Both keep an explicit stack, so a long chain cannot exhaust the interpreter
+stack.  Listing and counting paths, proving an effect identified and the
+adjustment witness are exponential in the worst case and meant for desk-scale
+graphs (roughly p <= 15); there is no silent truncation.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 DIRECTED_MARK = "->"
 REVERSED_MARK = "<-"
@@ -154,10 +156,7 @@ def _bit_indices(mask: int) -> Iterator[int]:
 def _is_acyclic(masks: "_AdjacencyMasks") -> bool:
     """Kahn's algorithm over the adjacency bitmasks."""
     children = masks.children
-    indegree = [
-        (n & ~(c | u)).bit_count()
-        for n, c, u in zip(masks.neighbours, children, masks.undirected)
-    ]
+    indegree = [p.bit_count() for p in masks.parents]
     ready = [i for i, d in enumerate(indegree) if not d]
     removed = 0
     while ready:
@@ -181,6 +180,11 @@ class _AdjacencyMasks:
     neighbours: tuple[int, ...]
     children: tuple[int, ...]
     undirected: tuple[int, ...]
+    parents: tuple[int, ...]
+
+    def bits(self, names: Iterable[str]) -> int:
+        """The mask of the named nodes."""
+        return sum(1 << self.index[n] for n in set(names))
 
 
 @dataclass(frozen=True)
@@ -278,6 +282,7 @@ class PartiallyDirectedGraph:
             neighbours=tuple(c | p | u for c, p, u in zip(children, parents, und)),
             children=children,
             undirected=und,
+            parents=parents,
         )
 
     def parents(self, v: str) -> frozenset[str]:
@@ -390,12 +395,6 @@ class PartiallyDirectedGraph:
         return frozenset(out)
 
 
-class PathKind(Enum):
-    CAUSAL = "causal"
-    POSSIBLY_CAUSAL = "possibly_causal"
-    NON_CAUSAL = "non_causal"
-
-
 @dataclass(frozen=True)
 class NodePath:
     """A path of a host graph: distinct nodes plus the realised edge marks.
@@ -417,12 +416,6 @@ class NodePath:
         return "".join(parts)
 
 
-@dataclass(frozen=True)
-class PathClassification:
-    kind: PathKind
-    definite_status: bool
-
-
 def path_in(g: PartiallyDirectedGraph, nodes: Sequence[str]) -> NodePath:
     """Build a :class:`NodePath`, verifying it really is a path of ``g``."""
     seq = tuple(nodes)
@@ -439,52 +432,52 @@ def path_in(g: PartiallyDirectedGraph, nodes: Sequence[str]) -> NodePath:
     return NodePath(seq, tuple(marks))
 
 
-def _is_definite_status(g: PartiallyDirectedGraph, path: NodePath) -> bool:
-    for i in range(1, len(path.nodes) - 1):
-        left, right = path.marks[i - 1], path.marks[i]
-        is_collider = left == DIRECTED_MARK and right == REVERSED_MARK
-        is_definite_noncollider = (
-            left == REVERSED_MARK
-            or right == DIRECTED_MARK
-            or (
-                left == UNDIRECTED_MARK
-                and right == UNDIRECTED_MARK
-                and not g.adjacent(path.nodes[i - 1], path.nodes[i + 1])
-            )
-        )
-        if not (is_collider or is_definite_noncollider):
-            return False
-    return True
+def _open_step(
+    g: PartiallyDirectedGraph, given: Iterable[str]
+) -> Callable[[int, int], int]:
+    """The definite-status rule of d-connection given ``given``: ``step(u, v)``
+    is the mask of the ``w != u`` for which ``u, v, w`` is a definite-status
+    triple left open, ``v`` a definite non-collider outside ``given`` or a
+    collider with a descendant in it."""
+    masks = g._masks
+    neighbours, children = masks.neighbours, masks.children
+    undirected, parents = masks.undirected, masks.parents
+    z_set = set(given)
+    blocking = masks.bits(z_set)
+    open_colliders = masks.bits(ancestors(g, z_set))
+
+    def step(u: int, v: int) -> int:
+        out = 0
+        if not blocking >> v & 1:
+            if children[v] >> u & 1:  # u <- v: a non-collider whatever w
+                out = neighbours[v]
+            else:  # v -> w, or u -- v -- w with u, w nonadjacent
+                out = children[v]
+                if undirected[v] >> u & 1:
+                    out |= undirected[v] & ~neighbours[u]
+        if children[u] >> v & 1 and open_colliders >> v & 1:  # u -> v <- w
+            out |= parents[v]
+        return out & ~(1 << u)
+
+    return step
 
 
 def _definite_status_walk(
-    g: PartiallyDirectedGraph,
-    starts: Iterable[str],
-    banned: Iterable[str] = (),
-    blocking: Iterable[str] = (),
-    open_colliders: Optional[Iterable[str]] = None,
+    g: PartiallyDirectedGraph, starts: Iterable[str], given: Iterable[str]
 ) -> Iterator[list[int]]:
-    """Depth-first search over the definite-status paths from each node of
-    ``starts`` that avoid the ``banned`` nodes, over the adjacency bitmasks.
+    """Depth-first search over the proper definite-status paths from each
+    node of ``starts`` that ``given`` leaves open (:func:`_open_step`).
 
-    A path is not extended past a definite non-collider in ``blocking`` or a
-    collider outside ``open_colliders`` (None: every node).  Iterative, with
-    one mask of untried extensions per path node; starts and extensions are
+    Proper: no node after the first is in ``starts``.  Iterative, with one
+    mask of untried extensions per path node; starts and extensions are
     taken in node order.  Yields each path right after it is extended, as the
     live list of node indices (valid until the next step).
     """
-    masks = g._masks
-    index, neighbours = masks.index, masks.neighbours
-    children, undirected = masks.children, masks.undirected
-
-    def bits(names: Iterable[str]) -> int:
-        return sum(1 << index[n] for n in set(names))
-
-    banned_bits, blocking_bits = bits(banned), bits(blocking)
-    open_bits = -1 if open_colliders is None else bits(open_colliders)
-    for a in sorted(index[n] for n in set(starts)):
+    neighbours, start_bits = g._masks.neighbours, g._masks.bits(starts)
+    step = _open_step(g, given)
+    for a in _bit_indices(start_bits):
         path, members = [a], 1 << a
-        pending = [neighbours[a] & ~(members | banned_bits)]
+        pending = [neighbours[a] & ~start_bits]
         while pending:
             candidates = pending[-1]
             if not candidates:
@@ -493,45 +486,10 @@ def _definite_status_walk(
                 continue
             low = candidates & -candidates
             pending[-1] = candidates ^ low
-            v = low.bit_length() - 1
-            path.append(v)
+            path.append(low.bit_length() - 1)
             members |= low
             yield path
-            # the next nodes w for which v is of definite status and open
-            u, step = path[-2], 0
-            if not blocking_bits >> v & 1:
-                if children[v] >> u & 1:  # u <- v: a non-collider whatever w
-                    step = neighbours[v]
-                else:  # v -> w, or u -- v -- w with u, w nonadjacent
-                    step = children[v]
-                    if undirected[v] >> u & 1:
-                        step |= undirected[v] & ~neighbours[u]
-            if children[u] >> v & 1 and open_bits >> v & 1:  # u -> v <- w
-                step |= neighbours[v] & ~(children[v] | undirected[v])
-            pending.append(step & ~(members | banned_bits))
-
-
-def classify_path(
-    g: PartiallyDirectedGraph, path: NodePath | Sequence[str]
-) -> PathClassification:
-    """Classify a path as causal / possibly causal / non-causal.
-
-    The possibly-causal check scans *every* ordered pair ``i < j`` on the path
-    for a backward edge ``nodes[j] -> nodes[i]``, not just consecutive pairs.
-    """
-    if not isinstance(path, NodePath):
-        path = path_in(g, path)
-    else:
-        path_in(g, path.nodes)  # re-verify against this host graph
-    kind = PathKind.POSSIBLY_CAUSAL
-    seq = path.nodes
-    for i, j in itertools.combinations(range(len(seq)), 2):
-        if (seq[j], seq[i]) in g.directed:
-            kind = PathKind.NON_CAUSAL
-            break
-    if kind is PathKind.POSSIBLY_CAUSAL and all(m == DIRECTED_MARK for m in path.marks):
-        kind = PathKind.CAUSAL
-    return PathClassification(kind, _is_definite_status(g, path))
+            pending.append(step(path[-2], path[-1]) & ~(members | start_bits))
 
 
 def _check_disjoint(name_a: str, a: set[str], name_b: str, b: set[str]) -> None:
@@ -574,7 +532,7 @@ class _PathSearch:
         self._masks = masks
         self._starts = sorted(masks.index[a] for a in a_set)
         self._banned = sum(1 << i for i in self._starts)
-        self._outcomes = sum(1 << masks.index[y] for y in y_set)
+        self._outcomes = masks.bits(y_set)
         self._first_step = masks.undirected if start_undirected_only else masks.neighbours
 
     def walk(self) -> Iterator[list[int]]:
@@ -683,67 +641,76 @@ def proper_possibly_causal_paths(
     return _PathSearch(g, treatments, outcomes, start_undirected_only).paths()
 
 
-def _possible_descendants_of_set(
-    g: PartiallyDirectedGraph, sources: Iterable[str]
+def _reach(
+    g: PartiallyDirectedGraph,
+    starts: Iterable[str],
+    first: Sequence[int],
+    step: Callable[[int, int], int],
 ) -> frozenset[str]:
-    """The union of the possible descendants of the ``sources`` (reflexive).
+    """The nodes reached from ``starts``, reflexive, by a search that visits
+    each edge state ``(u, v)``, "at ``v`` from ``u``", once: from a start
+    ``s`` it moves to the nodes of the mask ``first[s]``, and from ``(u, v)``
+    to those of ``step(u, v)``."""
+    reached = g._masks.bits(starts)
+    # taken[v]: the w of the states (v, w) already stacked
+    taken = [first[v] if reached >> v & 1 else 0 for v in range(len(first))]
+    stack = [(s, w) for s in _bit_indices(reached) for w in _bit_indices(first[s])]
+    while stack:
+        u, v = stack.pop()
+        reached |= 1 << v
+        new = step(u, v) & ~taken[v]
+        taken[v] |= new
+        stack += ((v, w) for w in _bit_indices(new))
+    return frozenset(g.nodes[i] for i in _bit_indices(reached))
 
-    A subpath of a possibly causal path is possibly causal, so a possible
-    descendant outside the set ends a proper possibly causal path from the
-    last source on the path: it is an end of one search started at every
-    source at once.  That search is iterative, so a long chain cannot exhaust
-    the interpreter stack.
-    """
-    sources = frozenset(sources)
-    others = set(g.nodes) - sources
-    if not sources or not others:
-        return sources
-    ends = 0
-    for seq in _PathSearch(g, sources, others).walk():
-        ends |= 1 << seq[-1]
-    return sources.union(g.nodes[i] for i in _bit_indices(ends))
+
+def _possibly_causal_reach(
+    g: PartiallyDirectedGraph, nodes: Iterable[str], forward: bool = True
+) -> frozenset[str]:
+    """The possible descendants (``forward``) or ancestors of ``nodes`` in the
+    MPDAG ``g``, reflexive.  As a possibly causal path of an MPDAG has an
+    unshielded possibly causal subsequence (Perković, Kalisch & Maathuis, UAI
+    2017), a step from ``(u, v)`` to ``w`` needs ``u`` and ``w`` nonadjacent."""
+    masks = g._masks
+    neighbours = masks.neighbours
+    towards = masks.children if forward else masks.parents
+    out = [t | u for t, u in zip(towards, masks.undirected)]
+    return _reach(g, nodes, out, lambda u, v: out[v] & ~(neighbours[u] | 1 << u))
 
 
 def possible_descendants(g: PartiallyDirectedGraph, start: str) -> frozenset[str]:
-    """Nodes reachable from ``start`` by a possibly causal path (reflexive)."""
+    """Nodes reachable from ``start`` by a possibly causal path (reflexive).
+
+    ``g`` must be an MPDAG (closed under the Meek rules and representing some
+    DAG); on other PDAGs the result can differ from that definition.
+    """
     if start not in g._parents:
         raise GraphError(f"unknown node: [{start!r}]")
-    return _possible_descendants_of_set(g, {start})
+    return _possibly_causal_reach(g, [start])
 
 
 def possible_ancestors(g: PartiallyDirectedGraph, targets: Iterable[str]) -> frozenset[str]:
-    """Nodes with a possibly causal path into ``targets`` (reflexive)."""
+    """Nodes with a possibly causal path into ``targets`` (reflexive).
+
+    ``g`` must be an MPDAG, as for :func:`possible_descendants`.
+    """
     t_set = set(targets)
     for n in t_set:
         if n not in g._parents:
             raise GraphError(f"unknown node: [{n!r}]")
-    return frozenset(
-        w for w in g.nodes if possible_descendants(g, w) & t_set
-    )
-
-
-def _directed_closure(
-    step: dict[str, frozenset[str]], seeds: Iterable[str]
-) -> frozenset[str]:
-    out = set(seeds)
-    frontier = list(out)
-    while frontier:
-        v = frontier.pop()
-        for w in step[v]:
-            if w not in out:
-                out.add(w)
-                frontier.append(w)
-    return frozenset(out)
+    return _possibly_causal_reach(g, t_set, forward=False)
 
 
 def ancestors(g: PartiallyDirectedGraph, targets: Iterable[str]) -> frozenset[str]:
     """Nodes with a causal (all-directed) path into ``targets`` (reflexive)."""
-    return _directed_closure(g._parents, targets)
+    parents = g._masks.parents
+    return _reach(g, targets, parents, lambda u, v: parents[v])
 
 
 def descendants(g: PartiallyDirectedGraph, sources: Iterable[str]) -> frozenset[str]:
     """Nodes reachable from ``sources`` along directed edges (reflexive)."""
-    return _directed_closure(g._children, sources)
+    children = g._masks.children
+    return _reach(g, sources, children, lambda u, v: children[v])
 
 
 def parents_of_set(g: PartiallyDirectedGraph, nodes: Iterable[str]) -> frozenset[str]:
@@ -768,6 +735,7 @@ def ancestral_sets(g: PartiallyDirectedGraph, nodes: Iterable[str]) -> Ancestral
 
     Ancestors, descendants and possible descendants use the reflexive
     convention; parents follow the set convention (union minus the set).
+    ``g`` must be an MPDAG, as for :func:`possible_descendants`.
     """
     node_set = set(nodes)
     unknown = node_set - set(g.nodes)
@@ -777,7 +745,7 @@ def ancestral_sets(g: PartiallyDirectedGraph, nodes: Iterable[str]) -> Ancestral
         parents=parents_of_set(g, node_set),
         ancestors=ancestors(g, node_set),
         descendants=descendants(g, node_set),
-        possible_descendants=_possible_descendants_of_set(g, node_set),
+        possible_descendants=_possibly_causal_reach(g, node_set),
     )
 
 
@@ -822,6 +790,7 @@ def d_separated(
     A definite-status path is d-connecting when none of its definite
     non-colliders is in the conditioning set and every collider has a
     descendant in it.  Collider openness uses directed-path descendants.
+    Decided by one edge-state search (Bayes-ball, Shachter 1998).
     """
     a_set, y_set, z_set = set(first), set(second), set(given)
     _check_disjoint("first", a_set, "second", y_set)
@@ -830,32 +799,4 @@ def d_separated(
     for n in sorted(a_set | y_set | z_set):
         if n not in g._parents:
             raise GraphError(f"unknown node: [{n!r}]")
-
-    # a collider opens when it has a descendant in the conditioning set
-    y_bits = sum(1 << g._masks.index[y] for y in y_set)
-    walk = _definite_status_walk(
-        g, a_set, blocking=z_set, open_colliders=ancestors(g, z_set)
-    )
-    return not any(y_bits >> seq[-1] & 1 for seq in walk)
-
-
-def unshielded_subsequence(g: PartiallyDirectedGraph, path: NodePath) -> NodePath:
-    """Shrink a possibly causal path to an unshielded possibly causal one.
-
-    Repeatedly drops the middle node of the leftmost shielded triple.  The
-    result keeps the original endpoints and is again possibly causal, since a
-    subsequence of a possibly causal path only removes node pairs.
-    """
-    verdict = classify_path(g, path)
-    if verdict.kind is PathKind.NON_CAUSAL:
-        raise GraphError(f"path is not possibly causal: {path}")
-    seq = list(path.nodes)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(1, len(seq) - 1):
-            if g.adjacent(seq[i - 1], seq[i + 1]):
-                del seq[i]
-                changed = True
-                break
-    return path_in(g, seq)
+    return not _reach(g, a_set, g._masks.neighbours, _open_step(g, z_set)) & y_set

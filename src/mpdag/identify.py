@@ -11,7 +11,7 @@ Maathuis, JMLR 2018), so that set is the only candidate tried.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import AbstractSet, Iterable, Optional
 
 from .graphs import (
     GraphError,
@@ -19,7 +19,7 @@ from .graphs import (
     NodePath,
     _PathSearch,
     _definite_status_walk,
-    _possible_descendants_of_set,
+    _possibly_causal_reach,
     ancestors,
     bucket_decomposition,
     parents_of_set,
@@ -168,7 +168,7 @@ def forbidden_set(
     a_set, y_set = _checked_sets(h, treatments, outcomes)
     g = h.graph
     on_path = _PathSearch(g, a_set, y_set).nodes_on_paths() - a_set
-    return _possible_descendants_of_set(g, on_path)
+    return _possibly_causal_reach(g, on_path)
 
 
 @dataclass(frozen=True)
@@ -180,6 +180,40 @@ class AdjustmentVerdict:
 
     def __bool__(self) -> bool:
         return self.valid
+
+
+def _adjustment_verdict(
+    h: Mpdag,
+    a_set: set[str],
+    y_set: set[str],
+    z_set: AbstractSet[str],
+    forb: frozenset[str],
+) -> AdjustmentVerdict:
+    """:func:`is_adjustment_set` for an identified effect whose forbidden set
+    is ``forb``."""
+    hit = z_set & forb
+    if hit:
+        return AdjustmentVerdict(False, "forbidden", witness_node=min(hit))
+    g = h.graph
+    children = g._masks.children
+    y_bits = g._masks.bits(y_set)
+    best: Optional[list[int]] = None
+    # the walk visits paths in node order, so among paths of one length the
+    # first one found is the smallest
+    for seq in _definite_status_walk(g, a_set, z_set):
+        if not y_bits >> seq[-1] & 1 or best is not None and len(seq) >= len(best):
+            continue
+        # non-causal: some node has a child earlier on the path
+        members = 0
+        for i in seq:
+            if children[i] & members:
+                best = list(seq)
+                break
+            members |= 1 << i
+    if best is None:
+        return AdjustmentVerdict(True)
+    witness = path_in(g, [g.nodes[i] for i in best])
+    return AdjustmentVerdict(False, "open_path", witness_path=witness)
 
 
 def is_adjustment_set(
@@ -212,33 +246,7 @@ def is_adjustment_set(
     verdict = is_identified(h, a_set, y_set)
     if not verdict:
         raise NotIdentifiedError(verdict.witness)
-    g = h.graph
-    hit = z_set & forbidden_set(h, a_set, y_set)
-    if hit:
-        return AdjustmentVerdict(False, "forbidden", witness_node=min(hit))
-    masks = g._masks
-    children = masks.children
-    y_bits = sum(1 << masks.index[y] for y in y_set)
-    best: Optional[list[int]] = None
-    walk = _definite_status_walk(
-        g, a_set, banned=a_set, blocking=z_set, open_colliders=ancestors(g, z_set)
-    )
-    # the walk visits paths in node order, so among paths of one length the
-    # first one found is the smallest
-    for seq in walk:
-        if not y_bits >> seq[-1] & 1 or best is not None and len(seq) >= len(best):
-            continue
-        # non-causal: some node has a child earlier on the path
-        members = 0
-        for i in seq:
-            if children[i] & members:
-                best = list(seq)
-                break
-            members |= 1 << i
-    if best is None:
-        return AdjustmentVerdict(True)
-    witness = path_in(g, [g.nodes[i] for i in best])
-    return AdjustmentVerdict(False, "open_path", witness_path=witness)
+    return _adjustment_verdict(h, a_set, y_set, z_set, forbidden_set(h, a_set, y_set))
 
 
 def find_adjustment_set(
@@ -267,7 +275,7 @@ def find_adjustment_set(
     candidate = frozenset(
         possible_ancestors(g, a_set | y_set) - forb - a_set - y_set
     )
-    if is_adjustment_set(h, a_set, y_set, candidate):
+    if _adjustment_verdict(h, a_set, y_set, candidate, forb):
         return candidate
     if (
         len(a_set) == 1

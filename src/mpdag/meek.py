@@ -66,7 +66,6 @@ class Mpdag:
     """A partially directed graph certified closed under the Meek rules."""
 
     graph: PartiallyDirectedGraph
-    meek_closed: bool = True
 
     @property
     def nodes(self) -> tuple[str, ...]:
@@ -104,9 +103,7 @@ class _Builder:
         self.adj = masks.neighbours
         self.children = list(masks.children)
         self.und = list(masks.undirected)
-        self.parents = [
-            n & ~(c | u) for n, c, u in zip(self.adj, self.children, self.und)
-        ]
+        self.parents = list(masks.parents)
         self._firing: dict[tuple[int, int], tuple[int, int, int, int]] = {}
         self._oriented: list[tuple[int, int]] = []
         # A graph from a closure has no firing edge; any other input gets a
@@ -139,7 +136,11 @@ class _Builder:
                 (t, h) if t < h else (h, t) for t, h in new
             ),
             _AdjacencyMasks(
-                self.index, self.adj, tuple(self.children), tuple(self.und)
+                self.index,
+                self.adj,
+                tuple(self.children),
+                tuple(self.und),
+                tuple(self.parents),
             ),
         )
         if self.closed:

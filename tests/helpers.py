@@ -8,6 +8,8 @@ stay independent of the code paths they check.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -100,6 +102,83 @@ def sim_scm() -> M.LinearScm:
         ("A2", "Y"): 1.0,
     }
     return M.LinearScm(dag, coefs, {n: 1.0 for n in dag.nodes})
+
+
+# -- path classification -----------------------------------------------------
+
+
+class PathKind(Enum):
+    CAUSAL = "causal"
+    POSSIBLY_CAUSAL = "possibly_causal"
+    NON_CAUSAL = "non_causal"
+
+
+@dataclass(frozen=True)
+class PathClassification:
+    kind: PathKind
+    definite_status: bool
+
+
+def _is_definite_status(g: M.PartiallyDirectedGraph, path: M.NodePath) -> bool:
+    for i in range(1, len(path.nodes) - 1):
+        left, right = path.marks[i - 1], path.marks[i]
+        is_collider = left == "->" and right == "<-"
+        is_definite_noncollider = (
+            left == "<-"
+            or right == "->"
+            or (
+                left == "--"
+                and right == "--"
+                and not g.adjacent(path.nodes[i - 1], path.nodes[i + 1])
+            )
+        )
+        if not (is_collider or is_definite_noncollider):
+            return False
+    return True
+
+
+def classify_path(g: M.PartiallyDirectedGraph, path) -> PathClassification:
+    """Classify a path (a :class:`NodePath` or a node sequence) as causal /
+    possibly causal / non-causal, and say whether it is of definite status.
+
+    The possibly-causal check scans *every* ordered pair ``i < j`` on the path
+    for a backward edge ``nodes[j] -> nodes[i]``, not just consecutive pairs.
+    """
+    if not isinstance(path, M.NodePath):
+        path = M.path_in(g, path)
+    else:
+        M.path_in(g, path.nodes)  # re-verify against this host graph
+    kind = PathKind.POSSIBLY_CAUSAL
+    seq = path.nodes
+    for i, j in itertools.combinations(range(len(seq)), 2):
+        if (seq[j], seq[i]) in g.directed:
+            kind = PathKind.NON_CAUSAL
+            break
+    if kind is PathKind.POSSIBLY_CAUSAL and all(m == "->" for m in path.marks):
+        kind = PathKind.CAUSAL
+    return PathClassification(kind, _is_definite_status(g, path))
+
+
+def unshielded_subsequence(g: M.PartiallyDirectedGraph, path: M.NodePath) -> M.NodePath:
+    """Shrink a possibly causal path to an unshielded possibly causal one.
+
+    Repeatedly drops the middle node of the leftmost shielded triple.  The
+    result keeps the original endpoints and is again possibly causal, since a
+    subsequence of a possibly causal path only removes node pairs.
+    """
+    verdict = classify_path(g, path)
+    if verdict.kind is PathKind.NON_CAUSAL:
+        raise M.GraphError(f"path is not possibly causal: {path}")
+    seq = list(path.nodes)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(1, len(seq) - 1):
+            if g.adjacent(seq[i - 1], seq[i + 1]):
+                del seq[i]
+                changed = True
+                break
+    return M.path_in(g, seq)
 
 
 # -- independent oracles ------------------------------------------------------
@@ -290,6 +369,13 @@ def exhaustive_possible_descendants(g: M.PartiallyDirectedGraph, sources) -> set
     return out
 
 
+def exhaustive_possible_ancestors(g: M.PartiallyDirectedGraph, targets) -> set[str]:
+    """Possible ancestors of ``targets`` (reflexive): every node whose
+    exhaustive possible descendants meet the set."""
+    t_set = set(targets)
+    return {w for w in g.nodes if exhaustive_possible_descendants(g, [w]) & t_set}
+
+
 def exhaustive_forbidden_set(h: M.Mpdag, treatments, outcomes) -> frozenset[str]:
     """The forbidden set from its definition: possible descendants of every
     non-treatment node on some proper possibly causal path."""
@@ -314,7 +400,7 @@ def exhaustive_definite_status_paths(
             if w in seq or w in a_set:
                 continue
             seq.append(w)
-            if w in y_set and M.classify_path(g, seq).definite_status:
+            if w in y_set and classify_path(g, seq).definite_status:
                 found.append(tuple(seq))
             extend(seq)
             seq.pop()
@@ -337,6 +423,14 @@ def _blocked(g: M.PartiallyDirectedGraph, path: M.NodePath, z_set: set[str]) -> 
     return False
 
 
+def exhaustive_d_separated(g: M.PartiallyDirectedGraph, first, second, given) -> bool:
+    """d-separation from its definition: ``given`` blocks every listed
+    definite-status path between the two sets."""
+    z_set = set(given)
+    paths = exhaustive_definite_status_paths(g, first, second)
+    return all(_blocked(g, path, z_set) for path in paths)
+
+
 def exhaustive_is_adjustment_set(h: M.Mpdag, treatments, outcomes, adjust):
     """The generalized adjustment criterion as the package checked it before
     walking only open paths: list every proper definite-status path, then
@@ -348,7 +442,7 @@ def exhaustive_is_adjustment_set(h: M.Mpdag, treatments, outcomes, adjust):
     if hit:
         return M.AdjustmentVerdict(False, "forbidden", witness_node=min(hit))
     for path in exhaustive_definite_status_paths(g, a_set, y_set):
-        if M.classify_path(g, path).kind is not M.PathKind.NON_CAUSAL:
+        if classify_path(g, path).kind is not PathKind.NON_CAUSAL:
             continue
         if not _blocked(g, path, z_set):
             return M.AdjustmentVerdict(False, "open_path", witness_path=path)
@@ -363,9 +457,7 @@ def exhaustive_find_adjustment_set(h: M.Mpdag, treatments, outcomes):
     a_set, y_set = set(treatments), set(outcomes)
     g = h.graph
     forb = exhaustive_forbidden_set(h, a_set, y_set)
-    possible_ancestors = {
-        w for w in g.nodes if exhaustive_possible_descendants(g, [w]) & (a_set | y_set)
-    }
+    possible_ancestors = exhaustive_possible_ancestors(g, a_set | y_set)
     candidate = frozenset(possible_ancestors - forb - a_set - y_set)
     if exhaustive_is_adjustment_set(h, a_set, y_set, candidate):
         return candidate

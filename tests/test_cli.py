@@ -204,18 +204,6 @@ def test_simulate_dumps_csv_datasets(capsys, tmp_path):
     assert len(text) == 26
 
 
-def test_simulate_respects_thread_env(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("MPDAG_THREADS", "2")
-    single = tmp_path / "single.jsonl"
-    threaded = tmp_path / "threaded.jsonl"
-    run(capsys, "simulate", "--p", "4", "--deg", "1.5", "--n", "60",
-        "--reps", "3", "--seed", "3", "--out", threaded)
-    monkeypatch.setenv("MPDAG_THREADS", "1")
-    run(capsys, "simulate", "--p", "4", "--deg", "1.5", "--n", "60",
-        "--reps", "3", "--seed", "3", "--out", single)
-    assert single.read_text() == threaded.read_text()
-
-
 def test_simulate_skips_an_exhausted_rejection_budget(capsys, tmp_path, monkeypatch):
     def exhausted(*args, **kwargs):
         raise RejectionBudgetError("no unidentified treatment/outcome pair found")

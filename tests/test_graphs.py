@@ -1,7 +1,9 @@
+import itertools
+
 import pytest
 
 import mpdag as M
-from helpers import lines
+from helpers import PathKind, classify_path, lines, unshielded_subsequence
 
 
 def chain(*edges):
@@ -86,29 +88,29 @@ def third_minimal():
 class TestClassifyPath:
     def test_backward_edge_between_nonconsecutive_nodes(self):
         g = third_minimal()
-        verdict = M.classify_path(g, ["A", "V2", "V1", "Y"])
+        verdict = classify_path(g, ["A", "V2", "V1", "Y"])
         # the pair (A, V1) carries V1 -> A, so the path cannot be causal
-        assert verdict.kind is M.PathKind.NON_CAUSAL
+        assert verdict.kind is PathKind.NON_CAUSAL
 
     def test_directed_chain_is_causal_definite(self):
         g = chain(("A", "B"), ("B", "C"))
-        verdict = M.classify_path(g, ["A", "B", "C"])
-        assert verdict.kind is M.PathKind.CAUSAL
+        verdict = classify_path(g, ["A", "B", "C"])
+        assert verdict.kind is PathKind.CAUSAL
         assert verdict.definite_status
 
     def test_undirected_start_is_possibly_causal(self, four_mpdag):
-        verdict = M.classify_path(four_mpdag.graph, ["A", "V1", "Y"])
-        assert verdict.kind is M.PathKind.POSSIBLY_CAUSAL
+        verdict = classify_path(four_mpdag.graph, ["A", "V1", "Y"])
+        assert verdict.kind is PathKind.POSSIBLY_CAUSAL
 
     def test_shielded_undirected_interior_is_not_definite(self, four_mpdag):
-        verdict = M.classify_path(four_mpdag.graph, ["A", "V1", "Y"])
+        verdict = classify_path(four_mpdag.graph, ["A", "V1", "Y"])
         assert not verdict.definite_status
 
     def test_non_path_rejected(self, four_mpdag):
         with pytest.raises(M.NotAPathError):
-            M.classify_path(four_mpdag.graph, ["V2", "Y"])
+            classify_path(four_mpdag.graph, ["V2", "Y"])
         with pytest.raises(M.NotAPathError):
-            M.classify_path(four_mpdag.graph, ["A", "V1", "A"])
+            classify_path(four_mpdag.graph, ["A", "V1", "A"])
 
 
 class TestProperPossiblyCausalPaths:
@@ -174,6 +176,22 @@ class TestAncestralSets:
         assert M.possible_descendants(g, names[0]) == set(names)
         assert M.possible_descendants(g, names[2500]) == set(names)
 
+    def test_complete_graph_reachability(self):
+        # K40 has far too many paths to list; the reachability queries do not
+        # walk paths, and the complete graph with one edge dropped is still an
+        # MPDAG in which v00 and v01 are d-separated by the other nodes
+        names = [f"v{i:02d}" for i in range(40)]
+        edges = list(itertools.combinations(names, 2))
+        g = M.PartiallyDirectedGraph(names, (), edges)
+        assert M.possible_descendants(g, "v00") == set(names)
+        assert M.possible_ancestors(g, ["v01"]) == set(names)
+        assert not M.d_separated(g, ["v00"], ["v01"], names[2:])
+        g = M.PartiallyDirectedGraph(names, (), edges[1:])
+        assert M.possible_descendants(g, "v00") == set(names)
+        assert M.possible_ancestors(g, ["v00", "v01"]) == set(names)
+        assert not M.d_separated(g, ["v00"], ["v01"], names[3:])
+        assert M.d_separated(g, ["v00"], ["v01"], names[2:])
+
 
 class TestBuckets:
     def test_directed_edge_splits_buckets(self):
@@ -221,6 +239,12 @@ class TestDSeparation:
         assert M.d_separated(g, ["A"], ["C"], ["B"])
         assert not M.d_separated(g, ["A"], ["C"], [])
 
+    def test_no_turning_back_at_a_collider(self):
+        # A -- B <- C is not of definite status; turning back at the
+        # conditioned collider D (B -> D <- B) would reach C from A
+        g = M.PartiallyDirectedGraph("ABCD", [("C", "B"), ("B", "D")], [("A", "B")])
+        assert M.d_separated(g, ["A"], ["C"], ["D"])
+
     def test_overlap_rejected(self):
         g = chain(("A", "B"), ("B", "C"))
         with pytest.raises(M.GraphError):
@@ -235,16 +259,16 @@ class TestDSeparation:
 class TestUnshieldedSubsequence:
     def test_shortcut_through_adjacent_endpoints(self, four_mpdag):
         path = M.path_in(four_mpdag.graph, ["A", "V2", "V1", "Y"])
-        shrunk = M.unshielded_subsequence(four_mpdag.graph, path)
+        shrunk = unshielded_subsequence(four_mpdag.graph, path)
         assert shrunk.nodes == ("A", "Y")
 
     def test_unshielded_path_is_fixed_point(self):
         g = M.PartiallyDirectedGraph("ABC", [], [("A", "B"), ("B", "C")])
         path = M.path_in(g, ["A", "B", "C"])
-        assert M.unshielded_subsequence(g, path).nodes == ("A", "B", "C")
+        assert unshielded_subsequence(g, path).nodes == ("A", "B", "C")
 
     def test_non_causal_input_rejected(self):
         g = third_minimal()
         path = M.path_in(g, ["A", "V2", "V1", "Y"])
         with pytest.raises(M.GraphError):
-            M.unshielded_subsequence(g, path)
+            unshielded_subsequence(g, path)

@@ -8,11 +8,15 @@ from hypothesis import given, settings, strategies as st
 import mpdag as M
 from mpdag.graphs import _PathSearch
 from helpers import (
+    PathKind,
     adjustment_functional,
+    classify_path,
+    exhaustive_d_separated,
     exhaustive_find_adjustment_set,
     exhaustive_forbidden_set,
     exhaustive_id_graphs,
     exhaustive_is_adjustment_set,
+    exhaustive_possible_ancestors,
     exhaustive_possible_descendants,
     exhaustive_possibly_causal_paths,
     formula_effect,
@@ -21,6 +25,7 @@ from helpers import (
     random_scm,
     rescanning_construct_mpdag,
     rescanning_meek_closure,
+    unshielded_subsequence,
 )
 
 
@@ -215,6 +220,41 @@ def test_possible_descendants_of_a_set_match_exhaustive_oracle(query, seed):
     assert M.forbidden_set(h, a, y) == exhaustive_forbidden_set(h, a, y)
 
 
+@settings(max_examples=200)
+@given(mpdag_queries(), st.integers(0, 2**31 - 1))
+def test_possible_ancestors_match_exhaustive_oracle(query, seed):
+    h, a, y = query
+    rng = np.random.default_rng(seed)
+    for targets in (set(a) | set(y), {n for n in h.nodes if rng.random() < 0.3}):
+        expected = exhaustive_possible_ancestors(h.graph, targets)
+        assert M.possible_ancestors(h.graph, targets) == expected
+
+
+def _d_separation_cases(g, rng):
+    """Disjoint node sets A, Y (one to three nodes each) and Z for ``g``."""
+    nodes = [g.nodes[i] for i in rng.permutation(len(g.nodes))]
+    k = int(rng.integers(1, min(3, len(nodes) - 1) + 1))
+    j = int(rng.integers(1, min(3, len(nodes) - k) + 1))
+    for _ in range(3):
+        z = [n for n in nodes[k + j:] if rng.random() < 0.4]
+        yield nodes[:k], nodes[k:k + j], z
+
+
+@settings(max_examples=200)
+@given(mpdag_queries(), st.integers(0, 2**31 - 1))
+def test_d_separation_matches_exhaustive_oracle_on_mpdags(query, seed):
+    h, _, _ = query
+    for a, y, z in _d_separation_cases(h.graph, np.random.default_rng(seed)):
+        assert M.d_separated(h.graph, a, y, z) == exhaustive_d_separated(h.graph, a, y, z)
+
+
+@settings(max_examples=200)
+@given(pdags(), st.integers(0, 2**31 - 1))
+def test_d_separation_matches_exhaustive_oracle_on_pdags(g, seed):
+    for a, y, z in _d_separation_cases(g, np.random.default_rng(seed)):
+        assert M.d_separated(g, a, y, z) == exhaustive_d_separated(g, a, y, z)
+
+
 def _verdict(v):
     return (v.valid, v.reason, v.witness_node, v.witness_path)
 
@@ -291,12 +331,12 @@ def test_unshielded_subsequence_properties(g):
         except M.GraphError:
             continue
         for path in paths[:10]:
-            shrunk = M.unshielded_subsequence(g, path)
+            shrunk = unshielded_subsequence(g, path)
             assert shrunk.nodes[0] == path.nodes[0]
             assert shrunk.nodes[-1] == path.nodes[-1]
             assert set(shrunk.nodes) <= set(path.nodes)
-            verdict = M.classify_path(g, shrunk)
-            assert verdict.kind is not M.PathKind.NON_CAUSAL
+            verdict = classify_path(g, shrunk)
+            assert verdict.kind is not PathKind.NON_CAUSAL
             for i in range(1, len(shrunk.nodes) - 1):
                 assert not g.adjacent(shrunk.nodes[i - 1], shrunk.nodes[i + 1])
 
