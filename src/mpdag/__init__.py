@@ -69,7 +69,6 @@ from .linear import (
     sample,
     standardized,
     true_total_effect,
-    wright_covariance,
 )
 from .meek import (
     Mpdag,

@@ -360,7 +360,7 @@ def _simulate_one(seed: int, args: argparse.Namespace) -> dict:
             distinct_estimates[key] = None
             continue
         values = [
-            estimate_effect(data, member, treat, outcome).as_array()
+            estimate_effect(sample_cov, member, treat, outcome).as_array()
             for member in graphs
         ]
         distinct_estimates[key] = count_distinct(values, 1e-9)

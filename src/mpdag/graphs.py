@@ -492,6 +492,16 @@ def _definite_status_walk(
             pending.append(step(path[-2], path[-1]) & ~(members | start_bits))
 
 
+def _check_known(g: PartiallyDirectedGraph, nodes: Iterable[str]) -> set[str]:
+    """``nodes`` as a set; raises for the first one, in sorted order, that is
+    not a node of ``g``, so the error names the same node on every run."""
+    node_set = set(nodes)
+    for n in sorted(node_set):
+        if n not in g._parents:
+            raise GraphError(f"unknown node: [{n!r}]")
+    return node_set
+
+
 def _check_disjoint(name_a: str, a: set[str], name_b: str, b: set[str]) -> None:
     overlap = a & b
     if overlap:
@@ -524,9 +534,7 @@ class _PathSearch:
         if not a_set or not y_set:
             raise GraphError("treatment and outcome sets must be nonempty")
         _check_disjoint("treatments", a_set, "outcomes", y_set)
-        for n in sorted(a_set | y_set):
-            if n not in g._parents:
-                raise GraphError(f"unknown node: [{n!r}]")
+        _check_known(g, a_set | y_set)
         masks = g._masks
         self._nodes = g.nodes
         self._masks = masks
@@ -684,9 +692,7 @@ def possible_descendants(g: PartiallyDirectedGraph, start: str) -> frozenset[str
     ``g`` must be an MPDAG (closed under the Meek rules and representing some
     DAG); on other PDAGs the result can differ from that definition.
     """
-    if start not in g._parents:
-        raise GraphError(f"unknown node: [{start!r}]")
-    return _possibly_causal_reach(g, [start])
+    return _possibly_causal_reach(g, _check_known(g, [start]))
 
 
 def possible_ancestors(g: PartiallyDirectedGraph, targets: Iterable[str]) -> frozenset[str]:
@@ -694,23 +700,19 @@ def possible_ancestors(g: PartiallyDirectedGraph, targets: Iterable[str]) -> fro
 
     ``g`` must be an MPDAG, as for :func:`possible_descendants`.
     """
-    t_set = set(targets)
-    for n in t_set:
-        if n not in g._parents:
-            raise GraphError(f"unknown node: [{n!r}]")
-    return _possibly_causal_reach(g, t_set, forward=False)
+    return _possibly_causal_reach(g, _check_known(g, targets), forward=False)
 
 
 def ancestors(g: PartiallyDirectedGraph, targets: Iterable[str]) -> frozenset[str]:
     """Nodes with a causal (all-directed) path into ``targets`` (reflexive)."""
     parents = g._masks.parents
-    return _reach(g, targets, parents, lambda u, v: parents[v])
+    return _reach(g, _check_known(g, targets), parents, lambda u, v: parents[v])
 
 
 def descendants(g: PartiallyDirectedGraph, sources: Iterable[str]) -> frozenset[str]:
     """Nodes reachable from ``sources`` along directed edges (reflexive)."""
     children = g._masks.children
-    return _reach(g, sources, children, lambda u, v: children[v])
+    return _reach(g, _check_known(g, sources), children, lambda u, v: children[v])
 
 
 def parents_of_set(g: PartiallyDirectedGraph, nodes: Iterable[str]) -> frozenset[str]:
@@ -796,7 +798,5 @@ def d_separated(
     _check_disjoint("first", a_set, "second", y_set)
     _check_disjoint("first", a_set, "given", z_set)
     _check_disjoint("second", y_set, "given", z_set)
-    for n in sorted(a_set | y_set | z_set):
-        if n not in g._parents:
-            raise GraphError(f"unknown node: [{n!r}]")
+    _check_known(g, a_set | y_set | z_set)
     return not _reach(g, a_set, g._masks.neighbours, _open_step(g, z_set)) & y_set

@@ -1,20 +1,27 @@
 """Linear-Gaussian structural causal models.
 
-Exact covariances (matrix form and a path-tracing cross-check), exact total
-effects under point and joint interventions, reproducible sampling, and
-regression-based effect estimation on identified MPDAGs.
+Exact covariances, exact total effects under point and joint interventions,
+reproducible sampling, and regression-based effect estimation on identified
+MPDAGs.
 
 The estimator fits each node on its parents in one consistent extension of
 the MPDAG and reads the total effect off the implied coefficient matrix.  On
 population covariances this returns the identified effect exactly (and does
 not depend on which extension was chosen); on finite samples it is a
 consistent, though not efficient, estimator of the same target.
+
+DAGs of one Markov class, and the members of one enumeration, mostly share
+their parent sets, so each :class:`ExactCovariance` memoises its per-node
+regressions by ``(node, sorted parents)``.  A repeated regression would run
+the same ``solve`` on the same slices of the same matrix, so reusing the
+stored coefficients is bit-exact: estimates do not depend on the order in
+which DAGs are visited or on whether the covariance object is shared.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -81,10 +88,18 @@ class Dataset:
 
 @dataclass(frozen=True)
 class ExactCovariance:
-    """Population covariance matrix with its node labels."""
+    """Covariance matrix (population or sample) with its node labels.
+
+    Each object memoises its per-node regressions, so ``matrix`` must not be
+    mutated after the first regression on it.
+    """
 
     columns: tuple[str, ...]
     matrix: np.ndarray
+    # (node, sorted parents) -> regression coefficients of node on parents
+    _betas: dict[tuple[str, tuple[str, ...]], np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
 
 CovarianceLike = Union[Dataset, ExactCovariance]
@@ -170,52 +185,6 @@ def standardized(m: LinearScm) -> LinearScm:
     return LinearScm(m.dag, coefs, noise)
 
 
-def wright_covariance(m: LinearScm) -> ExactCovariance:
-    """Path-tracing covariance for a standardized model.
-
-    Each off-diagonal entry is the sum, over the collider-free paths between
-    the two nodes, of the product of the edge coefficients along the path.
-    Only valid when every variable has unit variance; checked on entry.
-    """
-    sigma = covariance(m).matrix
-    if not np.allclose(np.diag(sigma), 1.0, atol=1e-9):
-        raise GraphError("path-tracing covariance requires unit variances")
-    g = m.dag
-    nodes = m.nodes
-    out = np.eye(len(nodes))
-
-    def paths_sum(start: str, goal: str) -> float:
-        total = 0.0
-
-        def extend(seq: list[str], product: float) -> None:
-            nonlocal total
-            tip = seq[-1]
-            for w in sorted(g.neighbours(tip)):
-                if w in seq:
-                    continue
-                if len(seq) >= 2:
-                    u, v = seq[-2], seq[-1]
-                    if (u, v) in g.directed and (w, v) in g.directed:
-                        continue  # collider at v
-                coef = m.coefficients.get((tip, w), m.coefficients.get((w, tip)))
-                next_product = product * coef
-                if w == goal:
-                    total += next_product
-                    continue
-                seq.append(w)
-                extend(seq, next_product)
-                seq.pop()
-
-        extend([start], 1.0)
-        return total
-
-    for i, a in enumerate(nodes):
-        for j in range(i + 1, len(nodes)):
-            value = paths_sum(a, nodes[j])
-            out[i, j] = out[j, i] = value
-    return ExactCovariance(nodes, out)
-
-
 def sample(m: LinearScm, n: int, seed: int) -> Dataset:
     """Draw ``n`` rows by simulating the equations in ancestral order."""
     if n < 1:
@@ -239,23 +208,37 @@ def _as_covariance(source: CovarianceLike) -> ExactCovariance:
 
 
 def _regression_coefficient_matrix(
-    sigma: np.ndarray, nodes: Sequence[str], dag: PartiallyDirectedGraph
+    cov: ExactCovariance, dag: PartiallyDirectedGraph
 ) -> np.ndarray:
+    """Row-form coefficient matrix of ``dag`` fitted to ``cov``: row j holds
+    the regression of node j on its parents (columns in ``cov.columns``).
+
+    Each regression is solved once per covariance object, node and sorted
+    parent set, and later requests reuse the stored coefficients.  A repeat
+    would run the same ``solve`` on the same slices, so the memo is
+    bit-exact; a rank-deficient regression is not stored and raises again.
+    """
+    nodes = cov.columns
     idx = {n: i for i, n in enumerate(nodes)}
     out = np.zeros((len(nodes), len(nodes)))
     for node in dag.nodes:
-        parents = sorted(dag.parents(node))
+        parents = tuple(sorted(dag.parents(node)))
         if not parents:
             continue
         rows = [idx[p] for p in parents]
-        gram = sigma[np.ix_(rows, rows)]
-        rhs = sigma[rows, idx[node]]
-        try:
-            beta = np.linalg.solve(gram, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise GraphError(f"rank-deficient regression at node {node!r}") from exc
-        for parent, b in zip(parents, beta):
-            out[idx[node], idx[parent]] = b
+        beta = cov._betas.get((node, parents))
+        if beta is None:
+            sigma = cov.matrix
+            gram = sigma[np.ix_(rows, rows)]
+            rhs = sigma[rows, idx[node]]
+            try:
+                beta = np.linalg.solve(gram, rhs)
+            except np.linalg.LinAlgError as exc:
+                raise GraphError(
+                    f"rank-deficient regression at node {node!r}"
+                ) from exc
+            cov._betas[(node, parents)] = beta
+        out[idx[node], rows] = beta
     return out
 
 
@@ -282,7 +265,7 @@ def estimate_effect(
     if missing:
         raise GraphError(f"covariance lacks nodes: {sorted(missing)}")
     dag = extension if extension is not None else consistent_extension(h)
-    coef = _regression_coefficient_matrix(cov.matrix, cov.columns, dag)
+    coef = _regression_coefficient_matrix(cov, dag)
     values = _total_effect_from_matrix(coef, cov.columns, a_list, outcome)
     return EffectEstimate(
         treatments=a_list,
@@ -324,8 +307,9 @@ def possible_effects(
     graph.  Estimates are ordered like the enumeration output."""
     a_list = tuple(sorted(set(treatments)))
     enumeration = id_graphs(h, a_list, [outcome])
+    cov = _as_covariance(source)  # one covariance, and one memo, for all members
     estimates = tuple(
-        estimate_effect(source, member, a_list, outcome)
+        estimate_effect(cov, member, a_list, outcome)
         for member in enumeration.graphs
     )
     return PossibleEffects(enumeration=enumeration, estimates=estimates)
@@ -426,7 +410,7 @@ def regression_effect_for_dag(
     """Total effect the given DAG implies for the covariance: per-node
     regressions on the DAG's parent sets, then the mutilated-matrix algebra.
     Used as the per-DAG oracle when sweeping a whole equivalence class."""
-    coef = _regression_coefficient_matrix(cov.matrix, cov.columns, dag)
+    coef = _regression_coefficient_matrix(cov, dag)
     return _total_effect_from_matrix(
         coef, cov.columns, tuple(sorted(set(treatments))), outcome
     )

@@ -283,10 +283,7 @@ def cpdag_of_dag(d: PartiallyDirectedGraph) -> Mpdag:
     for a, b, c in d.unshielded_colliders():
         directed.add((a, b))
         directed.add((c, b))
-    undirected = {
-        pair for pair in d.skeleton
-        if pair not in {tuple(sorted(e)) for e in directed}
-    }
+    undirected = d.skeleton - {tuple(sorted(e)) for e in directed}
     cpdag = meek_closure(PartiallyDirectedGraph(d.nodes, directed, undirected))
     if not is_represented(d, cpdag):
         raise InternalInconsistencyError("DAG not represented by its own CPDAG")

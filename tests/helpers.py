@@ -224,6 +224,76 @@ def random_scm(rng: np.random.Generator, dag: M.PartiallyDirectedGraph) -> M.Lin
     return M.LinearScm(dag, coefs, {n: 1.0 for n in dag.nodes})
 
 
+def wright_covariance(m: M.LinearScm) -> M.ExactCovariance:
+    """Path-tracing covariance for a standardized model.
+
+    Each off-diagonal entry is the sum, over the collider-free paths between
+    the two nodes, of the product of the edge coefficients along the path.
+    Only valid when every variable has unit variance; checked on entry.
+    """
+    sigma = M.covariance(m).matrix
+    if not np.allclose(np.diag(sigma), 1.0, atol=1e-9):
+        raise M.GraphError("path-tracing covariance requires unit variances")
+    g = m.dag
+    nodes = m.nodes
+    out = np.eye(len(nodes))
+
+    def paths_sum(start: str, goal: str) -> float:
+        total = 0.0
+
+        def extend(seq: list[str], product: float) -> None:
+            nonlocal total
+            tip = seq[-1]
+            for w in sorted(g.neighbours(tip)):
+                if w in seq:
+                    continue
+                if len(seq) >= 2:
+                    u, v = seq[-2], seq[-1]
+                    if (u, v) in g.directed and (w, v) in g.directed:
+                        continue  # collider at v
+                coef = m.coefficients.get((tip, w), m.coefficients.get((w, tip)))
+                next_product = product * coef
+                if w == goal:
+                    total += next_product
+                    continue
+                seq.append(w)
+                extend(seq, next_product)
+                seq.pop()
+
+        extend([start], 1.0)
+        return total
+
+    for i, a in enumerate(nodes):
+        for j in range(i + 1, len(nodes)):
+            value = paths_sum(a, nodes[j])
+            out[i, j] = out[j, i] = value
+    return M.ExactCovariance(nodes, out)
+
+
+def regression_coefficient_matrix(
+    sigma: np.ndarray, nodes, dag: M.PartiallyDirectedGraph
+) -> np.ndarray:
+    """Row-form coefficient matrix of ``dag`` fitted to ``sigma``, one fresh
+    solve per node: the unmemoised regression the package's memo must match
+    bit for bit."""
+    idx = {n: i for i, n in enumerate(nodes)}
+    out = np.zeros((len(nodes), len(nodes)))
+    for node in dag.nodes:
+        parents = sorted(dag.parents(node))
+        if not parents:
+            continue
+        rows = [idx[p] for p in parents]
+        gram = sigma[np.ix_(rows, rows)]
+        rhs = sigma[rows, idx[node]]
+        try:
+            beta = np.linalg.solve(gram, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise M.GraphError(f"rank-deficient regression at node {node!r}") from exc
+        for parent, b in zip(parents, beta):
+            out[idx[node], idx[parent]] = b
+    return out
+
+
 def partial_correlation(
     sigma: np.ndarray, nodes: tuple[str, ...], a: str, y: str, given: list[str]
 ) -> float:

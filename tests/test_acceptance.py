@@ -25,6 +25,7 @@ from helpers import (
     random_dag,
     random_scm,
     sim_scm,
+    wright_covariance,
 )
 
 SAMPLE_SEED = 0  # shipped seed for the finite-sample criterion
@@ -269,7 +270,7 @@ def test_criterion_7_numerical_cross_checks():
         dag = random_dag(rng, int(rng.integers(2, 7)), 0.5)
         std = M.standardized(random_scm(rng, dag))
         delta = float(
-            np.max(np.abs(M.wright_covariance(std).matrix - M.covariance(std).matrix))
+            np.max(np.abs(wright_covariance(std).matrix - M.covariance(std).matrix))
         )
         worst_wright = max(worst_wright, delta)
     wright_ok = worst_wright < WRIGHT_TOL

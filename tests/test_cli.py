@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -189,6 +190,22 @@ def test_simulate_writes_jsonl(capsys, tmp_path):
         assert row["counts"]["4"] <= row["counts"]["1"]
         assert row["distinct_estimates"]["4"] <= row["counts"]["4"]
     assert [row["seed"] for row in rows] == [11, 12, 13, 14]
+
+
+# sha256 of the JSONL of `simulate --p 10 --deg 3 --n 200 --reps 40 --seed 5`,
+# recorded before the regressions were memoised; it pins the whole study
+SIMULATE_GOLDEN_SHA256 = (
+    "76dcb3a8a644cf0141007abe551530ed01d72342ce3bb4e755e9b44df5a5ac7b"
+)
+
+
+def test_simulate_jsonl_golden_digest(capsys, tmp_path):
+    out_file = tmp_path / "sim.jsonl"
+    code, _, _ = run(capsys, "simulate", "--p", "10", "--deg", "3", "--n", "200",
+                     "--reps", "40", "--seed", "5", "--out", out_file)
+    assert code == 0
+    digest = hashlib.sha256(out_file.read_bytes()).hexdigest()
+    assert digest == SIMULATE_GOLDEN_SHA256
 
 
 def test_simulate_dumps_csv_datasets(capsys, tmp_path):

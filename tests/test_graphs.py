@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -191,6 +195,51 @@ class TestAncestralSets:
         assert M.possible_ancestors(g, ["v00", "v01"]) == set(names)
         assert not M.d_separated(g, ["v00"], ["v01"], names[3:])
         assert M.d_separated(g, ["v00"], ["v01"], names[2:])
+
+
+# each reachability query on nodes x1, x2, x3 of a graph that has none of them
+UNKNOWN_NODE_QUERIES = """
+import mpdag as M
+g = M.PartiallyDirectedGraph(["a", "b"], [("a", "b")], ())
+queries = [
+    lambda: M.possible_ancestors(g, ["x3", "x1", "x2"]),
+    lambda: M.ancestors(g, ["x3", "x1", "x2"]),
+    lambda: M.descendants(g, ["x3", "x1", "x2"]),
+    lambda: M.d_separated(g, ["x3", "x1"], ["x2"]),
+    lambda: M.possible_descendants(g, "x1"),
+]
+for query in queries:
+    try:
+        query()
+    except M.GraphError as exc:
+        print(exc)
+"""
+
+
+class TestUnknownNodes:
+    def test_reachability_queries_name_the_smallest_unknown_node(self, capsys):
+        exec(UNKNOWN_NODE_QUERIES, {})
+        assert capsys.readouterr().out == "unknown node: ['x1']\n" * 5
+
+    def test_ancestors_and_descendants_raise_graph_error(self):
+        g = chain(("a", "b"))
+        for query in (M.ancestors, M.descendants):
+            with pytest.raises(M.GraphError) as exc:
+                query(g, ["a", "zz"])
+            assert str(exc.value) == "unknown node: ['zz']"
+
+    def test_message_does_not_depend_on_hash_seed(self):
+        src = str(Path(M.__file__).resolve().parent.parent)
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        outputs = {
+            subprocess.run(
+                [sys.executable, "-c", UNKNOWN_NODE_QUERIES],
+                env={**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": path},
+                capture_output=True, text=True, check=True, timeout=60,
+            ).stdout
+            for seed in range(1, 7)
+        }
+        assert outputs == {"unknown node: ['x1']\n" * 5}
 
 
 class TestBuckets:

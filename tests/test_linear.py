@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 import mpdag as M
-from helpers import SIM_JOINT_EFFECTS, SIM_POINT_EFFECTS, lines, sim_scm
+from helpers import (
+    SIM_JOINT_EFFECTS,
+    SIM_POINT_EFFECTS,
+    lines,
+    sim_scm,
+    wright_covariance,
+)
 
 
 @pytest.fixture(scope="module")
@@ -49,12 +55,12 @@ class TestCovariance:
     def test_wright_form_agrees_with_matrix_form(self, scm):
         std = M.standardized(scm)
         assert np.max(
-            np.abs(M.wright_covariance(std).matrix - M.covariance(std).matrix)
+            np.abs(wright_covariance(std).matrix - M.covariance(std).matrix)
         ) < 1e-10
 
     def test_wright_requires_unit_variances(self, scm):
         with pytest.raises(M.GraphError):
-            M.wright_covariance(scm)
+            wright_covariance(scm)
 
     def test_confounded_chain_decomposition(self):
         # A1 <- V1 -> V2 -> Y with the shield A1 -> V2: the covariance of
@@ -160,6 +166,26 @@ class TestEstimateEffect:
         with pytest.raises(M.GraphError, match="'Y'"):
             M.estimate_effect(data, M.Mpdag(dag), ["A"], "Y")
 
+
+    def test_rank_deficient_regression_raises_on_every_call(self):
+        dag = M.PartiallyDirectedGraph("ABY", [("A", "Y"), ("B", "Y")], ())
+        values = np.random.default_rng(0).normal(size=(40, 3))
+        values[:, 1] = values[:, 0]
+        data = M.Dataset(columns=("A", "B", "Y"), values=values)
+        cov = M.ExactCovariance(data.columns, data.covariance())
+        for _ in range(2):
+            with pytest.raises(M.GraphError, match="'Y'"):
+                M.estimate_effect(cov, M.Mpdag(dag), ["A"], "Y")
+            with pytest.raises(M.GraphError, match="'Y'"):
+                M.regression_effect_for_dag(cov, dag, ["A"], "Y")
+
+    def test_memo_is_not_part_of_the_covariance_value(self, scm):
+        cov = M.covariance(scm)
+        fresh = M.ExactCovariance(cov.columns, cov.matrix)
+        before = repr(cov)
+        M.regression_effect_for_dag(cov, scm.dag, ["A1"], "Y")
+        assert repr(cov) == before
+        assert cov == fresh
 
 class TestPossibleEffects:
     def test_identified_graph_gives_single_estimate(self, scm, sim_cov):

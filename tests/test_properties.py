@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import mpdag as M
 from mpdag.graphs import _PathSearch
+from mpdag.linear import _total_effect_from_matrix
 from helpers import (
     PathKind,
     adjustment_functional,
@@ -23,6 +24,7 @@ from helpers import (
     partial_correlation,
     random_dag,
     random_scm,
+    regression_coefficient_matrix,
     rescanning_construct_mpdag,
     rescanning_meek_closure,
     unshielded_subsequence,
@@ -461,6 +463,45 @@ def test_bucket_formula_evaluates_to_the_identified_effect():
             assert np.max(np.abs(direct - estimated)) < 1e-8
             checked += 1
     assert checked >= 100
+
+
+def _oracle_effect(cov, dag, treatments, outcome):
+    coef = regression_coefficient_matrix(cov.matrix, cov.columns, dag)
+    return _total_effect_from_matrix(coef, cov.columns, treatments, outcome)
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 2**31 - 1), st.integers(3, 9), st.sampled_from([2.0, 3.0]))
+def test_memoised_regressions_match_unmemoised_oracle(seed, p, degree):
+    # one covariance object serves every DAG of the class and every member of
+    # the enumeration, as in the simulation study; each answer must equal a
+    # fresh per-node solve bit for bit, whichever DAG filled the memo first
+    try:
+        inst = M.random_instance(p, degree, seed)
+    except M.RejectionBudgetError:
+        return
+    treat, outcome = inst.treatments, inst.outcome
+    dags = M.enumerate_dags(inst.cpdag)
+    order = np.random.default_rng(seed).permutation(len(dags))
+    members = M.id_graphs(inst.cpdag, treat, [outcome]).graphs
+    data = M.sample(inst.scm, 30, seed)
+    sample_cov = M.ExactCovariance(data.columns, data.covariance())
+    for cov in (M.covariance(inst.scm), sample_cov):
+        for i in order:
+            got = M.regression_effect_for_dag(cov, dags[i], treat, outcome)
+            assert np.array_equal(got, _oracle_effect(cov, dags[i], treat, outcome))
+        for member in members:
+            got = M.estimate_effect(cov, member, treat, outcome).as_array()
+            expected = _oracle_effect(
+                cov, M.consistent_extension(member), treat, outcome
+            )
+            assert np.array_equal(got, expected)
+    possible = M.possible_effects(data, inst.cpdag, treat, outcome).estimates
+    for member, estimate in zip(members, possible):
+        from_data = M.estimate_effect(data, member, treat, outcome).as_array()
+        shared = M.estimate_effect(sample_cov, member, treat, outcome).as_array()
+        assert np.array_equal(from_data, shared)
+        assert np.array_equal(estimate.as_array(), shared)
 
 
 def test_adjustment_verdicts_are_sound_for_the_population_functional():
