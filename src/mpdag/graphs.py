@@ -5,12 +5,20 @@ PDAGs.  Node names are plain strings; the canonical node order (used for every
 tie-break in the package) is lexicographic, so results never depend on the
 order in which edges were supplied.
 
-Reachability (possible descendants and ancestors, ancestors, descendants,
-d-separation) is one polynomial search over edge states ``(u, v)``: it visits
-each state once and steps on by a local rule, in O(|E|·Δ) whatever the number
-of paths.  In an MPDAG every possibly causal path has an unshielded possibly
-causal subsequence (Perković, Kalisch & Maathuis, UAI 2017), and d-connection
-is a rule on consecutive triples (Bayes-ball, Shachter 1998).
+Adjacency is one table of per-node bitmasks in node order (parents,
+children, undirected neighbours, and their union): bit ``i`` of an entry
+stands for ``nodes[i]``, so taking bits lowest first lists nodes in name
+order.  Name queries (``parents``, ``mark``, ...) read that table, and every
+search below works on it directly, turning names into bits and back only at
+its public entry points.
+
+Ancestors, descendants and buckets are closures over one mask table, node by
+node.  Possible descendants and ancestors and d-separation are one polynomial
+search over edge states ``(u, v)``: it visits each state once and steps on by
+a local rule, in O(|E|·Δ) whatever the number of paths.  In an MPDAG every
+possibly causal path has an unshielded possibly causal subsequence (Perković,
+Kalisch & Maathuis, UAI 2017), and d-connection is a rule on consecutive
+triples (Bayes-ball, Shachter 1998).
 
 Proper possibly causal paths come from a depth-first search over per-node
 bitmasks that never appends a node with a child already on the path, since a
@@ -153,23 +161,25 @@ def _bit_indices(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _is_acyclic(masks: "_AdjacencyMasks") -> bool:
-    """Kahn's algorithm over the adjacency bitmasks."""
+def _kahn(masks: "_AdjacencyMasks") -> list[int]:
+    """Kahn's algorithm over the directed part, smallest ready index first.
+
+    The order misses a node exactly when the directed part has a cycle.
+    """
     children = masks.children
     indegree = [p.bit_count() for p in masks.parents]
-    ready = [i for i, d in enumerate(indegree) if not d]
-    removed = 0
+    ready = sum(1 << i for i, d in enumerate(indegree) if not d)
+    order = []
     while ready:
-        out = children[ready.pop()]
-        removed += 1
-        while out:
-            low = out & -out
-            out ^= low
-            w = low.bit_length() - 1
+        low = ready & -ready
+        ready ^= low
+        v = low.bit_length() - 1
+        order.append(v)
+        for w in _bit_indices(children[v]):
             indegree[w] -= 1
             if not indegree[w]:
-                ready.append(w)
-    return removed == len(indegree)
+                ready |= 1 << w
+    return order
 
 
 @dataclass(frozen=True)
@@ -194,7 +204,10 @@ class PartiallyDirectedGraph:
     ``nodes`` is kept sorted; ``undirected`` pairs are stored with the smaller
     endpoint first.  The constructor normalises its input and raises
     :class:`GraphError` on any invariant violation, so instances are always
-    valid PDAGs.  All queries are read-only and safe to share across threads.
+    valid PDAGs.  The edge sets define equality, hashing and the text form;
+    adjacency is one table of per-node bitmasks in node order (``_masks``),
+    built once from them, and every name query reads it.  All queries are
+    read-only and safe to share across threads.
     """
 
     nodes: tuple[str, ...]
@@ -235,7 +248,7 @@ class PartiallyDirectedGraph:
         validating constructor, which raises the same :class:`GraphError`,
         witness included, as for any other input.
         """
-        if not _is_acyclic(masks):
+        if len(_kahn(masks)) < len(nodes):
             return cls(nodes, directed, undirected)
         g = object.__new__(cls)
         object.__setattr__(g, "nodes", nodes)
@@ -247,66 +260,57 @@ class PartiallyDirectedGraph:
     # -- adjacency -----------------------------------------------------------
 
     @cached_property
-    def _parents(self) -> dict[str, frozenset[str]]:
-        out: dict[str, set[str]] = {n: set() for n in self.nodes}
-        for tail, head in self.directed:
-            out[head].add(tail)
-        return {n: frozenset(s) for n, s in out.items()}
-
-    @cached_property
-    def _children(self) -> dict[str, frozenset[str]]:
-        out: dict[str, set[str]] = {n: set() for n in self.nodes}
-        for tail, head in self.directed:
-            out[tail].add(head)
-        return {n: frozenset(s) for n, s in out.items()}
-
-    @cached_property
-    def _und_neighbours(self) -> dict[str, frozenset[str]]:
-        out: dict[str, set[str]] = {n: set() for n in self.nodes}
-        for u, v in self.undirected:
-            out[u].add(v)
-            out[v].add(u)
-        return {n: frozenset(s) for n, s in out.items()}
-
-    @cached_property
     def _masks(self) -> _AdjacencyMasks:
         index = {n: i for i, n in enumerate(self.nodes)}
-
-        def bits(sets: dict[str, frozenset[str]]) -> tuple[int, ...]:
-            return tuple(sum(1 << index[w] for w in sets[n]) for n in self.nodes)
-
-        children, und = bits(self._children), bits(self._und_neighbours)
-        parents = bits(self._parents)
+        children, parents, und = ([0] * len(index) for _ in range(3))
+        for tail, head in self.directed:
+            children[index[tail]] |= 1 << index[head]
+            parents[index[head]] |= 1 << index[tail]
+        for u, v in self.undirected:
+            und[index[u]] |= 1 << index[v]
+            und[index[v]] |= 1 << index[u]
         return _AdjacencyMasks(
             index=index,
             neighbours=tuple(c | p | u for c, p, u in zip(children, parents, und)),
-            children=children,
-            undirected=und,
-            parents=parents,
+            children=tuple(children),
+            undirected=tuple(und),
+            parents=tuple(parents),
         )
 
+    def _names(self, mask: int) -> frozenset[str]:
+        """The nodes whose bits are set in ``mask``."""
+        nodes = self.nodes
+        return frozenset(nodes[i] for i in _bit_indices(mask))
+
     def parents(self, v: str) -> frozenset[str]:
-        return self._parents[v]
+        return self._names(self._masks.parents[self._masks.index[v]])
 
     def children(self, v: str) -> frozenset[str]:
-        return self._children[v]
+        return self._names(self._masks.children[self._masks.index[v]])
 
     def undirected_neighbours(self, v: str) -> frozenset[str]:
-        return self._und_neighbours[v]
+        return self._names(self._masks.undirected[self._masks.index[v]])
 
     def neighbours(self, v: str) -> frozenset[str]:
-        return self._parents[v] | self._children[v] | self._und_neighbours[v]
+        return self._names(self._masks.neighbours[self._masks.index[v]])
 
     def adjacent(self, u: str, v: str) -> bool:
-        return v in self.neighbours(u)
+        return self.mark(u, v) is not None
 
     def mark(self, u: str, v: str) -> Optional[str]:
-        """Edge mark between ``u`` and ``v`` seen from ``u`` (or None)."""
-        if v in self._children[u]:
+        """Edge mark between ``u`` and ``v`` seen from ``u`` (or None).
+
+        Raises ``KeyError`` when ``u`` is not a node; any other ``v`` gives
+        None."""
+        masks = self._masks
+        i, j = masks.index[u], masks.index.get(v)
+        if j is None:
+            return None
+        if masks.children[i] >> j & 1:
             return DIRECTED_MARK
-        if v in self._parents[u]:
+        if masks.parents[i] >> j & 1:
             return REVERSED_MARK
-        if v in self._und_neighbours[u]:
+        if masks.undirected[i] >> j & 1:
             return UNDIRECTED_MARK
         return None
 
@@ -336,10 +340,7 @@ class PartiallyDirectedGraph:
 
     def induced_subgraph(self, keep: Iterable[str]) -> "PartiallyDirectedGraph":
         """Subgraph on ``keep`` with exactly the edges between kept nodes."""
-        keep_set = set(keep)
-        unknown = keep_set - set(self.nodes)
-        if unknown:
-            raise GraphError(f"unknown node: {sorted(unknown)}")
+        keep_set = _check_known(self, keep)
         return PartiallyDirectedGraph(
             keep_set,
             (e for e in self.directed if e[0] in keep_set and e[1] in keep_set),
@@ -363,36 +364,24 @@ class PartiallyDirectedGraph:
         """Topological order of a fully directed graph, ties by node order."""
         if not self.is_directed:
             raise GraphError("topological order requires a fully directed graph")
-        indeg = {n: len(self._parents[n]) for n in self.nodes}
-        ready = sorted(n for n in self.nodes if indeg[n] == 0)
-        order: list[str] = []
-        while ready:
-            v = ready.pop(0)
-            order.append(v)
-            changed = False
-            for w in sorted(self._children[v]):
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    ready.append(w)
-                    changed = True
-            if changed:
-                ready.sort()
+        order = _kahn(self._masks)
         if len(order) != len(self.nodes):
             raise InternalInconsistencyError("directed part is cyclic")
-        return tuple(order)
+        return tuple(self.nodes[i] for i in order)
 
     def unshielded_colliders(self) -> frozenset[tuple[str, str, str]]:
         """Triples ``(a, b, c)`` with ``a -> b <- c``, ``a`` and ``c`` nonadjacent.
 
         Canonicalised so that ``a < c``.
         """
-        out: set[tuple[str, str, str]] = set()
-        for b in self.nodes:
-            pa = sorted(self._parents[b])
-            for a, c in itertools.combinations(pa, 2):
-                if not self.adjacent(a, c):
-                    out.add((a, b, c))
-        return frozenset(out)
+        nodes, neighbours = self.nodes, self._masks.neighbours
+        return frozenset(
+            (nodes[a], nodes[b], nodes[c])
+            for b, pa in enumerate(self._masks.parents)
+            for a in _bit_indices(pa)
+            # the parents after a that are not adjacent to it
+            for c in _bit_indices((pa >> a + 1 << a + 1) & ~neighbours[a])
+        )
 
 
 @dataclass(frozen=True)
@@ -425,26 +414,21 @@ def path_in(g: PartiallyDirectedGraph, nodes: Sequence[str]) -> NodePath:
         raise NotAPathError(f"repeated node in {seq}")
     marks = []
     for u, v in zip(seq, seq[1:]):
-        mark = g.mark(u, v) if u in g._parents and v in g._parents else None
+        mark = g.mark(u, v) if u in g._masks.index else None
         if mark is None:
             raise NotAPathError(f"{u} and {v} are not adjacent")
         marks.append(mark)
     return NodePath(seq, tuple(marks))
 
 
-def _open_step(
-    g: PartiallyDirectedGraph, given: Iterable[str]
-) -> Callable[[int, int], int]:
-    """The definite-status rule of d-connection given ``given``: ``step(u, v)``
-    is the mask of the ``w != u`` for which ``u, v, w`` is a definite-status
-    triple left open, ``v`` a definite non-collider outside ``given`` or a
-    collider with a descendant in it."""
-    masks = g._masks
+def _open_step(masks: _AdjacencyMasks, blocking: int) -> Callable[[int, int], int]:
+    """The definite-status rule of d-connection given the nodes of the mask
+    ``blocking``: ``step(u, v)`` is the mask of the ``w != u`` for which
+    ``u, v, w`` is a definite-status triple left open, ``v`` a definite
+    non-collider outside ``blocking`` or a collider with a descendant in it."""
     neighbours, children = masks.neighbours, masks.children
     undirected, parents = masks.undirected, masks.parents
-    z_set = set(given)
-    blocking = masks.bits(z_set)
-    open_colliders = masks.bits(ancestors(g, z_set))
+    open_colliders = _closure(blocking, parents)
 
     def step(u: int, v: int) -> int:
         out = 0
@@ -473,8 +457,9 @@ def _definite_status_walk(
     taken in node order.  Yields each path right after it is extended, as the
     live list of node indices (valid until the next step).
     """
-    neighbours, start_bits = g._masks.neighbours, g._masks.bits(starts)
-    step = _open_step(g, given)
+    masks = g._masks
+    neighbours, start_bits = masks.neighbours, masks.bits(starts)
+    step = _open_step(masks, masks.bits(given))
     for a in _bit_indices(start_bits):
         path, members = [a], 1 << a
         pending = [neighbours[a] & ~start_bits]
@@ -493,12 +478,12 @@ def _definite_status_walk(
 
 
 def _check_known(g: PartiallyDirectedGraph, nodes: Iterable[str]) -> set[str]:
-    """``nodes`` as a set; raises for the first one, in sorted order, that is
-    not a node of ``g``, so the error names the same node on every run."""
+    """``nodes`` as a set; raises for the smallest one that is not a node of
+    ``g``, so the error names the same node on every run."""
     node_set = set(nodes)
-    for n in sorted(node_set):
-        if n not in g._parents:
-            raise GraphError(f"unknown node: [{n!r}]")
+    unknown = node_set - g._masks.index.keys()
+    if unknown:
+        raise GraphError(f"unknown node: [{min(unknown)!r}]")
     return node_set
 
 
@@ -649,17 +634,12 @@ def proper_possibly_causal_paths(
     return _PathSearch(g, treatments, outcomes, start_undirected_only).paths()
 
 
-def _reach(
-    g: PartiallyDirectedGraph,
-    starts: Iterable[str],
-    first: Sequence[int],
-    step: Callable[[int, int], int],
-) -> frozenset[str]:
-    """The nodes reached from ``starts``, reflexive, by a search that visits
-    each edge state ``(u, v)``, "at ``v`` from ``u``", once: from a start
-    ``s`` it moves to the nodes of the mask ``first[s]``, and from ``(u, v)``
-    to those of ``step(u, v)``."""
-    reached = g._masks.bits(starts)
+def _reach(starts: int, first: Sequence[int], step: Callable[[int, int], int]) -> int:
+    """The mask of the nodes reached from the nodes of ``starts``, reflexive,
+    by a search that visits each edge state ``(u, v)``, "at ``v`` from
+    ``u``", once: from a start ``s`` it moves to the nodes of the mask
+    ``first[s]``, and from ``(u, v)`` to those of ``step(u, v)``."""
+    reached = starts
     # taken[v]: the w of the states (v, w) already stacked
     taken = [first[v] if reached >> v & 1 else 0 for v in range(len(first))]
     stack = [(s, w) for s in _bit_indices(reached) for w in _bit_indices(first[s])]
@@ -669,21 +649,35 @@ def _reach(
         new = step(u, v) & ~taken[v]
         taken[v] |= new
         stack += ((v, w) for w in _bit_indices(new))
-    return frozenset(g.nodes[i] for i in _bit_indices(reached))
+    return reached
+
+
+def _closure(starts: int, table: Sequence[int]) -> int:
+    """The mask of the nodes reached from ``starts`` along ``table``, where
+    ``table[v]`` is the mask of the next nodes after ``v`` (reflexive).  The
+    step does not depend on the way in, so a search over nodes suffices."""
+    reached = frontier = starts
+    while frontier:
+        after = 0
+        for v in _bit_indices(frontier):
+            after |= table[v]
+        frontier = after & ~reached
+        reached |= frontier
+    return reached
 
 
 def _possibly_causal_reach(
-    g: PartiallyDirectedGraph, nodes: Iterable[str], forward: bool = True
-) -> frozenset[str]:
-    """The possible descendants (``forward``) or ancestors of ``nodes`` in the
-    MPDAG ``g``, reflexive.  As a possibly causal path of an MPDAG has an
-    unshielded possibly causal subsequence (Perković, Kalisch & Maathuis, UAI
-    2017), a step from ``(u, v)`` to ``w`` needs ``u`` and ``w`` nonadjacent."""
-    masks = g._masks
+    masks: _AdjacencyMasks, starts: int, forward: bool = True
+) -> int:
+    """The possible descendants (``forward``) or ancestors of the nodes of
+    ``starts`` in an MPDAG, reflexive.  As a possibly causal path of an MPDAG
+    has an unshielded possibly causal subsequence (Perković, Kalisch &
+    Maathuis, UAI 2017), a step from ``(u, v)`` to ``w`` needs ``u`` and
+    ``w`` nonadjacent."""
     neighbours = masks.neighbours
     towards = masks.children if forward else masks.parents
     out = [t | u for t, u in zip(towards, masks.undirected)]
-    return _reach(g, nodes, out, lambda u, v: out[v] & ~(neighbours[u] | 1 << u))
+    return _reach(starts, out, lambda u, v: out[v] & ~(neighbours[u] | 1 << u))
 
 
 def possible_descendants(g: PartiallyDirectedGraph, start: str) -> frozenset[str]:
@@ -692,7 +686,9 @@ def possible_descendants(g: PartiallyDirectedGraph, start: str) -> frozenset[str
     ``g`` must be an MPDAG (closed under the Meek rules and representing some
     DAG); on other PDAGs the result can differ from that definition.
     """
-    return _possibly_causal_reach(g, _check_known(g, [start]))
+    masks = g._masks
+    starts = masks.bits(_check_known(g, [start]))
+    return g._names(_possibly_causal_reach(masks, starts))
 
 
 def possible_ancestors(g: PartiallyDirectedGraph, targets: Iterable[str]) -> frozenset[str]:
@@ -700,28 +696,31 @@ def possible_ancestors(g: PartiallyDirectedGraph, targets: Iterable[str]) -> fro
 
     ``g`` must be an MPDAG, as for :func:`possible_descendants`.
     """
-    return _possibly_causal_reach(g, _check_known(g, targets), forward=False)
+    masks = g._masks
+    starts = masks.bits(_check_known(g, targets))
+    return g._names(_possibly_causal_reach(masks, starts, forward=False))
 
 
 def ancestors(g: PartiallyDirectedGraph, targets: Iterable[str]) -> frozenset[str]:
     """Nodes with a causal (all-directed) path into ``targets`` (reflexive)."""
-    parents = g._masks.parents
-    return _reach(g, _check_known(g, targets), parents, lambda u, v: parents[v])
+    masks = g._masks
+    return g._names(_closure(masks.bits(_check_known(g, targets)), masks.parents))
 
 
 def descendants(g: PartiallyDirectedGraph, sources: Iterable[str]) -> frozenset[str]:
     """Nodes reachable from ``sources`` along directed edges (reflexive)."""
-    children = g._masks.children
-    return _reach(g, _check_known(g, sources), children, lambda u, v: children[v])
+    masks = g._masks
+    return g._names(_closure(masks.bits(_check_known(g, sources)), masks.children))
 
 
 def parents_of_set(g: PartiallyDirectedGraph, nodes: Iterable[str]) -> frozenset[str]:
     """Union of parents of the members, minus the set itself."""
-    node_set = set(nodes)
-    out: set[str] = set()
-    for v in node_set:
-        out |= g._parents[v]
-    return frozenset(out - node_set)
+    masks = g._masks
+    members = masks.bits(nodes)
+    out = 0
+    for v in _bit_indices(members):
+        out |= masks.parents[v]
+    return g._names(out & ~members)
 
 
 @dataclass(frozen=True)
@@ -739,15 +738,13 @@ def ancestral_sets(g: PartiallyDirectedGraph, nodes: Iterable[str]) -> Ancestral
     convention; parents follow the set convention (union minus the set).
     ``g`` must be an MPDAG, as for :func:`possible_descendants`.
     """
-    node_set = set(nodes)
-    unknown = node_set - set(g.nodes)
-    if unknown:
-        raise GraphError(f"unknown node: {sorted(unknown)}")
+    node_set = _check_known(g, nodes)
+    starts = g._masks.bits(node_set)
     return AncestralSets(
         parents=parents_of_set(g, node_set),
         ancestors=ancestors(g, node_set),
         descendants=descendants(g, node_set),
-        possible_descendants=_possibly_causal_reach(g, node_set),
+        possible_descendants=g._names(_possibly_causal_reach(g._masks, starts)),
     )
 
 
@@ -759,25 +756,14 @@ def bucket_decomposition(
     Connectivity uses only undirected edges between members of the set.
     Buckets are ordered by their smallest member.
     """
-    node_set = set(nodes)
-    unknown = node_set - set(g.nodes)
-    if unknown:
-        raise GraphError(f"unknown node: {sorted(unknown)}")
-    remaining = set(node_set)
-    buckets: list[frozenset[str]] = []
-    for seed in sorted(node_set):
-        if seed not in remaining:
-            continue
-        component = {seed}
-        frontier = [seed]
-        while frontier:
-            v = frontier.pop()
-            for w in g._und_neighbours[v]:
-                if w in remaining and w not in component:
-                    component.add(w)
-                    frontier.append(w)
-        remaining -= component
-        buckets.append(frozenset(component))
+    masks = g._masks
+    members = masks.bits(_check_known(g, nodes))
+    und = [m & members for m in masks.undirected]
+    buckets = []
+    while members:
+        bucket = _closure(members & -members, und)
+        buckets.append(g._names(bucket))
+        members ^= bucket
     return tuple(buckets)
 
 
@@ -799,4 +785,6 @@ def d_separated(
     _check_disjoint("first", a_set, "given", z_set)
     _check_disjoint("second", y_set, "given", z_set)
     _check_known(g, a_set | y_set | z_set)
-    return not _reach(g, a_set, g._masks.neighbours, _open_step(g, z_set)) & y_set
+    masks = g._masks
+    step = _open_step(masks, masks.bits(z_set))
+    return not _reach(masks.bits(a_set), masks.neighbours, step) & masks.bits(y_set)

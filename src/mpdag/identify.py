@@ -18,13 +18,15 @@ from .graphs import (
     InternalInconsistencyError,
     NodePath,
     _PathSearch,
+    _check_known,
+    _closure,
     _definite_status_walk,
     _possibly_causal_reach,
-    ancestors,
     bucket_decomposition,
     parents_of_set,
     path_in,
     possible_ancestors,
+    possible_descendants,
     proper_possibly_causal_paths,
 )
 from .meek import Mpdag
@@ -120,9 +122,7 @@ def _checked_sets(
     h: Mpdag, treatments: Iterable[str], outcomes: Iterable[str]
 ) -> tuple[set[str], set[str]]:
     a_set, y_set = set(treatments), set(outcomes)
-    unknown = (a_set | y_set) - set(h.graph.nodes)
-    if unknown:
-        raise GraphError(f"unknown node: {sorted(unknown)}")
+    _check_known(h.graph, a_set | y_set)
     if a_set & y_set:
         raise GraphError(f"treatments and outcomes overlap: {sorted(a_set & y_set)}")
     if not a_set or not y_set:
@@ -146,8 +146,10 @@ def g_formula(
     if not verdict:
         raise NotIdentifiedError(verdict.witness)
     g = h.graph
-    without_a = g.induced_subgraph(set(g.nodes) - a_set)
-    b_set = set(ancestors(without_a, y_set)) - y_set
+    masks = g._masks
+    a_bits, y_bits = masks.bits(a_set), masks.bits(y_set)
+    parents_without_a = [p & ~a_bits for p in masks.parents]
+    b_set = g._names(_closure(y_bits, parents_without_a) & ~y_bits)
     buckets = bucket_decomposition(g, b_set | y_set)
     return GFormula(
         treatments=tuple(sorted(a_set)),
@@ -168,7 +170,7 @@ def forbidden_set(
     a_set, y_set = _checked_sets(h, treatments, outcomes)
     g = h.graph
     on_path = _PathSearch(g, a_set, y_set).nodes_on_paths() - a_set
-    return _possibly_causal_reach(g, on_path)
+    return g._names(_possibly_causal_reach(g._masks, g._masks.bits(on_path)))
 
 
 @dataclass(frozen=True)
@@ -236,10 +238,7 @@ def is_adjustment_set(
     sequence.
     """
     a_set, y_set = _checked_sets(h, treatments, outcomes)
-    z_set = set(adjust)
-    unknown = z_set - set(h.graph.nodes)
-    if unknown:
-        raise GraphError(f"unknown node: {sorted(unknown)}")
+    z_set = _check_known(h.graph, adjust)
     overlap = z_set & (a_set | y_set)
     if overlap:
         raise GraphError(f"adjustment set overlaps A or Y: {sorted(overlap)}")
@@ -277,11 +276,9 @@ def find_adjustment_set(
     )
     if _adjustment_verdict(h, a_set, y_set, candidate, forb):
         return candidate
-    if (
-        len(a_set) == 1
-        and len(y_set) == 1
-        and proper_possibly_causal_paths(g, a_set, y_set)
-    ):
+    # for one treatment a and one outcome y, a proper possibly causal path
+    # from a to y exists exactly when y is a possible descendant of a
+    if len(a_set) == len(y_set) == 1 and y_set <= possible_descendants(g, min(a_set)):
         raise InternalInconsistencyError(
             "no adjustment set found for singleton treatment and outcome"
         )

@@ -26,7 +26,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .graphs import GraphError, PartiallyDirectedGraph
+from .graphs import GraphError, PartiallyDirectedGraph, _bit_indices
 from .idgraphs import EnumerationResult, id_graphs
 from .identify import NotIdentifiedError, is_identified
 from .meek import Mpdag, consistent_extension, cpdag_of_dag
@@ -221,10 +221,11 @@ def _regression_coefficient_matrix(
     nodes = cov.columns
     idx = {n: i for i, n in enumerate(nodes)}
     out = np.zeros((len(nodes), len(nodes)))
-    for node in dag.nodes:
-        parents = tuple(sorted(dag.parents(node)))
-        if not parents:
+    for node, parent_bits in zip(dag.nodes, dag._masks.parents):
+        if not parent_bits:
             continue
+        # bits come out in node order, which is name order
+        parents = tuple(dag.nodes[i] for i in _bit_indices(parent_bits))
         rows = [idx[p] for p in parents]
         beta = cov._betas.get((node, parents))
         if beta is None:

@@ -548,6 +548,98 @@ def exhaustive_find_adjustment_set(h: M.Mpdag, treatments, outcomes):
     return None
 
 
+class NameAdjacency:
+    """The name-keyed adjacency the package kept beside its bitmask table:
+    parents, children and undirected neighbours as dicts of frozensets built
+    straight from the edge sets, the name queries read from them, and Kahn's
+    algorithm on a sorted list of ready names.
+
+    Kept as the reference the bitmask accessors are compared against.
+    """
+
+    def __init__(self, g: M.PartiallyDirectedGraph) -> None:
+        self.nodes = g.nodes
+        parents: dict[str, set[str]] = {n: set() for n in g.nodes}
+        children: dict[str, set[str]] = {n: set() for n in g.nodes}
+        und: dict[str, set[str]] = {n: set() for n in g.nodes}
+        for tail, head in g.directed:
+            children[tail].add(head)
+            parents[head].add(tail)
+        for u, v in g.undirected:
+            und[u].add(v)
+            und[v].add(u)
+        self.parents = {n: frozenset(s) for n, s in parents.items()}
+        self.children = {n: frozenset(s) for n, s in children.items()}
+        self.und = {n: frozenset(s) for n, s in und.items()}
+
+    def neighbours(self, v: str) -> frozenset[str]:
+        return self.parents[v] | self.children[v] | self.und[v]
+
+    def adjacent(self, u: str, v: str) -> bool:
+        return v in self.neighbours(u)
+
+    def mark(self, u: str, v: str):
+        if v in self.children[u]:
+            return "->"
+        if v in self.parents[u]:
+            return "<-"
+        if v in self.und[u]:
+            return "--"
+        return None
+
+    def kahn_order(self) -> tuple[str, ...]:
+        """Topological order of the directed part, ties by node order; short
+        of some node when that part has a cycle."""
+        indeg = {n: len(self.parents[n]) for n in self.nodes}
+        ready = sorted(n for n in self.nodes if indeg[n] == 0)
+        order: list[str] = []
+        while ready:
+            v = ready.pop(0)
+            order.append(v)
+            changed = False
+            for w in sorted(self.children[v]):
+                indeg[w] -= 1
+                if indeg[w] == 0:
+                    ready.append(w)
+                    changed = True
+            if changed:
+                ready.sort()
+        return tuple(order)
+
+    def unshielded_colliders(self) -> frozenset[tuple[str, str, str]]:
+        out: set[tuple[str, str, str]] = set()
+        for b in self.nodes:
+            for a, c in itertools.combinations(sorted(self.parents[b]), 2):
+                if not self.adjacent(a, c):
+                    out.add((a, b, c))
+        return frozenset(out)
+
+    def parents_of_set(self, nodes) -> frozenset[str]:
+        node_set = set(nodes)
+        out: set[str] = set()
+        for v in node_set:
+            out |= self.parents[v]
+        return frozenset(out - node_set)
+
+    def bucket_decomposition(self, nodes) -> tuple[frozenset[str], ...]:
+        remaining = set(nodes)
+        buckets: list[frozenset[str]] = []
+        for seed in sorted(remaining):
+            if seed not in remaining:
+                continue
+            component = {seed}
+            frontier = [seed]
+            while frontier:
+                v = frontier.pop()
+                for w in self.und[v]:
+                    if w in remaining and w not in component:
+                        component.add(w)
+                        frontier.append(w)
+            remaining -= component
+            buckets.append(frozenset(component))
+        return tuple(buckets)
+
+
 class RescanningBuilder:
     """The Meek-rule loop the package used before its bitmask builder, over
     node names: after every orientation it rescans every undirected edge,
@@ -558,10 +650,11 @@ class RescanningBuilder:
     """
 
     def __init__(self, g: M.PartiallyDirectedGraph) -> None:
+        adjacency = NameAdjacency(g)
         self.nodes = g.nodes
-        self.parents = {n: set(g.parents(n)) for n in g.nodes}
-        self.children = {n: set(g.children(n)) for n in g.nodes}
-        self.und = {n: set(g.undirected_neighbours(n)) for n in g.nodes}
+        self.parents = {n: set(s) for n, s in adjacency.parents.items()}
+        self.children = {n: set(s) for n, s in adjacency.children.items()}
+        self.und = {n: set(s) for n, s in adjacency.und.items()}
 
     def adjacent(self, u: str, v: str) -> bool:
         return v in self.parents[u] or v in self.children[u] or v in self.und[u]

@@ -207,6 +207,11 @@ queries = [
     lambda: M.descendants(g, ["x3", "x1", "x2"]),
     lambda: M.d_separated(g, ["x3", "x1"], ["x2"]),
     lambda: M.possible_descendants(g, "x1"),
+    lambda: g.induced_subgraph(["a", "x3", "x1", "x2"]),
+    lambda: M.ancestral_sets(g, ["x3", "x1", "x2"]),
+    lambda: M.bucket_decomposition(g, ["x3", "x1", "x2"]),
+    lambda: M.g_formula(M.Mpdag(g), ["x3", "x1"], ["x2"]),
+    lambda: M.is_adjustment_set(M.Mpdag(g), ["a"], ["b"], ["x3", "x1", "x2"]),
 ]
 for query in queries:
     try:
@@ -219,7 +224,7 @@ for query in queries:
 class TestUnknownNodes:
     def test_reachability_queries_name_the_smallest_unknown_node(self, capsys):
         exec(UNKNOWN_NODE_QUERIES, {})
-        assert capsys.readouterr().out == "unknown node: ['x1']\n" * 5
+        assert capsys.readouterr().out == "unknown node: ['x1']\n" * 10
 
     def test_ancestors_and_descendants_raise_graph_error(self):
         g = chain(("a", "b"))
@@ -239,7 +244,19 @@ class TestUnknownNodes:
             ).stdout
             for seed in range(1, 7)
         }
-        assert outputs == {"unknown node: ['x1']\n" * 5}
+        assert outputs == {"unknown node: ['x1']\n" * 10}
+
+    def test_adjacency_queries(self):
+        g = chain(("a", "b"))
+        assert g.adjacent("a", "zz") is False
+        assert g.mark("a", "zz") is None
+        for query in (g.parents, g.children, g.undirected_neighbours, g.neighbours):
+            with pytest.raises(KeyError):
+                query("zz")
+        for query in (g.adjacent, g.mark):
+            for second in ("a", "zz"):
+                with pytest.raises(KeyError):
+                    query("zz", second)
 
 
 class TestBuckets:

@@ -6,9 +6,10 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import mpdag as M
-from mpdag.graphs import _PathSearch
+from mpdag.graphs import _PathSearch, _kahn
 from mpdag.linear import _total_effect_from_matrix
 from helpers import (
+    NameAdjacency,
     PathKind,
     adjustment_functional,
     classify_path,
@@ -310,6 +311,59 @@ def test_bucket_decomposition_is_a_partition(g):
         assert not (union & bucket)
         union |= bucket
     assert union == subset
+
+
+def _assert_matches_name_adjacency(g, rng):
+    oracle = NameAdjacency(g)
+    for u in g.nodes:
+        assert g.parents(u) == oracle.parents[u]
+        assert g.children(u) == oracle.children[u]
+        assert g.undirected_neighbours(u) == oracle.und[u]
+        assert g.neighbours(u) == oracle.neighbours(u)
+        for v in g.nodes + ("zz",):
+            assert g.adjacent(u, v) == oracle.adjacent(u, v)
+            assert g.mark(u, v) == oracle.mark(u, v)
+    order = oracle.kahn_order()
+    assert tuple(g.nodes[i] for i in _kahn(g._masks)) == order
+    if g.is_directed:
+        assert g.topological_order() == order
+    else:
+        assert _outcome(g.topological_order)[:2] == ("error", M.GraphError)
+    assert g.unshielded_colliders() == oracle.unshielded_colliders()
+    for _ in range(3):
+        subset = {n for n in g.nodes if rng.random() < 0.5}
+        assert M.parents_of_set(g, subset) == oracle.parents_of_set(subset)
+        assert M.bucket_decomposition(g, subset) == oracle.bucket_decomposition(subset)
+
+
+@settings(max_examples=200)
+@given(pdags(), mpdag_queries(), st.integers(0, 2**31 - 1))
+def test_adjacency_queries_match_name_keyed_oracle(g, query, seed):
+    # a PDAG, an MPDAG with background knowledge and a DAG it represents
+    h = query[0]
+    rng = np.random.default_rng(seed)
+    for graph in (g, h.graph, M.consistent_extension(h)):
+        _assert_matches_name_adjacency(graph, rng)
+
+
+@settings(max_examples=200)
+@given(mpdag_queries())
+def test_g_formula_marginalises_ancestors_without_the_treatments(query):
+    # on every member of the minimal enumeration, where the effect is identified
+    h, a, y = query
+    for member in [h] if M.is_identified(h, a, y) else M.id_graphs(h, a, y).graphs:
+        g = member.graph
+        expected = M.ancestors(g.induced_subgraph(set(g.nodes) - set(a)), y) - set(y)
+        assert set(M.g_formula(member, a, y).marginalize) == expected
+
+
+@settings(max_examples=200)
+@given(mpdag_queries())
+def test_singleton_possibly_causal_path_iff_possible_descendant(query):
+    h, a, y = query
+    for s, t in itertools.product(a, y):
+        paths = M.proper_possibly_causal_paths(h.graph, [s], [t])
+        assert bool(paths) == (t in M.possible_descendants(h.graph, s))
 
 
 @given(pdags(), st.integers(0, 1000))
