@@ -716,7 +716,7 @@ def descendants(g: PartiallyDirectedGraph, sources: Iterable[str]) -> frozenset[
 def parents_of_set(g: PartiallyDirectedGraph, nodes: Iterable[str]) -> frozenset[str]:
     """Union of parents of the members, minus the set itself."""
     masks = g._masks
-    members = masks.bits(nodes)
+    members = masks.bits(_check_known(g, nodes))
     out = 0
     for v in _bit_indices(members):
         out |= masks.parents[v]

@@ -9,6 +9,13 @@ represented DAGs with pairwise distinct identification formulas.  Branching on
 a shortest violating path first is what makes the output minimal: the
 orientation order matters.
 
+The recursion tree has one node per branch plus one per output graph, and
+each node needs only its shortest violating path, which a bounded search
+finds.  Violating paths are enumerated in full once per call, at the root,
+for the bound ``m``; the count at each branch of the audit trail is computed
+on first read.  The recursion runs on an explicit stack, so its depth is not
+limited by Python's recursion limit.
+
 Also provided are the coarser baseline enumerations used for count
 comparisons: listing every represented DAG (method 1), orienting every
 undirected edge at the treatments (method 2), and orienting only treatment
@@ -19,7 +26,8 @@ outcomes (method 3).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable
 
 from .graphs import GraphError, InternalInconsistencyError, _PathSearch
@@ -30,12 +38,24 @@ from .meek import Mpdag, OrientationConflictError, construct_mpdag, enumerate_da
 @dataclass(frozen=True)
 class BranchRecord:
     """One recursion node: the graph, the edge oriented, and the shortest
-    violating path that selected it."""
+    violating path that selected it.
+
+    ``violating`` counts the violating paths of the branching graph.  Paths
+    are enumerated in full only at the root of :func:`id_graphs`, whose
+    record gets that count; any other record counts its graph's paths the
+    first time ``violating`` is read and keeps the number.
+    """
 
     graph: tuple[str, ...]  # canonical edge lines of the branching graph
     edge: tuple[str, str]
     path: tuple[str, ...]
-    violating: int
+    _mpdag: Mpdag = field(repr=False, compare=False)
+    _treatments: tuple[str, ...] = field(repr=False, compare=False)
+    _outcomes: tuple[str, ...] = field(repr=False, compare=False)
+
+    @cached_property
+    def violating(self) -> int:
+        return _violating_search(self._mpdag, self._treatments, self._outcomes).count()
 
     def to_json(self) -> dict:
         return {
@@ -51,7 +71,9 @@ class EnumerationResult:
     """Output of the minimal enumeration plus its audit trail.
 
     ``m`` counts the violating paths of the root graph; the output size never
-    exceeds 2**m.
+    exceeds 2**m.  It is the one full path enumeration of an
+    :func:`id_graphs` call; the per-branch counts of the audit records are
+    computed only when read.
     """
 
     graphs: tuple[Mpdag, ...]
@@ -85,42 +107,49 @@ def id_graphs(
     Base case: an identified graph is returned as is.  Otherwise the selected
     branch edge is oriented both ways (both orientations of an undirected
     MPDAG edge are realizable; a failure here is an internal error) and the
-    recursion results are merged.  Output is canonically sorted; the audit
-    trail records each branch in depth-first order.
+    results below the two children are merged.  Output is canonically sorted;
+    the audit trail records each branch in depth-first order: a branch, then
+    everything below its ``a1 -> v1`` child, then everything below its
+    ``v1 -> a1`` child.  Only the root's violating paths are enumerated in
+    full (for ``m``); every other node runs the bounded shortest-path search.
     """
     a_list = tuple(sorted(set(treatments)))
     y_list = tuple(sorted(set(outcomes)))
     audit: list[BranchRecord] = []
     leaves: dict[tuple, Mpdag] = {}
 
-    def recurse(current: Mpdag) -> int:
-        """Enumerate below ``current``; returns its violating-path count."""
-        violating, shortest = _violating_search(
-            current, a_list, y_list
-        ).count_and_shortest()
+    m, shortest = _violating_search(h, a_list, y_list).count_and_shortest()
+    stack = [(h, shortest)]
+    while stack:
+        current, shortest = stack.pop()
         if shortest is None:
             leaves[current.key()] = current
-            return violating
+            continue
         a1, v1 = shortest.nodes[0], shortest.nodes[1]
         audit.append(
             BranchRecord(
                 graph=current.graph.edge_lines(),
                 edge=(a1, v1),
                 path=shortest.nodes,
-                violating=violating,
+                _mpdag=current,
+                _treatments=a_list,
+                _outcomes=y_list,
             )
         )
+        children = []
         for request in ((a1, v1), (v1, a1)):
             try:
-                child = construct_mpdag(current, [request])
+                children.append(construct_mpdag(current, [request]))
             except OrientationConflictError as exc:
                 raise InternalInconsistencyError(
                     f"branch orientation {request} failed on a valid MPDAG"
                 ) from exc
-            recurse(child)
-        return violating
+        # pushed in reverse, so the a1 -> v1 subtree is finished first
+        for child in reversed(children):
+            stack.append((child, _violating_search(child, a_list, y_list).shortest()))
+    if audit:  # the root's count is m, already known
+        vars(audit[0])["violating"] = m
 
-    m = recurse(h)
     graphs = tuple(leaves[k] for k in sorted(leaves))
     result = EnumerationResult(graphs=graphs, audit=tuple(audit), m=m)
     if result.n > 2 ** result.m:

@@ -248,6 +248,25 @@ def test_simulate_does_not_record_other_errors_as_skips(capsys, tmp_path, monkey
     assert not out_file.exists()  # no record at all, so none says skipped
 
 
+# sha256 of the stdout of `idgraphs --format json` (method 4, with the audit
+# and its violating_paths counts) on the three queries below, in that order,
+# recorded while every branch still enumerated its violating paths in full
+IDGRAPHS_AUDIT_GOLDEN_SHA256 = (
+    "19b2d0ff9059a603ebb4885d61f3c85cfd78bef845ad7d3e6d040365fecd261b"
+)
+
+
+def test_idgraphs_audit_golden_digest(capsys):
+    digest = hashlib.sha256()
+    for name, treat in (("four_node_mpdag.txt", "A"), ("complete4.txt", "A1,A2"),
+                        ("sim_cpdag.txt", "A1,A2")):
+        code, out, _ = run(capsys, "idgraphs", FIXTURES / name, "--treat", treat,
+                           "--out", "Y", "--format", "json")
+        assert code == 0
+        digest.update(out.encode())
+    assert digest.hexdigest() == IDGRAPHS_AUDIT_GOLDEN_SHA256
+
+
 def test_idgraphs_verify_never_flags_fixture_corpus(capsys):
     cases = [
         ("four_node_mpdag.txt", "A", "Y"),

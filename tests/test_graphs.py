@@ -212,6 +212,7 @@ queries = [
     lambda: M.bucket_decomposition(g, ["x3", "x1", "x2"]),
     lambda: M.g_formula(M.Mpdag(g), ["x3", "x1"], ["x2"]),
     lambda: M.is_adjustment_set(M.Mpdag(g), ["a"], ["b"], ["x3", "x1", "x2"]),
+    lambda: M.parents_of_set(g, ["x3", "x1", "x2"]),
 ]
 for query in queries:
     try:
@@ -224,7 +225,7 @@ for query in queries:
 class TestUnknownNodes:
     def test_reachability_queries_name_the_smallest_unknown_node(self, capsys):
         exec(UNKNOWN_NODE_QUERIES, {})
-        assert capsys.readouterr().out == "unknown node: ['x1']\n" * 10
+        assert capsys.readouterr().out == "unknown node: ['x1']\n" * 11
 
     def test_ancestors_and_descendants_raise_graph_error(self):
         g = chain(("a", "b"))
@@ -232,6 +233,12 @@ class TestUnknownNodes:
             with pytest.raises(M.GraphError) as exc:
                 query(g, ["a", "zz"])
             assert str(exc.value) == "unknown node: ['zz']"
+
+    def test_parents_of_set_raises_graph_error(self):
+        g = chain(("a", "b"))
+        with pytest.raises(M.GraphError) as exc:
+            M.parents_of_set(g, ["zz"])
+        assert str(exc.value) == "unknown node: ['zz']"
 
     def test_message_does_not_depend_on_hash_seed(self):
         src = str(Path(M.__file__).resolve().parent.parent)
@@ -244,7 +251,7 @@ class TestUnknownNodes:
             ).stdout
             for seed in range(1, 7)
         }
-        assert outputs == {"unknown node: ['x1']\n" * 10}
+        assert outputs == {"unknown node: ['x1']\n" * 11}
 
     def test_adjacency_queries(self):
         g = chain(("a", "b"))

@@ -1,16 +1,44 @@
 import itertools
+import sys
 
 import pytest
 
 import mpdag as M
+from mpdag.graphs import _PathSearch
 from helpers import (
     COMPLETE4_MINIMAL,
     FOUR_NODE_MINIMAL,
     FOUR_NODE_TREATMENT_ORIENTATIONS,
     SIM_JOINT_EFFECTS,
     SIM_POINT_EFFECTS,
+    exhaustive_id_graphs,
+    fixture_mpdag,
     lines,
 )
+
+# the (file, treatments, outcome) queries the fixture corpus is checked on
+FIXTURE_QUERIES = (
+    ("four_node_mpdag.txt", ["A"], ["Y"]),
+    ("four_node_cpdag.txt", ["A"], ["Y"]),
+    ("complete4.txt", ["A1", "A2"], ["Y"]),
+    ("complete4.txt", ["A1"], ["Y"]),
+    ("sim_cpdag.txt", ["A1"], ["Y"]),
+    ("sim_cpdag.txt", ["A1", "A2"], ["Y"]),
+)
+
+
+def complete_graph(k: int) -> M.Mpdag:
+    """K_k on v0 .. v{k-1}, every edge undirected."""
+    names = [f"v{i}" for i in range(k)]
+    pairs = [(u, w) for i, u in enumerate(names) for w in names[i + 1:]]
+    return M.meek_closure(M.PartiallyDirectedGraph(names, (), pairs))
+
+
+def oracle_queries():
+    for k in (6, 7, 8):
+        yield pytest.param(complete_graph(k), ["v0"], ["v1"], id=f"K{k}")
+    for name, a, y in FIXTURE_QUERIES:
+        yield pytest.param(fixture_mpdag(name), a, y, id=f"{name}-{','.join(a)}")
 
 
 class TestBranchEdgeSelection:
@@ -75,6 +103,61 @@ class TestMinimalEnumeration:
         a = M.id_graphs(M.meek_closure(M.parse_graph(text)), ["A1", "A2"], ["Y"])
         b = M.id_graphs(M.meek_closure(M.parse_graph(shuffled)), ["A1", "A2"], ["Y"])
         assert a == b
+
+
+class TestOutputSensitiveEnumeration:
+    @pytest.mark.parametrize("h, a, y", list(oracle_queries()))
+    def test_audit_and_counts_match_exhaustive_oracle(self, h, a, y):
+        m, graphs, audit = exhaustive_id_graphs(h, a, y)
+        result = M.id_graphs(h, a, y)
+        assert result.m == m
+        assert [g.key() for g in result.graphs] == [g.key() for g in graphs]
+        assert [(r.edge, r.path, r.violating) for r in result.audit] == audit
+
+    def test_paths_are_enumerated_in_full_only_on_demand(self, monkeypatch):
+        walks = []
+        for method in ("paths", "count", "count_and_shortest", "nodes_on_paths"):
+            full = getattr(_PathSearch, method)
+
+            def counted(self, _full=full):
+                walks.append(_full.__name__)
+                return _full(self)
+
+            monkeypatch.setattr(_PathSearch, method, counted)
+        h = complete_graph(8)
+        result = M.id_graphs(h, ["v0"], ["v1"])
+        assert walks == ["count_and_shortest"]  # the root's m
+        assert (result.m, result.n, len(result.audit)) == (1957, 65, 64)
+        branch = result.audit[1]  # below v0 -> v1: every root path but v0 -- v1
+        assert branch.violating == 1956
+        assert len(walks) == 2
+        assert branch.violating == 1956
+        assert result.audit[0].violating == result.m
+        assert len(walks) == 2
+
+    def test_branch_depth_is_not_bounded_by_the_recursion_limit(self):
+        # A -- v_i -> Y for pairwise nonadjacent legs v_i: every branch
+        # orients one leg, and below A -> v_i the next leg is still open, so
+        # the branches nest as deep as there are legs
+        legs = [f"v{i:02d}" for i in range(60)]
+        h = M.meek_closure(M.PartiallyDirectedGraph(
+            ["A", "Y", *legs], [(v, "Y") for v in legs], [("A", v) for v in legs]
+        ))
+        m, graphs, audit = exhaustive_id_graphs(h, ["A"], ["Y"])
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 40)
+        try:
+            result = M.id_graphs(h, ["A"], ["Y"])
+        finally:
+            sys.setrecursionlimit(limit)
+        assert [(r.edge, r.path) for r in result.audit] == [
+            (edge, path) for edge, path, _ in audit
+        ]
+        assert [g.key() for g in result.graphs] == [g.key() for g in graphs]
+        assert (result.m, result.n) == (m, 61)
 
 
 class TestBaselineEnumerations:
