@@ -38,13 +38,13 @@ from .linear import (
     ExactCovariance,
     LinearScm,
     RejectionBudgetError,
+    _identified_extension,
+    _regression_effects,
     count_distinct,
     covariance,
-    estimate_effect,
     possible_effects,
     random_instance,
     redraw_coefficients,
-    regression_effect_for_dag,
     sample,
 )
 from .meek import (
@@ -324,10 +324,7 @@ def _simulate_one(seed: int, args: argparse.Namespace) -> dict:
     scm = inst.scm
     tie_redraws = 0
     while True:
-        cov = covariance(scm)
-        truth_effects = [
-            regression_effect_for_dag(cov, d, treat, outcome) for d in dags
-        ]
+        truth_effects = _regression_effects(covariance(scm), dags, treat, outcome)
         truth = count_distinct(truth_effects, args.tie_tol)
         if truth == result.n or tie_redraws >= 3:
             break
@@ -344,26 +341,23 @@ def _simulate_one(seed: int, args: argparse.Namespace) -> dict:
         target = Path(args.dump_data)
         target.mkdir(parents=True, exist_ok=True)
         (target / f"instance_{seed}.csv").write_text(data.to_csv(), encoding="utf-8")
-    sample_cov = ExactCovariance(data.columns, data.covariance())
-    distinct_estimates: dict[str, Optional[int]] = {
-        "1": count_distinct(
-            [
-                regression_effect_for_dag(sample_cov, d, treat, outcome)
-                for d in dags
-            ],
-            1e-9,
-        )
-    }
+    # one sweep over the class (method 1) and the members' extensions
+    fitted = {"1": dags}
     for key in ("2", "3", "4"):
-        graphs = members[key]
-        if graphs is None:
-            distinct_estimates[key] = None
-            continue
-        values = [
-            estimate_effect(sample_cov, member, treat, outcome).as_array()
-            for member in graphs
-        ]
-        distinct_estimates[key] = count_distinct(values, 1e-9)
+        if members[key] is not None:
+            fitted[key] = [
+                _identified_extension(m, treat, outcome) for m in members[key]
+            ]
+    sample_cov = ExactCovariance(data.columns, data.covariance())
+    estimates = _regression_effects(
+        sample_cov, [d for group in fitted.values() for d in group], treat, outcome
+    )
+    distinct_estimates: dict[str, Optional[int]] = dict.fromkeys("1234")
+    start = 0
+    for key, group in fitted.items():
+        stop = start + len(group)
+        distinct_estimates[key] = count_distinct(estimates[start:stop], 1e-9)
+        start = stop
     record["counts"] = counts
     record["distinct_estimates"] = distinct_estimates
     return record

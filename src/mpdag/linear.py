@@ -10,18 +10,19 @@ population covariances this returns the identified effect exactly (and does
 not depend on which extension was chosen); on finite samples it is a
 consistent, though not efficient, estimator of the same target.
 
-DAGs of one Markov class, and the members of one enumeration, mostly share
-their parent sets, so each :class:`ExactCovariance` memoises its per-node
-regressions by ``(node, sorted parents)``.  A repeated regression would run
-the same ``solve`` on the same slices of the same matrix, so reusing the
-stored coefficients is bit-exact: estimates do not depend on the order in
-which DAGs are visited or on whether the covariance object is shared.
+Effects of many DAGs on one covariance come from one batched sweep,
+:func:`_regression_effects`: it solves each distinct regression (a node on a
+parent set) once, with one stacked ``solve`` per parent-set size, and then
+inverts every DAG's ``I - B`` in one more stacked ``solve``.  A stacked
+``solve`` runs the same LAPACK routine on the same matrices as one call per
+matrix, so a sweep is bit-identical to fitting the DAGs one at a time, in
+any order and with any repeats.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -88,18 +89,10 @@ class Dataset:
 
 @dataclass(frozen=True)
 class ExactCovariance:
-    """Covariance matrix (population or sample) with its node labels.
-
-    Each object memoises its per-node regressions, so ``matrix`` must not be
-    mutated after the first regression on it.
-    """
+    """Covariance matrix (population or sample) with its node labels."""
 
     columns: tuple[str, ...]
     matrix: np.ndarray
-    # (node, sorted parents) -> regression coefficients of node on parents
-    _betas: dict[tuple[str, tuple[str, ...]], np.ndarray] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
 
 CovarianceLike = Union[Dataset, ExactCovariance]
@@ -190,57 +183,140 @@ def sample(m: LinearScm, n: int, seed: int) -> Dataset:
     if n < 1:
         raise GraphError("need n >= 1")
     rng = np.random.default_rng(seed)
-    order = m.dag.topological_order()
-    idx = {node: i for i, node in enumerate(m.nodes)}
-    data = np.zeros((n, len(m.nodes)))
-    for node in order:
+    nodes, masks = m.nodes, m.dag._masks
+    data = np.zeros((n, len(nodes)))
+    for node in m.dag.topological_order():
+        i = masks.index[node]
         col = rng.normal(0.0, math.sqrt(m.noise_variances[node]), size=n)
-        for parent in sorted(m.dag.parents(node)):
-            col += m.coefficients[(parent, node)] * data[:, idx[parent]]
-        data[:, idx[node]] = col
+        # bits come out in node order, which is name order
+        for j in _bit_indices(masks.parents[i]):
+            col += m.coefficients[(nodes[j], node)] * data[:, j]
+        data[:, i] = col
     return Dataset(columns=m.nodes, values=data, seed=seed)
 
 
-def _as_covariance(source: CovarianceLike) -> ExactCovariance:
-    if isinstance(source, Dataset):
-        return ExactCovariance(source.columns, source.covariance())
-    return source
+def _as_covariance(source: CovarianceLike, nodes: Iterable[str]) -> ExactCovariance:
+    """The covariance of ``source``, which must cover every one of ``nodes``."""
+    cov = (
+        ExactCovariance(source.columns, source.covariance())
+        if isinstance(source, Dataset)
+        else source
+    )
+    missing = set(nodes) - set(cov.columns)
+    if missing:
+        raise GraphError(f"covariance lacks nodes: {sorted(missing)}")
+    return cov
 
 
-def _regression_coefficient_matrix(
-    cov: ExactCovariance, dag: PartiallyDirectedGraph
+def _regression_effects(
+    cov: ExactCovariance,
+    dags: Sequence[PartiallyDirectedGraph],
+    treatments: Sequence[str],
+    outcome: str,
 ) -> np.ndarray:
-    """Row-form coefficient matrix of ``dag`` fitted to ``cov``: row j holds
-    the regression of node j on its parents (columns in ``cov.columns``).
+    """Total effects that each DAG implies for the covariance: row ``k``
+    holds the effects of ``treatments`` (in the given order) on ``outcome``
+    when every node of ``dags[k]`` is regressed on its parents.
 
-    Each regression is solved once per covariance object, node and sorted
-    parent set, and later requests reuse the stored coefficients.  A repeat
-    would run the same ``solve`` on the same slices, so the memo is
-    bit-exact; a rank-deficient regression is not stored and raises again.
+    The DAGs' nodes must be among ``cov.columns``, in any order.  The sweep
+    collects the distinct regressions (a node's column and its parents'
+    columns, parents in name order) in first-seen order, solves them with
+    one stacked ``solve`` per parent-set size, gathers each DAG's rows into
+    a ``(K, p, p)`` coefficient stack with the treatment rows zeroed, and
+    inverts every ``I - B`` in one more stacked ``solve``.  A rank-deficient
+    regression raises :class:`GraphError` naming the node of the first one
+    met, DAG by DAG and node by node.
     """
-    nodes = cov.columns
-    idx = {n: i for i, n in enumerate(nodes)}
-    out = np.zeros((len(nodes), len(nodes)))
-    for node, parent_bits in zip(dag.nodes, dag._masks.parents):
-        if not parent_bits:
-            continue
-        # bits come out in node order, which is name order
-        parents = tuple(dag.nodes[i] for i in _bit_indices(parent_bits))
-        rows = [idx[p] for p in parents]
-        beta = cov._betas.get((node, parents))
-        if beta is None:
-            sigma = cov.matrix
-            gram = sigma[np.ix_(rows, rows)]
-            rhs = sigma[rows, idx[node]]
-            try:
-                beta = np.linalg.solve(gram, rhs)
-            except np.linalg.LinAlgError as exc:
-                raise GraphError(
-                    f"rank-deficient regression at node {node!r}"
-                ) from exc
-            cov._betas[(node, parents)] = beta
-        out[idx[node], rows] = beta
-    return out
+    sigma = cov.matrix
+    index = {n: i for i, n in enumerate(cov.columns)}
+    p = len(index)
+    # (node column, parent columns) -> slot, in first-seen order
+    slots: dict[tuple[int, tuple[int, ...]], int] = {}
+    # node tuple -> (its columns, (node index, parent mask) -> slot): a node
+    # whose parent set was seen before costs one lookup, no key building
+    layouts: dict[tuple[str, ...], tuple[list[int], dict[tuple[int, int], int]]] = {}
+    owners: list[int] = []  # for each regression a DAG uses: that DAG
+    used: list[int] = []  # ... and the regression's slot
+    for k, dag in enumerate(dags):
+        layout = layouts.get(dag.nodes)
+        if layout is None:
+            layout = layouts[dag.nodes] = ([index[n] for n in dag.nodes], {})
+        cols, local = layout
+        for i, bits in enumerate(dag._masks.parents):
+            if not bits:
+                continue
+            slot = local.get((i, bits))
+            if slot is None:
+                # bits come out in node order, which is name order
+                key = (cols[i], tuple(cols[j] for j in _bit_indices(bits)))
+                slot = local[i, bits] = slots.setdefault(key, len(slots))
+            owners.append(k)
+            used.append(slot)
+
+    # one row per slot: the node's column, then its parents' columns and
+    # coefficients, padded with a spare column p and zeros
+    regressions = list(slots)
+    width = max((len(parents) for _, parents in regressions), default=0)
+    slot_node = np.array([node for node, _ in regressions], dtype=np.intp)
+    slot_parents = np.full((len(regressions), width), p, dtype=np.intp)
+    slot_beta = np.zeros((len(regressions), width))
+    by_size: dict[int, list[int]] = {}
+    for slot, (_, parents) in enumerate(regressions):
+        slot_parents[slot, : len(parents)] = parents
+        by_size.setdefault(len(parents), []).append(slot)
+    for size, members in by_size.items():
+        rows = slot_parents[members, :size]
+        gram = sigma[rows[:, :, None], rows[:, None, :]]
+        rhs = sigma[rows, slot_node[members, None]]
+        try:
+            # a trailing axis of one: a stack of vectors means the same
+            # thing on numpy 1.x and 2.x
+            slot_beta[members, :size] = np.linalg.solve(gram, rhs[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            _raise_rank_deficient(cov, regressions)
+            raise
+
+    coef = np.zeros((len(dags), p, p + 1))
+    owners_ = np.array(owners, dtype=np.intp)
+    used_ = np.array(used, dtype=np.intp)
+    coef[owners_[:, None], slot_node[used_, None], slot_parents[used_]] = slot_beta[used_]
+    a_cols = [index[a] for a in treatments]
+    coef[:, a_cols, :] = 0.0  # remove edges into the intervened nodes
+    eye = np.eye(p)
+    total = np.linalg.solve(
+        eye - coef[:, :, :p], np.broadcast_to(eye, (len(dags), p, p))
+    )
+    return total[:, index[outcome], a_cols]
+
+
+def _raise_rank_deficient(
+    cov: ExactCovariance, regressions: Sequence[tuple[int, tuple[int, ...]]]
+) -> None:
+    """Re-solve the regressions one at a time, in the given order, and raise
+    for the first that is rank-deficient."""
+    sigma = cov.matrix
+    for node, parents in regressions:
+        rows = list(parents)
+        try:
+            np.linalg.solve(sigma[np.ix_(rows, rows)], sigma[rows, node])
+        except np.linalg.LinAlgError as exc:
+            raise GraphError(
+                f"rank-deficient regression at node {cov.columns[node]!r}"
+            ) from exc
+
+
+def _identified_extension(
+    h: Mpdag,
+    treatments: Sequence[str],
+    outcome: str,
+    extension: Optional[PartiallyDirectedGraph] = None,
+) -> PartiallyDirectedGraph:
+    """The DAG to fit for ``h``: ``extension``, or else a consistent
+    extension of ``h``, once the effect is known to be identified in ``h``."""
+    verdict = is_identified(h, treatments, [outcome])
+    if not verdict:
+        raise NotIdentifiedError(verdict.witness)
+    return extension if extension is not None else consistent_extension(h)
 
 
 def estimate_effect(
@@ -258,16 +334,9 @@ def estimate_effect(
     extension is used.
     """
     a_list = tuple(sorted(set(treatments)))
-    verdict = is_identified(h, a_list, [outcome])
-    if not verdict:
-        raise NotIdentifiedError(verdict.witness)
-    cov = _as_covariance(source)
-    missing = set(h.graph.nodes) - set(cov.columns)
-    if missing:
-        raise GraphError(f"covariance lacks nodes: {sorted(missing)}")
-    dag = extension if extension is not None else consistent_extension(h)
-    coef = _regression_coefficient_matrix(cov, dag)
-    values = _total_effect_from_matrix(coef, cov.columns, a_list, outcome)
+    dag = _identified_extension(h, a_list, outcome, extension)
+    cov = _as_covariance(source, h.graph.nodes)
+    (values,) = _regression_effects(cov, [dag], a_list, outcome)
     return EffectEstimate(
         treatments=a_list,
         values=tuple(float(v) for v in values),
@@ -285,17 +354,22 @@ class PossibleEffects:
         return count_distinct([e.as_array() for e in self.estimates], tol)
 
 
-def count_distinct(vectors: Sequence[np.ndarray], tol: float) -> int:
+def count_distinct(vectors: Union[Sequence[np.ndarray], np.ndarray], tol: float) -> int:
     """Number of distinct vectors, two being equal when within ``tol`` in
-    max-abs difference (transitive closure over near-equal pairs)."""
-    groups: list[np.ndarray] = []
-    for vec in vectors:
-        for rep in groups:
-            if np.max(np.abs(rep - vec)) <= tol:
-                break
-        else:
-            groups.append(vec)
-    return len(groups)
+    max-abs difference.  Greedy in input order: a vector within ``tol`` of
+    an earlier group's first vector joins that group, any other starts a new
+    group.  ``vectors`` may be a sequence of equal-length vectors or a
+    ``(K, d)`` array, one vector per row."""
+    stack = np.asarray(vectors, dtype=float)
+    if stack.ndim == 1:  # scalars
+        stack = stack[:, None]
+    groups = np.empty_like(stack)
+    count = 0
+    for vec in stack:
+        if not (np.abs(groups[:count] - vec).max(axis=1) <= tol).any():
+            groups[count] = vec
+            count += 1
+    return count
 
 
 def possible_effects(
@@ -308,10 +382,17 @@ def possible_effects(
     graph.  Estimates are ordered like the enumeration output."""
     a_list = tuple(sorted(set(treatments)))
     enumeration = id_graphs(h, a_list, [outcome])
-    cov = _as_covariance(source)  # one covariance, and one memo, for all members
+    cov = _as_covariance(source, h.graph.nodes)
+    dags = [_identified_extension(m, a_list, outcome) for m in enumeration.graphs]
+    values = _regression_effects(cov, dags, a_list, outcome)
     estimates = tuple(
-        estimate_effect(cov, member, a_list, outcome)
-        for member in enumeration.graphs
+        EffectEstimate(
+            treatments=a_list,
+            values=tuple(float(v) for v in row),
+            source=member.graph.edge_lines(),
+            estimator="regression",
+        )
+        for member, row in zip(enumeration.graphs, values)
     )
     return PossibleEffects(enumeration=enumeration, estimates=estimates)
 
@@ -409,9 +490,9 @@ def regression_effect_for_dag(
     outcome: str,
 ) -> np.ndarray:
     """Total effect the given DAG implies for the covariance: per-node
-    regressions on the DAG's parent sets, then the mutilated-matrix algebra.
-    Used as the per-DAG oracle when sweeping a whole equivalence class."""
-    coef = _regression_coefficient_matrix(cov, dag)
-    return _total_effect_from_matrix(
-        coef, cov.columns, tuple(sorted(set(treatments))), outcome
+    regressions on the DAG's parent sets, then the mutilated-matrix algebra;
+    the same numbers as this DAG's row of a sweep over a whole class."""
+    (values,) = _regression_effects(
+        cov, [dag], tuple(sorted(set(treatments))), outcome
     )
+    return values

@@ -331,21 +331,22 @@ def enumerate_dags(h: Mpdag) -> list[PartiallyDirectedGraph]:
 
 def consistent_extension(h: Mpdag) -> PartiallyDirectedGraph:
     """One DAG represented by the MPDAG: the first leaf of the branch tree,
-    orienting each branch edge from its smaller endpoint first."""
-    current = h
-    while True:
-        und = current.graph.sorted_undirected()
-        if not und:
-            return current.graph
-        u, v = und[0]
-        try:
-            current = construct_mpdag(current, [(u, v)])
+    orienting each branch edge from its smaller endpoint first.
+
+    Orients the smallest undirected edge ``u -- v`` as ``u -> v`` and
+    re-closes, on one builder, until no undirected edge is left.  Orienting
+    an undirected edge of a closed graph always succeeds; only a class-empty
+    input can end in a directed cycle, which raises
+    :class:`InternalInconsistencyError`.
+    """
+    builder = _Builder(h.graph)
+    und = builder.und
+    u = 0
+    while u < len(und):
+        later = und[u] >> (u + 1)
+        if not later:
+            u += 1  # orienting never adds an undirected edge
             continue
-        except OrientationConflictError:
-            pass
-        try:
-            current = construct_mpdag(current, [(v, u)])
-        except OrientationConflictError as exc:
-            raise InternalInconsistencyError(
-                f"MPDAG admits no consistent extension at edge {u} -- {v}"
-            ) from exc
+        builder.orient(u, u + 1 + next(_bit_indices(later)))
+        builder.close()
+    return _snapshot_or_raise(builder, "MPDAG admits no consistent extension")

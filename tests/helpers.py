@@ -274,8 +274,8 @@ def regression_coefficient_matrix(
     sigma: np.ndarray, nodes, dag: M.PartiallyDirectedGraph
 ) -> np.ndarray:
     """Row-form coefficient matrix of ``dag`` fitted to ``sigma``, one fresh
-    solve per node: the unmemoised regression the package's memo must match
-    bit for bit."""
+    solve per node and one DAG at a time: the per-DAG regression that the
+    package's batched sweep must match bit for bit."""
     idx = {n: i for i, n in enumerate(nodes)}
     out = np.zeros((len(nodes), len(nodes)))
     for node in dag.nodes:
@@ -293,6 +293,32 @@ def regression_coefficient_matrix(
             out[idx[node], idx[parent]] = b
     return out
 
+
+
+def chained_consistent_extension(h: M.Mpdag) -> M.PartiallyDirectedGraph:
+    """A consistent extension by one :func:`construct_mpdag` per undirected
+    edge: orient the smallest undirected edge from its smaller endpoint,
+    close into a new MPDAG, and repeat until none is left."""
+    current = h
+    while True:
+        und = current.graph.sorted_undirected()
+        if not und:
+            return current.graph
+        current = M.construct_mpdag(current, [und[0]])
+
+
+def looped_count_distinct(vectors, tol: float) -> int:
+    """Greedy grouping one pair at a time: each vector joins the first group
+    whose representative is within ``tol`` in max-abs difference, or starts
+    a new one."""
+    groups: list[np.ndarray] = []
+    for vec in vectors:
+        for rep in groups:
+            if np.max(np.abs(rep - vec)) <= tol:
+                break
+        else:
+            groups.append(vec)
+    return len(groups)
 
 def partial_correlation(
     sigma: np.ndarray, nodes: tuple[str, ...], a: str, y: str, given: list[str]

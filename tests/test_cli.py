@@ -208,6 +208,23 @@ def test_simulate_jsonl_golden_digest(capsys, tmp_path):
     assert digest == SIMULATE_GOLDEN_SHA256
 
 
+# sha256 of the stdout of `effects --scm fixtures/sim_scm.json --treat A1,A2
+# --out Y --n 100 --seed 0 --format json`, recorded while each member was
+# still fitted one DAG at a time; the estimates print at full precision, so
+# it pins them bit for bit
+EFFECTS_GOLDEN_SHA256 = (
+    "4339e6fb679e249df3366ce1d87a42ceee9a9af29e5ab43e991c5c8cd18fa1e6"
+)
+
+
+def test_effects_json_golden_digest(capsys):
+    code, out, _ = run(capsys, "effects", "--scm", FIXTURES / "sim_scm.json",
+                       "--treat", "A1,A2", "--out", "Y", "--n", "100",
+                       "--seed", "0", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == EFFECTS_GOLDEN_SHA256
+
+
 def test_simulate_dumps_csv_datasets(capsys, tmp_path):
     out_file = tmp_path / "r.jsonl"
     data_dir = tmp_path / "data"

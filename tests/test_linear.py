@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 import mpdag as M
+from mpdag.linear import _regression_effects
 from helpers import (
     SIM_JOINT_EFFECTS,
     SIM_POINT_EFFECTS,
     lines,
+    looped_count_distinct,
+    regression_coefficient_matrix,
     sim_scm,
     wright_covariance,
 )
@@ -179,13 +182,39 @@ class TestEstimateEffect:
             with pytest.raises(M.GraphError, match="'Y'"):
                 M.regression_effect_for_dag(cov, dag, ["A"], "Y")
 
-    def test_memo_is_not_part_of_the_covariance_value(self, scm):
+    def test_regression_leaves_the_covariance_unchanged(self, scm):
         cov = M.covariance(scm)
-        fresh = M.ExactCovariance(cov.columns, cov.matrix)
+        fresh = M.ExactCovariance(cov.columns, cov.matrix.copy())
         before = repr(cov)
         M.regression_effect_for_dag(cov, scm.dag, ["A1"], "Y")
         assert repr(cov) == before
-        assert cov == fresh
+        assert cov.columns == fresh.columns
+        assert np.array_equal(cov.matrix, fresh.matrix)
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0), (0, 0, 1), (1, 1, 0)])
+    def test_rank_deficient_sweep_names_the_per_dag_node(self, order):
+        # B duplicates A and Z is constant: the first DAG's regression of Y
+        # on {A, B} and the second's of V on {Z} are singular; a sweep solves
+        # the parent-set sizes as groups, yet must name the node that the
+        # one-DAG-at-a-time loop meets first
+        rng = np.random.default_rng(0)
+        values = rng.normal(size=(40, 6))
+        values[:, 1] = values[:, 0]
+        values[:, 5] = 1.0
+        data = M.Dataset(columns=tuple("ABCVYZ"), values=values)
+        cov = M.ExactCovariance(data.columns, data.covariance())
+        dags = [
+            M.PartiallyDirectedGraph("ABCVYZ", [("A", "C"), ("A", "Y"), ("B", "Y")], ()),
+            M.PartiallyDirectedGraph("ABCVYZ", [("Z", "V")], ()),
+        ]
+        picked = [dags[i] for i in order]
+        with pytest.raises(M.GraphError) as oracle:
+            for dag in picked:
+                regression_coefficient_matrix(cov.matrix, cov.columns, dag)
+        with pytest.raises(M.GraphError) as err:
+            _regression_effects(cov, picked, ["A"], "Y")
+        assert str(err.value) == str(oracle.value)
+        assert repr(["Y", "V"][order[0]]) in str(err.value)
 
 class TestPossibleEffects:
     def test_identified_graph_gives_single_estimate(self, scm, sim_cov):
@@ -218,6 +247,21 @@ class TestPossibleEffects:
         vectors = [np.array([1.0]), np.array([1.0 + 5e-7]), np.array([2.0])]
         assert M.count_distinct(vectors, 1e-6) == 2
         assert M.count_distinct(vectors, 1e-9) == 3
+
+    def test_distinct_count_matches_the_pairwise_loop(self):
+        # chains of near-equal vectors, where greedy grouping depends on the
+        # order: each vector is compared with the groups' first vectors only
+        rng = np.random.default_rng(3)
+        for _ in range(300):
+            k, d = int(rng.integers(0, 25)), int(rng.integers(1, 4))
+            base = rng.choice([-1.0, 0.0, 2.5], size=(k, d))
+            vectors = base + rng.choice([0.0, 4e-7, 8e-7, 0.3], size=(k, d))
+            if k and rng.random() < 0.2:
+                vectors[int(rng.integers(k))] = np.nan
+            for tol in (1e-9, 5e-7, 1e-6, 0.5):
+                want = looped_count_distinct(list(vectors), tol)
+                assert M.count_distinct(list(vectors), tol) == want
+                assert M.count_distinct(vectors, tol) == want
 
 
 class TestRandomInstance:

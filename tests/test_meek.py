@@ -296,3 +296,18 @@ class TestConsistentExtension:
     def test_extension_is_represented(self, minimal_three):
         for member in minimal_three:
             assert M.is_represented(M.consistent_extension(member), member)
+
+    def test_class_empty_input_is_internal_error(self):
+        # the collider x -> y <- w leaves y -- z no orientation: y -> z, the
+        # smaller tail, closes the directed cycle w -> y -> z -> w
+        g = M.PartiallyDirectedGraph(
+            "wxyz",
+            [("x", "y"), ("z", "w"), ("w", "y")],
+            [("y", "z")],
+        )
+        with pytest.raises(M.InternalInconsistencyError) as err:
+            M.consistent_extension(M.Mpdag(g))
+        assert str(err.value) == (
+            "MPDAG admits no consistent extension:"
+            " directed cycle: ('w', 'y', 'z', 'w')"
+        )

@@ -7,11 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 import mpdag as M
 from mpdag.graphs import _PathSearch, _kahn
-from mpdag.linear import _total_effect_from_matrix
+from mpdag.linear import _regression_effects, _total_effect_from_matrix
 from helpers import (
     NameAdjacency,
     PathKind,
     adjustment_functional,
+    chained_consistent_extension,
     classify_path,
     exhaustive_d_separated,
     exhaustive_find_adjustment_set,
@@ -526,10 +527,48 @@ def _oracle_effect(cov, dag, treatments, outcome):
 
 @settings(max_examples=60)
 @given(st.integers(0, 2**31 - 1), st.integers(3, 9), st.sampled_from([2.0, 3.0]))
-def test_memoised_regressions_match_unmemoised_oracle(seed, p, degree):
+def test_regression_sweep_matches_per_dag_oracle(seed, p, degree):
+    # one sweep over a class's DAGs and the members' extensions, in random
+    # order with repeats, against one fresh per-node solve per DAG, bit for
+    # bit; also on a covariance whose columns come in another order, for a
+    # DAG on a strict subset of the columns, and for no DAG at all
+    try:
+        inst = M.random_instance(p, degree, seed)
+    except M.RejectionBudgetError:
+        return
+    treat, outcome = inst.treatments, inst.outcome
+    rng = np.random.default_rng(seed)
+    pool = M.enumerate_dags(inst.cpdag) + [
+        M.consistent_extension(m)
+        for m in M.id_graphs(inst.cpdag, treat, [outcome]).graphs
+    ]
+    picked = [pool[i] for i in rng.choice(len(pool), size=2 * len(pool))]
+    spare = [n for n in inst.dag.nodes if n not in treat and n != outcome]
+    if spare:
+        kept = [n for n in inst.dag.nodes if n != spare[0]]
+        picked.append(M.PartiallyDirectedGraph(
+            kept, [e for e in inst.dag.directed if spare[0] not in e], ()
+        ))
+    data = M.sample(inst.scm, 30, seed)
+    sample_cov = M.ExactCovariance(data.columns, data.covariance())
+    perm = rng.permutation(p)
+    shuffled = M.ExactCovariance(
+        tuple(data.columns[i] for i in perm), sample_cov.matrix[np.ix_(perm, perm)]
+    )
+    for cov in (M.covariance(inst.scm), sample_cov, shuffled):
+        got = _regression_effects(cov, picked, treat, outcome)
+        expected = np.array([_oracle_effect(cov, d, treat, outcome) for d in picked])
+        assert got.shape == (len(picked), len(treat))
+        assert np.array_equal(got, expected)
+        assert _regression_effects(cov, [], treat, outcome).shape == (0, len(treat))
+
+
+@settings(max_examples=60)
+@given(st.integers(0, 2**31 - 1), st.integers(3, 9), st.sampled_from([2.0, 3.0]))
+def test_public_effects_match_per_dag_oracle(seed, p, degree):
     # one covariance object serves every DAG of the class and every member of
-    # the enumeration, as in the simulation study; each answer must equal a
-    # fresh per-node solve bit for bit, whichever DAG filled the memo first
+    # the enumeration, as in the simulation study; each public answer must
+    # equal a fresh per-node solve bit for bit, whatever was fitted before
     try:
         inst = M.random_instance(p, degree, seed)
     except M.RejectionBudgetError:
@@ -556,6 +595,18 @@ def test_memoised_regressions_match_unmemoised_oracle(seed, p, degree):
         shared = M.estimate_effect(sample_cov, member, treat, outcome).as_array()
         assert np.array_equal(from_data, shared)
         assert np.array_equal(estimate.as_array(), shared)
+
+
+@settings(max_examples=150)
+@given(mpdag_queries())
+def test_consistent_extension_matches_the_chained_closures(query):
+    # one builder, oriented and re-closed edge by edge, against one
+    # construct_mpdag per edge, on the MPDAG and on each output graph
+    h, treat, outcome = query
+    for g in [h, *M.id_graphs(h, treat, outcome).graphs]:
+        ext = M.consistent_extension(g)
+        assert ext == chained_consistent_extension(g)
+        assert M.is_represented(ext, g)
 
 
 def test_adjustment_verdicts_are_sound_for_the_population_functional():
