@@ -47,7 +47,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Generator, Iterable, Iterator, Optional, Sequence
 
 DIRECTED_MARK = "->"
 REVERSED_MARK = "<-"
@@ -455,17 +455,20 @@ def _definite_status_walk(
     Proper: no node after the first is in ``starts``.  Iterative, with one
     mask of untried extensions per path node; starts and extensions are
     taken in node order.  Yields each path right after it is extended, as the
-    live list of node indices (valid until the next step).
+    live list of node indices (valid until the next step).  Sending a node
+    count into the generator bounds the paths that are still to come to that
+    many nodes, as in :meth:`_PathSearch.walk`.
     """
     masks = g._masks
     neighbours, start_bits = masks.neighbours, masks.bits(starts)
     step = _open_step(masks, masks.bits(given))
+    limit = len(neighbours)
     for a in _bit_indices(start_bits):
         path, members = [a], 1 << a
         pending = [neighbours[a] & ~start_bits]
         while pending:
             candidates = pending[-1]
-            if not candidates:
+            if not candidates or len(path) >= limit:
                 pending.pop()
                 members ^= 1 << path.pop()
                 continue
@@ -473,8 +476,26 @@ def _definite_status_walk(
             pending[-1] = candidates ^ low
             path.append(low.bit_length() - 1)
             members |= low
-            yield path
+            limit = (yield path) or limit
             pending.append(step(path[-2], path[-1]) & ~(members | start_bits))
+
+
+def _last_hit(
+    walk: Generator[list[int], Optional[int], None],
+    hit: Callable[[list[int]], bool],
+) -> Optional[tuple[int, ...]]:
+    """Drive a path walk that takes a node-count bound: each path that
+    ``hit`` accepts bounds the rest of the walk to strictly shorter paths, so
+    the last one accepted is the first shortest in the walk's order."""
+    best = bound = None
+    try:
+        while True:
+            seq = walk.send(bound)
+            if hit(seq):
+                best = tuple(seq)
+                bound = len(best) - 1
+    except StopIteration:
+        return best
 
 
 def _check_known(g: PartiallyDirectedGraph, nodes: Iterable[str]) -> set[str]:
@@ -597,15 +618,7 @@ class _PathSearch:
         Each hit bounds the rest of the search to strictly shorter paths, so
         the last hit is the first shortest path in node order.
         """
-        walk = self.walk()
-        best = None
-        try:
-            seq = next(walk)
-            while True:
-                best = tuple(seq)
-                seq = walk.send(len(best) - 1)
-        except StopIteration:
-            pass
+        best = _last_hit(self.walk(), lambda seq: True)
         return None if best is None else self.node_path(best)
 
     def count_and_shortest(self) -> tuple[int, Optional[NodePath]]:

@@ -21,6 +21,7 @@ from .graphs import (
     _check_known,
     _closure,
     _definite_status_walk,
+    _last_hit,
     _possibly_causal_reach,
     bucket_decomposition,
     parents_of_set,
@@ -199,19 +200,20 @@ def _adjustment_verdict(
     g = h.graph
     children = g._masks.children
     y_bits = g._masks.bits(y_set)
-    best: Optional[list[int]] = None
-    # the walk visits paths in node order, so among paths of one length the
-    # first one found is the smallest
-    for seq in _definite_status_walk(g, a_set, z_set):
-        if not y_bits >> seq[-1] & 1 or best is not None and len(seq) >= len(best):
-            continue
-        # non-causal: some node has a child earlier on the path
+
+    def non_causal(seq: list[int]) -> bool:
+        # ends in an outcome, and some node has a child earlier on the path
+        if not y_bits >> seq[-1] & 1:
+            return False
         members = 0
         for i in seq:
             if children[i] & members:
-                best = list(seq)
-                break
+                return True
             members |= 1 << i
+        return False
+
+    # the first open non-causal path by length, then node sequence
+    best = _last_hit(_definite_status_walk(g, a_set, z_set), non_causal)
     if best is None:
         return AdjustmentVerdict(True)
     witness = path_in(g, [g.nodes[i] for i in best])

@@ -32,7 +32,7 @@ from typing import Iterable
 
 from .graphs import GraphError, InternalInconsistencyError, _PathSearch
 from .identify import GFormula, _violating_search, g_formula, is_identified
-from .meek import Mpdag, OrientationConflictError, construct_mpdag, enumerate_dags
+from .meek import Mpdag, _branch_walk, _Builder, enumerate_dags
 
 
 @dataclass(frozen=True)
@@ -105,8 +105,9 @@ def id_graphs(
     """Enumerate the sub-MPDAGs with distinct identified effects.
 
     Base case: an identified graph is returned as is.  Otherwise the selected
-    branch edge is oriented both ways (both orientations of an undirected
-    MPDAG edge are realizable; a failure here is an internal error) and the
+    branch edge, the undirected first edge of a shortest violating path, is
+    oriented both ways as background knowledge, ``a1 -> v1`` on a copy of the
+    node's closure builder and ``v1 -> a1`` on the builder itself, and the
     results below the two children are merged.  Output is canonically sorted;
     the audit trail records each branch in depth-first order: a branch, then
     everything below its ``a1 -> v1`` child, then everything below its
@@ -119,9 +120,9 @@ def id_graphs(
     leaves: dict[tuple, Mpdag] = {}
 
     m, shortest = _violating_search(h, a_list, y_list).count_and_shortest()
-    stack = [(h, shortest)]
+    stack = [(h, _Builder(h.graph), shortest)]
     while stack:
-        current, shortest = stack.pop()
+        current, builder, shortest = stack.pop()
         if shortest is None:
             leaves[current.key()] = current
             continue
@@ -136,17 +137,16 @@ def id_graphs(
                 _outcomes=y_list,
             )
         )
+        # a1 -- v1 is undirected, so both requests orient it; the a1 -> v1
+        # child closes a copy of the builder, the v1 -> a1 child the builder
         children = []
-        for request in ((a1, v1), (v1, a1)):
-            try:
-                children.append(construct_mpdag(current, [request]))
-            except OrientationConflictError as exc:
-                raise InternalInconsistencyError(
-                    f"branch orientation {request} failed on a valid MPDAG"
-                ) from exc
+        for child, request in ((builder.copy(), (a1, v1)), (builder, (v1, a1))):
+            child.request(*request)
+            graph = child.mpdag()
+            path = _violating_search(graph, a_list, y_list).shortest()
+            children.append((graph, child, path))
         # pushed in reverse, so the a1 -> v1 subtree is finished first
-        for child in reversed(children):
-            stack.append((child, _violating_search(child, a_list, y_list).shortest()))
+        stack.extend(reversed(children))
     if audit:  # the root's count is m, already known
         vars(audit[0])["violating"] = m
 
@@ -159,19 +159,18 @@ def id_graphs(
     return result
 
 
-def _treatment_edge_combos(h: Mpdag, edges: list[tuple[str, str]]) -> list[Mpdag]:
-    out: dict[tuple, Mpdag] = {}
-    for choice in itertools.product((0, 1), repeat=len(edges)):
-        requests = [
-            (u, v) if bit == 0 else (v, u)
-            for (u, v), bit in zip(edges, choice)
-        ]
-        try:
-            oriented = construct_mpdag(h, requests)
-        except OrientationConflictError:
-            continue
-        out[oriented.key()] = oriented
-    return [out[k] for k in sorted(out)]
+def _treatment_edge_combos(h: Mpdag, a: set[str], far: Iterable[str]) -> list[Mpdag]:
+    """Every orientation of the undirected edges joining a treatment to a
+    node of ``far`` that is valid background knowledge for ``h``, sorted
+    canonically: the leaves of the branch walk on those edges, where each
+    prefix of choices is closed once.  Distinct choices orient some edge
+    differently, so no graph repeats."""
+    masks = h.graph._masks
+    t, f = masks.bits(a & masks.index.keys()), masks.bits(far)
+    # per node u, the v with u a treatment and v in far, or the other way round
+    among = [f * (t >> u & 1) | t * (f >> u & 1) for u in range(len(h.nodes))]
+    leaves = _branch_walk(_Builder(h.graph), among)
+    return sorted((leaf.mpdag() for leaf in leaves), key=Mpdag.key)
 
 
 def method2_graphs(
@@ -180,12 +179,7 @@ def method2_graphs(
     """All valid orientation combinations of the undirected edges at the
     treatment nodes.  Valid means the background-knowledge construction
     succeeds for the combination; results are deduplicated and sorted."""
-    a_set = set(treatments)
-    g = h.graph
-    edges = sorted(
-        pair for pair in g.undirected if pair[0] in a_set or pair[1] in a_set
-    )
-    return _treatment_edge_combos(h, edges)
+    return _treatment_edge_combos(h, set(treatments), h.nodes)
 
 
 def method3_graphs(
@@ -199,15 +193,8 @@ def method3_graphs(
     still partition the input class and the effect is identified in each.
     """
     a_set = set(treatments)
-    g = h.graph
-    on_path = _PathSearch(g, a_set, outcomes).nodes_on_paths() - a_set
-    edges = sorted(
-        pair
-        for pair in g.undirected
-        if (pair[0] in a_set and pair[1] in on_path)
-        or (pair[1] in a_set and pair[0] in on_path)
-    )
-    return _treatment_edge_combos(h, edges)
+    on_path = _PathSearch(h.graph, a_set, outcomes).nodes_on_paths() - a_set
+    return _treatment_edge_combos(h, a_set, on_path)
 
 
 @dataclass(frozen=True)

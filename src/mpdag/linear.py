@@ -411,6 +411,18 @@ class RandomInstance:
     seed: int
 
 
+def _draw_coefficients(
+    rng: np.random.Generator, dag: PartiallyDirectedGraph
+) -> dict[tuple[str, str], float]:
+    """One coefficient per edge in sorted order, uniform on [-1.5, -0.5]
+    union [0.5, 1.5]: a magnitude, then a sign."""
+    coefs = {}
+    for edge in sorted(dag.directed):
+        magnitude = rng.uniform(0.5, 1.5)
+        coefs[edge] = magnitude if rng.random() < 0.5 else -magnitude
+    return coefs
+
+
 def random_instance(
     p: int,
     avg_degree: float,
@@ -445,12 +457,7 @@ def random_instance(
                     u, v = names[i], names[j]
                     edges.append((u, v) if rank[u] < rank[v] else (v, u))
         dag = PartiallyDirectedGraph(names, edges, ())
-        coefs = {}
-        for edge in sorted(dag.directed):
-            magnitude = rng.uniform(0.5, 1.5)
-            sign = 1.0 if rng.random() < 0.5 else -1.0
-            coefs[edge] = sign * magnitude
-        scm = LinearScm(dag, coefs, {n: 1.0 for n in names})
+        scm = LinearScm(dag, _draw_coefficients(rng, dag), {n: 1.0 for n in names})
         cpdag = cpdag_of_dag(dag)
         k = n_treatments if n_treatments is not None else int(rng.integers(1, 5))
         k = min(k, p - 1)
@@ -475,12 +482,7 @@ def random_instance(
 def redraw_coefficients(m: LinearScm, seed: int) -> LinearScm:
     """Fresh coefficients from the same distribution, same DAG and noises."""
     rng = np.random.default_rng(seed)
-    coefs = {}
-    for edge in sorted(m.dag.directed):
-        magnitude = rng.uniform(0.5, 1.5)
-        sign = 1.0 if rng.random() < 0.5 else -1.0
-        coefs[edge] = sign * magnitude
-    return LinearScm(m.dag, coefs, dict(m.noise_variances))
+    return LinearScm(m.dag, _draw_coefficients(rng, m.dag), dict(m.noise_variances))
 
 
 def regression_effect_for_dag(

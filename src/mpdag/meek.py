@@ -29,18 +29,25 @@ marked as closed, so orienting an edge of one re-checks only that
 neighbourhood; any other input, a plain ``Mpdag(g)`` wrapper included, gets
 one full scan at its first closure.
 
-The result graph is built without re-validation from the builder's edge sets
-and bitmasks, which it keeps for its own path searches.  Only the checks that
-hold by construction are skipped (known endpoints, no self loop, one edge per
-pair); acyclicity is still checked by a Kahn pass over the masks, and a
-cyclic result goes through the validating constructor, so a class-empty
-input reports the directed-cycle witness that constructor finds.
+Every branching search runs on one engine, :func:`_branch_walk`, a
+depth-first walk over builders: a tree node orients its branch edge
+``u -> v`` on a copy of its builder and ``v -> u`` on the builder itself,
+re-closing each, so a shared prefix of orientations is closed once.  DAG
+enumeration, the consistent extension (the first leaf) and the method 2 and
+3 baselines read its leaves; the minimal enumeration copies one builder per
+node.  A graph is built only where one is returned or searched, without
+re-validation, from the builder's edge sets and bitmasks, which it keeps for
+its own path searches.  Only the checks that hold by construction are
+skipped (known endpoints, no self loop, one edge per pair); acyclicity is
+still checked by a Kahn pass over the masks, and a cyclic result goes
+through the validating constructor, so a class-empty input reports the
+directed-cycle witness that constructor finds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Optional, Sequence
 
 from .graphs import (
     GraphError,
@@ -114,6 +121,47 @@ class _Builder:
     def closed(self) -> bool:
         return not self._unscanned and not self._firing
 
+    def copy(self) -> "_Builder":
+        """An independent builder in the same state: the masks, the firing
+        table and the orientation list are copied; the skeleton, the index
+        and the source graph are shared, and nothing mutates them."""
+        # attribute by attribute: going through ``vars()`` would give both
+        # builders a materialised ``__dict__``, which CPython reads more
+        # slowly in the rule checks
+        new = object.__new__(_Builder)
+        new.source, new.nodes = self.source, self.nodes
+        new.index, new.adj = self.index, self.adj
+        new.children, new.und = self.children[:], self.und[:]
+        new.parents, new._oriented = self.parents[:], self._oriented[:]
+        new._firing, new._unscanned = dict(self._firing), self._unscanned
+        return new
+
+    def request(self, tail: str, head: str) -> None:
+        """Background knowledge ``tail -> head``: orient the edge and re-close
+        if it is undirected; a no-op if it already holds; otherwise raise
+        :class:`OrientationConflictError` and leave the builder as it was."""
+        t, v = self.index.get(tail), self.index.get(head)
+        if t is None or v is None:
+            raise OrientationConflictError((tail, head), "no such edge")
+        if self.und[t] >> v & 1:
+            self.orient(t, v)
+            self.close()
+        elif self.parents[t] >> v & 1:
+            raise OrientationConflictError((tail, head), f"graph has {head} -> {tail}")
+        elif not self.children[t] >> v & 1:
+            raise OrientationConflictError((tail, head), "no such edge")
+
+    def first_undirected(
+        self, among: Optional[list[int]] = None
+    ) -> Optional[tuple[int, int]]:
+        """The first undirected edge ``u -- v``, ``u < v``, in node order;
+        given ``among``, the first with ``v`` in the mask ``among[u]``."""
+        for u, mask in enumerate(self.und):
+            later = (mask if among is None else mask & among[u]) >> (u + 1)
+            if later:
+                return u, u + (later & -later).bit_length()
+        return None
+
     def orient(self, tail: int, head: int) -> None:
         self.und[tail] &= ~(1 << head)
         self.und[head] &= ~(1 << tail)
@@ -126,7 +174,9 @@ class _Builder:
 
     def snapshot(self) -> PartiallyDirectedGraph:
         """The current graph: the source graph's edge sets with the
-        orientations applied, and the builder's masks as its ``_masks``."""
+        orientations applied, and the builder's masks as its ``_masks``.  It
+        becomes the source, so a later snapshot applies only the orientations
+        made after this one."""
         nodes = self.nodes
         new = [(nodes[t], nodes[h]) for t, h in self._oriented]
         g = PartiallyDirectedGraph._trusted(
@@ -145,7 +195,18 @@ class _Builder:
         )
         if self.closed:
             object.__setattr__(g, _CLOSED, True)
+        self.source, self._oriented = g, []
         return g
+
+    def mpdag(self, context: str = "orientation produced an invalid graph") -> Mpdag:
+        """The snapshot as an MPDAG.  A class-empty PDAG (one representing no
+        DAG at all) can drive the rules into a directed cycle; that surfaces
+        as an internal inconsistency, ``context`` first, rather than a plain
+        invalid-graph error."""
+        try:
+            return Mpdag(self.snapshot())
+        except GraphError as exc:
+            raise InternalInconsistencyError(f"{context}: {exc}") from exc
 
     # -- the table of firing edges -------------------------------------------
 
@@ -225,16 +286,6 @@ class _Builder:
             self.orient(*((v, u) if direction else (u, v)))
 
 
-def _snapshot_or_raise(builder: "_Builder", context: str) -> PartiallyDirectedGraph:
-    # A class-empty PDAG (one representing no DAG at all) can drive the rules
-    # into a directed cycle; surface that as an internal inconsistency rather
-    # than a plain invalid-graph error.
-    try:
-        return builder.snapshot()
-    except GraphError as exc:
-        raise InternalInconsistencyError(f"{context}: {exc}") from exc
-
-
 def meek_closure(g: PartiallyDirectedGraph) -> Mpdag:
     """Close a valid PDAG under R1-R4.
 
@@ -244,7 +295,7 @@ def meek_closure(g: PartiallyDirectedGraph) -> Mpdag:
     """
     builder = _Builder(g)
     builder.close()
-    return Mpdag(_snapshot_or_raise(builder, "rule closure produced an invalid graph"))
+    return builder.mpdag("rule closure produced an invalid graph")
 
 
 def construct_mpdag(h: Mpdag, requests: Sequence[tuple[str, str]]) -> Mpdag:
@@ -257,21 +308,37 @@ def construct_mpdag(h: Mpdag, requests: Sequence[tuple[str, str]]) -> Mpdag:
     :class:`OrientationConflictError` -- the FAIL outcome.
     """
     builder = _Builder(h.graph)
-    index = builder.index
     for tail, head in requests:
-        t, v = index.get(tail), index.get(head)
-        if t is None or v is None:
-            raise OrientationConflictError((tail, head), "no such edge")
-        if builder.und[t] >> v & 1:
-            builder.orient(t, v)
+        builder.request(tail, head)
+    return builder.mpdag()
+
+
+def _branch_walk(root: _Builder, among: Optional[list[int]] = None) -> Iterator[_Builder]:
+    """The leaves of the branch tree below ``root``, depth first.
+
+    A node's branch edge ``u -- v`` is its first undirected edge in node
+    order, or its first undirected edge among ``among`` (see
+    :meth:`_Builder.first_undirected`); a node without one is a leaf,
+    yielded as the builder itself.  Its children orient the edge ``u -> v``,
+    on a copy of the node's builder, then ``v -> u``, each re-closed.  A
+    listed edge that a closure already directed is passed over: as
+    background knowledge one of its orientations holds and the other
+    conflicts.  The root is not re-closed, so a plain ``Mpdag(g)`` wrapper
+    branches on the first undirected edge of ``g`` itself.
+    """
+    stack: list[tuple[_Builder, Optional[tuple[int, int]]]] = [(root, None)]
+    while stack:
+        builder, arc = stack.pop()
+        if arc is not None:
+            builder.orient(*arc)
             builder.close()
-        elif builder.children[t] >> v & 1:
-            pass
-        elif builder.parents[t] >> v & 1:
-            raise OrientationConflictError((tail, head), f"graph has {head} -> {tail}")
-        else:
-            raise OrientationConflictError((tail, head), "no such edge")
-    return Mpdag(_snapshot_or_raise(builder, "orientation produced an invalid graph"))
+        edge = builder.first_undirected(among)
+        if edge is None:
+            yield builder
+            continue
+        u, v = edge
+        stack.append((builder, (v, u)))
+        stack.append((builder.copy(), (u, v)))
 
 
 def cpdag_of_dag(d: PartiallyDirectedGraph) -> Mpdag:
@@ -305,48 +372,25 @@ def is_represented(d: PartiallyDirectedGraph, h: Mpdag) -> bool:
 
 
 def enumerate_dags(h: Mpdag) -> list[PartiallyDirectedGraph]:
-    """All DAGs represented by an MPDAG.
-
-    Branches on the first undirected edge in node order, orients it both ways
-    through the background-knowledge construction, and collects the fully
-    directed leaves.  Output is deduplicated and sorted canonically; every
-    member passes :func:`is_represented`.
+    """All DAGs represented by an MPDAG: the leaves of the branch walk on the
+    first undirected edge (:func:`_branch_walk`), sorted canonically.  The
+    two orientations of a branch edge split the leaves, so none repeats;
+    every member passes :func:`is_represented`.
     """
-    leaves: dict[tuple, PartiallyDirectedGraph] = {}
-    stack = [h]
-    while stack:
-        current = stack.pop()
-        und = current.graph.sorted_undirected()
-        if not und:
-            leaves[current.key()] = current.graph
-            continue
-        u, v = und[0]
-        for request in ((u, v), (v, u)):
-            try:
-                stack.append(construct_mpdag(current, [request]))
-            except OrientationConflictError:
-                continue
-    return [leaves[k] for k in sorted(leaves)]
+    dags = [leaf.mpdag() for leaf in _branch_walk(_Builder(h.graph))]
+    return [d.graph for d in sorted(dags, key=Mpdag.key)]
 
 
 def consistent_extension(h: Mpdag) -> PartiallyDirectedGraph:
-    """One DAG represented by the MPDAG: the first leaf of the branch tree,
-    orienting each branch edge from its smaller endpoint first.
+    """One DAG represented by the MPDAG: the first leaf of the branch walk
+    that :func:`enumerate_dags` lists, which orients each branch edge from
+    its smaller endpoint.
 
-    Orients the smallest undirected edge ``u -- v`` as ``u -> v`` and
-    re-closes, on one builder, until no undirected edge is left.  Orienting
-    an undirected edge of a closed graph always succeeds; only a class-empty
-    input can end in a directed cycle, which raises
+    Only that leaf's path is closed: the smallest undirected edge ``u -- v``
+    is oriented ``u -> v`` and the graph re-closed until no undirected edge
+    is left.  Orienting an undirected edge of a closed graph always succeeds;
+    only a class-empty input can end in a directed cycle, which raises
     :class:`InternalInconsistencyError`.
     """
-    builder = _Builder(h.graph)
-    und = builder.und
-    u = 0
-    while u < len(und):
-        later = und[u] >> (u + 1)
-        if not later:
-            u += 1  # orienting never adds an undirected edge
-            continue
-        builder.orient(u, u + 1 + next(_bit_indices(later)))
-        builder.close()
-    return _snapshot_or_raise(builder, "MPDAG admits no consistent extension")
+    leaf = next(_branch_walk(_Builder(h.graph)))
+    return leaf.mpdag("MPDAG admits no consistent extension").graph

@@ -307,6 +307,54 @@ def chained_consistent_extension(h: M.Mpdag) -> M.PartiallyDirectedGraph:
         current = M.construct_mpdag(current, [und[0]])
 
 
+def chained_enumerate_dags(h: M.Mpdag) -> list[M.PartiallyDirectedGraph]:
+    """The represented DAGs by a stack of MPDAGs, one :func:`construct_mpdag`
+    per child: branch on the first undirected edge in node order, orient it
+    both ways, and collect the fully directed leaves, deduplicated and sorted
+    canonically.
+
+    This is the loop the package used before its branch walk on copied
+    builders, kept unchanged as the reference that walk is compared against.
+    """
+    leaves: dict[tuple, M.PartiallyDirectedGraph] = {}
+    stack = [h]
+    while stack:
+        current = stack.pop()
+        und = current.graph.sorted_undirected()
+        if not und:
+            leaves[current.key()] = current.graph
+            continue
+        u, v = und[0]
+        for request in ((u, v), (v, u)):
+            try:
+                stack.append(M.construct_mpdag(current, [request]))
+            except M.OrientationConflictError:
+                continue
+    return [leaves[k] for k in sorted(leaves)]
+
+
+def replayed_treatment_edge_combos(h: M.Mpdag, edges) -> list[M.Mpdag]:
+    """Every valid orientation of ``edges`` by replaying each of the 2^k
+    request lists from ``h`` with :func:`construct_mpdag`, skipping the
+    conflicting ones; deduplicated and sorted canonically.
+
+    The loop behind methods 2 and 3 before their branch walk, kept unchanged
+    as its reference.
+    """
+    out: dict[tuple, M.Mpdag] = {}
+    for choice in itertools.product((0, 1), repeat=len(edges)):
+        requests = [
+            (u, v) if bit == 0 else (v, u)
+            for (u, v), bit in zip(edges, choice)
+        ]
+        try:
+            oriented = M.construct_mpdag(h, requests)
+        except M.OrientationConflictError:
+            continue
+        out[oriented.key()] = oriented
+    return [out[k] for k in sorted(out)]
+
+
 def looped_count_distinct(vectors, tol: float) -> int:
     """Greedy grouping one pair at a time: each vector joins the first group
     whose representative is within ``tol`` in max-abs difference, or starts

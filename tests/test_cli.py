@@ -284,6 +284,34 @@ def test_idgraphs_audit_golden_digest(capsys):
     assert digest.hexdigest() == IDGRAPHS_AUDIT_GOLDEN_SHA256
 
 
+# sha256 of the stdout of `idgraphs --method m --format json` for m = 1, 2, 3
+# on the three queries above, then `enumerate-dags --format json` on the same
+# three files, in that order; recorded while DAG enumeration and the method 2
+# and 3 combinations still rebuilt one MPDAG per branch
+BASELINES_GOLDEN_SHA256 = (
+    "056be2ac6057962acc7d84ab19cd4243c64858d9d2ed16c5c8cdd79bbd3c535c"
+)
+
+
+def test_baseline_methods_and_enumeration_golden_digest(capsys):
+    queries = (("four_node_mpdag.txt", "A"), ("complete4.txt", "A1,A2"),
+               ("sim_cpdag.txt", "A1,A2"))
+    commands = [
+        ("idgraphs", FIXTURES / name, "--treat", treat, "--out", "Y",
+         "--method", method, "--format", "json")
+        for method in ("1", "2", "3")
+        for name, treat in queries
+    ]
+    commands += [("enumerate-dags", FIXTURES / name, "--format", "json")
+                 for name, _ in queries]
+    digest = hashlib.sha256()
+    for argv in commands:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        digest.update(out.encode())
+    assert digest.hexdigest() == BASELINES_GOLDEN_SHA256
+
+
 def test_idgraphs_verify_never_flags_fixture_corpus(capsys):
     cases = [
         ("four_node_mpdag.txt", "A", "Y"),

@@ -273,6 +273,29 @@ class TestEnumerateDags:
             assert left | right == whole
             assert not (left & right)
 
+    @pytest.mark.parametrize(
+        "directed, undirected, cycle",
+        [
+            # the collider x -> y <- w leaves y -- z no orientation: the first
+            # branch, y -> z, closes w -> y -> z -> w
+            ("xy zw wy", "yz", "('w', 'y', 'z', 'w')"),
+            # an undirected 4-cycle: the first branch, a -> b, makes R1 orient
+            # the rest of the cycle around
+            ("", "ab bc cd ad", "('a', 'b', 'c', 'd', 'a')"),
+        ],
+    )
+    def test_class_empty_input_is_internal_error(self, directed, undirected, cycle):
+        g = M.PartiallyDirectedGraph(
+            {n for pair in (directed + " " + undirected).split() for n in pair},
+            [tuple(pair) for pair in directed.split()],
+            [tuple(pair) for pair in undirected.split()],
+        )
+        with pytest.raises(M.InternalInconsistencyError) as err:
+            M.enumerate_dags(M.Mpdag(g))
+        assert str(err.value) == (
+            f"orientation produced an invalid graph: directed cycle: {cycle}"
+        )
+
 
 class TestConsistentExtension:
     def test_third_minimal_graph_extension(self, minimal_three):

@@ -8,11 +8,13 @@ from hypothesis import given, settings, strategies as st
 import mpdag as M
 from mpdag.graphs import _PathSearch, _kahn
 from mpdag.linear import _regression_effects, _total_effect_from_matrix
+from mpdag.meek import _Builder
 from helpers import (
     NameAdjacency,
     PathKind,
     adjustment_functional,
     chained_consistent_extension,
+    chained_enumerate_dags,
     classify_path,
     exhaustive_d_separated,
     exhaustive_find_adjustment_set,
@@ -27,6 +29,7 @@ from helpers import (
     random_dag,
     random_scm,
     regression_coefficient_matrix,
+    replayed_treatment_edge_combos,
     rescanning_construct_mpdag,
     rescanning_meek_closure,
     unshielded_subsequence,
@@ -607,6 +610,87 @@ def test_consistent_extension_matches_the_chained_closures(query):
         ext = M.consistent_extension(g)
         assert ext == chained_consistent_extension(g)
         assert M.is_represented(ext, g)
+
+
+@st.composite
+def branch_cases(draw):
+    """An MPDAG from :func:`mpdag_queries`, or a plain ``Mpdag(g)`` wrapper
+    of a PDAG from :func:`orientation_cases`, which is scanned in full at
+    its first closure and may be unclosed or class-empty; with a treatment
+    set of one to three nodes and a one-node outcome set."""
+    if draw(st.booleans()):
+        h = draw(mpdag_queries(max_nodes=6))[0]
+    else:
+        h = M.Mpdag(draw(orientation_cases(max_nodes=6))[0])
+    order = draw(st.permutations(h.nodes))
+    k = draw(st.integers(1, min(3, len(order) - 1)))
+    return h, order[:k], order[k:k + 1]
+
+
+@settings(max_examples=200)
+@given(branch_cases())
+def test_branch_walk_matches_the_rebuilding_oracles(case):
+    # the branch walk on copied builders against one construct_mpdag per
+    # tree node (DAG enumeration, the consistent extension) and against
+    # replaying every request list from the root (methods 2 and 3)
+    h, a, y = case
+    g = h.graph
+    dags = _outcome(lambda: M.enumerate_dags(h))
+    expected = _outcome(lambda: chained_enumerate_dags(h))
+    extension = _outcome(lambda: M.consistent_extension(h))
+    chained = _outcome(lambda: chained_consistent_extension(h))
+    if dags[0] == "ok":
+        assert dags == expected
+        assert extension == chained
+        assert extension[1] in dags[1]
+    else:
+        # a class-empty wrapper: the walk meets a directed cycle at a leaf,
+        # the stack of MPDAGs at the first cyclic tree node it builds, so
+        # the verdict agrees and the cycle named may not
+        assert dags[:2] == expected[:2] == (
+            "error", M.InternalInconsistencyError
+        )
+        assert extension[:2] == chained[:2] == dags[:2]
+    edges = sorted(e for e in g.undirected if set(e) & set(a))
+    on_path = {
+        n for path in exhaustive_possibly_causal_paths(g, a, y) for n in path.nodes
+    } - set(a)
+    restricted = [e for e in edges if set(e) & on_path]
+    for method, request_edges in (
+        (M.method2_graphs, edges), (M.method3_graphs, restricted)
+    ):
+        assert _outcome(lambda: method(h, a, y)) == _outcome(
+            lambda: replayed_treatment_edge_combos(h, request_edges)
+        )
+
+
+def _builder_state(b):
+    return (list(b.children), list(b.und), list(b.parents), dict(b._firing),
+            list(b._oriented))
+
+
+@settings(max_examples=100)
+@given(mpdag_queries())
+def test_builder_copy_shares_no_mutable_state(query):
+    h = query[0]
+    source = _Builder(h.graph)
+    edge = source.first_undirected()
+    if edge is None:
+        return
+    # oriented but not re-closed: the firing table holds what the rules
+    # still have to do
+    source.orient(*edge)
+    before = _builder_state(source)
+    clone = source.copy()
+    clone.close()
+    assert _builder_state(source) == before
+    source.close()
+    assert clone.snapshot() == source.snapshot()
+    closed = _builder_state(source)
+    later = clone.first_undirected()
+    if later is not None:
+        clone.request(clone.nodes[later[1]], clone.nodes[later[0]])
+        assert _builder_state(source) == closed
 
 
 def test_adjustment_verdicts_are_sound_for_the_population_functional():
