@@ -257,7 +257,10 @@ def _cmd_effects(args: argparse.Namespace) -> int:
     scm = _scm_from_json(load_scm_file(args.scm))
     h = _load_mpdag(args.graph) if args.graph else cpdag_of_dag(scm.dag)
     treat = _node_list(args.treat)
-    (outcome,) = _node_list(args.out)
+    outcomes = _node_list(args.out)
+    if len(outcomes) != 1:
+        raise GraphError(f"effects takes exactly one outcome, got {outcomes}")
+    (outcome,) = outcomes
     if args.cov == "exact":
         source = covariance(scm)
     else:

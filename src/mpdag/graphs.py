@@ -27,12 +27,13 @@ edge.  Its callers use it in three ways:
 
 * listing every path (:func:`proper_possibly_causal_paths`), exponential in
   the worst case;
-* counting paths without building them (the diagnostic m and the per-branch
-  counts of the minimal enumeration), still exponential, since every path is
-  visited;
-* the first shortest path (identifiability witness, branch edge), where each
-  hit bounds the rest of the search to shorter paths: a short witness ends the
-  search early, while an identified effect still costs a full search.
+* counting paths without building them (the diagnostic m at the root, and
+  the per-branch counts of the minimal enumeration when read), still
+  exponential, since every path is visited;
+* the first shortest path (identifiability witness, and the branch-edge rule
+  of the minimal enumeration on :mod:`mpdag.meek`'s one branch walk), where
+  each hit bounds the rest of the search to shorter paths: a short witness
+  ends the search early, while an identified effect still costs a full search.
 
 The adjustment witness comes from a second depth-first search, which steps
 by the definite-status rule of d-separation and so visits only open paths.
@@ -514,6 +515,19 @@ def _check_disjoint(name_a: str, a: set[str], name_b: str, b: set[str]) -> None:
         raise GraphError(f"{name_a} and {name_b} overlap: {sorted(overlap)}")
 
 
+def _checked_sets(
+    g: PartiallyDirectedGraph, treatments: Iterable[str], outcomes: Iterable[str]
+) -> tuple[set[str], set[str]]:
+    """The treatment and outcome sets of a query, checked in one order for
+    every query: an unknown node, then an overlap, then an empty set."""
+    a_set, y_set = set(treatments), set(outcomes)
+    _check_known(g, a_set | y_set)
+    _check_disjoint("treatments", a_set, "outcomes", y_set)
+    if not a_set or not y_set:
+        raise GraphError("treatment and outcome sets must be nonempty")
+    return a_set, y_set
+
+
 class _PathSearch:
     """Depth-first search for the proper possibly causal paths from a
     treatment set to an outcome set, over the adjacency bitmasks.
@@ -536,11 +550,7 @@ class _PathSearch:
         outcomes: Iterable[str],
         start_undirected_only: bool = False,
     ) -> None:
-        a_set, y_set = set(treatments), set(outcomes)
-        if not a_set or not y_set:
-            raise GraphError("treatment and outcome sets must be nonempty")
-        _check_disjoint("treatments", a_set, "outcomes", y_set)
-        _check_known(g, a_set | y_set)
+        a_set, y_set = _checked_sets(g, treatments, outcomes)
         masks = g._masks
         self._nodes = g.nodes
         self._masks = masks
@@ -620,15 +630,6 @@ class _PathSearch:
         """
         best = _last_hit(self.walk(), lambda seq: True)
         return None if best is None else self.node_path(best)
-
-    def count_and_shortest(self) -> tuple[int, Optional[NodePath]]:
-        """Both :meth:`count` and :meth:`shortest`, from one full search."""
-        count, best = 0, None
-        for seq in self.walk():
-            count += 1
-            if best is None or len(seq) < len(best):
-                best = tuple(seq)
-        return count, None if best is None else self.node_path(best)
 
 
 def proper_possibly_causal_paths(

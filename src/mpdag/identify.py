@@ -19,6 +19,7 @@ from .graphs import (
     NodePath,
     _PathSearch,
     _check_known,
+    _checked_sets,
     _closure,
     _definite_status_walk,
     _last_hit,
@@ -119,18 +120,6 @@ class GFormula:
         }
 
 
-def _checked_sets(
-    h: Mpdag, treatments: Iterable[str], outcomes: Iterable[str]
-) -> tuple[set[str], set[str]]:
-    a_set, y_set = set(treatments), set(outcomes)
-    _check_known(h.graph, a_set | y_set)
-    if a_set & y_set:
-        raise GraphError(f"treatments and outcomes overlap: {sorted(a_set & y_set)}")
-    if not a_set or not y_set:
-        raise GraphError("treatment and outcome sets must be nonempty")
-    return a_set, y_set
-
-
 def g_formula(
     h: Mpdag, treatments: Iterable[str], outcomes: Iterable[str]
 ) -> GFormula:
@@ -142,7 +131,7 @@ def g_formula(
     full graph.  Buckets are ordered by smallest member; the product itself is
     order-free.
     """
-    a_set, y_set = _checked_sets(h, treatments, outcomes)
+    a_set, y_set = _checked_sets(h.graph, treatments, outcomes)
     verdict = is_identified(h, a_set, y_set)
     if not verdict:
         raise NotIdentifiedError(verdict.witness)
@@ -168,7 +157,7 @@ def forbidden_set(
 ) -> frozenset[str]:
     """Possible descendants of every non-treatment node lying on some proper
     possibly causal path from the treatments to the outcomes."""
-    a_set, y_set = _checked_sets(h, treatments, outcomes)
+    a_set, y_set = _checked_sets(h.graph, treatments, outcomes)
     g = h.graph
     on_path = _PathSearch(g, a_set, y_set).nodes_on_paths() - a_set
     return g._names(_possibly_causal_reach(g._masks, g._masks.bits(on_path)))
@@ -239,7 +228,7 @@ def is_adjustment_set(
     invalid set is the smallest open non-causal path by length, then node
     sequence.
     """
-    a_set, y_set = _checked_sets(h, treatments, outcomes)
+    a_set, y_set = _checked_sets(h.graph, treatments, outcomes)
     z_set = _check_known(h.graph, adjust)
     overlap = z_set & (a_set | y_set)
     if overlap:
@@ -267,7 +256,7 @@ def find_adjustment_set(
     it when the outcome is a definite cause of the treatment, so None is a
     legitimate answer there too.
     """
-    a_set, y_set = _checked_sets(h, treatments, outcomes)
+    a_set, y_set = _checked_sets(h.graph, treatments, outcomes)
     verdict = is_identified(h, a_set, y_set)
     if not verdict:
         raise NotIdentifiedError(verdict.witness)

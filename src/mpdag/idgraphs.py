@@ -13,8 +13,9 @@ The recursion tree has one node per branch plus one per output graph, and
 each node needs only its shortest violating path, which a bounded search
 finds.  Violating paths are enumerated in full once per call, at the root,
 for the bound ``m``; the count at each branch of the audit trail is computed
-on first read.  The recursion runs on an explicit stack, so its depth is not
-limited by Python's recursion limit.
+on first read.  The recursion has no stack of its own: it is the branch
+walk of :mod:`mpdag.meek`, whose branch-edge rule reads a shortest violating
+path, so its depth is not limited by Python's recursion limit.
 
 Also provided are the coarser baseline enumerations used for count
 comparisons: listing every represented DAG (method 1), orienting every
@@ -28,9 +29,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Optional
 
-from .graphs import GraphError, InternalInconsistencyError, _PathSearch
+from .graphs import GraphError, InternalInconsistencyError, _PathSearch, _checked_sets
 from .identify import GFormula, _violating_search, g_formula, is_identified
 from .meek import Mpdag, _branch_walk, _Builder, enumerate_dags
 
@@ -106,26 +107,26 @@ def id_graphs(
 
     Base case: an identified graph is returned as is.  Otherwise the selected
     branch edge, the undirected first edge of a shortest violating path, is
-    oriented both ways as background knowledge, ``a1 -> v1`` on a copy of the
-    node's closure builder and ``v1 -> a1`` on the builder itself, and the
-    results below the two children are merged.  Output is canonically sorted;
-    the audit trail records each branch in depth-first order: a branch, then
-    everything below its ``a1 -> v1`` child, then everything below its
-    ``v1 -> a1`` child.  Only the root's violating paths are enumerated in
-    full (for ``m``); every other node runs the bounded shortest-path search.
+    oriented both ways as background knowledge, and the results below the two
+    children are merged: the branch walk of :mod:`mpdag.meek`, with no stack
+    of its own, and a rule that searches each node's graph for that path.
+    Output is canonically sorted; the audit trail records each branch in
+    depth-first order: a branch, then everything below its ``a1 -> v1``
+    child, then everything below its ``v1 -> a1`` child.  Only the root's
+    violating paths are enumerated in full (for ``m``).
     """
     a_list = tuple(sorted(set(treatments)))
     y_list = tuple(sorted(set(outcomes)))
     audit: list[BranchRecord] = []
     leaves: dict[tuple, Mpdag] = {}
 
-    m, shortest = _violating_search(h, a_list, y_list).count_and_shortest()
-    stack = [(h, _Builder(h.graph), shortest)]
-    while stack:
-        current, builder, shortest = stack.pop()
+    def branch_edge(builder: _Builder) -> Optional[tuple[int, int]]:
+        # only the root is visited before the first branch is recorded
+        current = builder.mpdag() if audit else h
+        shortest = _violating_search(current, a_list, y_list).shortest()
         if shortest is None:
             leaves[current.key()] = current
-            continue
+            return None
         a1, v1 = shortest.nodes[0], shortest.nodes[1]
         audit.append(
             BranchRecord(
@@ -137,17 +138,13 @@ def id_graphs(
                 _outcomes=y_list,
             )
         )
-        # a1 -- v1 is undirected, so both requests orient it; the a1 -> v1
-        # child closes a copy of the builder, the v1 -> a1 child the builder
-        children = []
-        for child, request in ((builder.copy(), (a1, v1)), (builder, (v1, a1))):
-            child.request(*request)
-            graph = child.mpdag()
-            path = _violating_search(graph, a_list, y_list).shortest()
-            children.append((graph, child, path))
-        # pushed in reverse, so the a1 -> v1 subtree is finished first
-        stack.extend(reversed(children))
-    if audit:  # the root's count is m, already known
+        return builder.index[a1], builder.index[v1]
+
+    for _ in _branch_walk(_Builder(h.graph), branch_edge):
+        pass
+    m = 0  # an identified root: its shortest-path search found no path
+    if audit:  # the root's record keeps the count
+        m = _violating_search(h, a_list, y_list).count()
         vars(audit[0])["violating"] = m
 
     graphs = tuple(leaves[k] for k in sorted(leaves))
@@ -162,14 +159,15 @@ def id_graphs(
 def _treatment_edge_combos(h: Mpdag, a: set[str], far: Iterable[str]) -> list[Mpdag]:
     """Every orientation of the undirected edges joining a treatment to a
     node of ``far`` that is valid background knowledge for ``h``, sorted
-    canonically: the leaves of the branch walk on those edges, where each
-    prefix of choices is closed once.  Distinct choices orient some edge
-    differently, so no graph repeats."""
+    canonically: the leaves of the branch walk on the first of those edges
+    still undirected, where each prefix of choices is closed once (an edge a
+    closure directed has only that orientation).  Distinct choices orient
+    some edge differently, so no graph repeats."""
     masks = h.graph._masks
-    t, f = masks.bits(a & masks.index.keys()), masks.bits(far)
+    t, f = masks.bits(a), masks.bits(far)
     # per node u, the v with u a treatment and v in far, or the other way round
     among = [f * (t >> u & 1) | t * (f >> u & 1) for u in range(len(h.nodes))]
-    leaves = _branch_walk(_Builder(h.graph), among)
+    leaves = _branch_walk(_Builder(h.graph), lambda b: b.first_undirected(among))
     return sorted((leaf.mpdag() for leaf in leaves), key=Mpdag.key)
 
 
@@ -179,7 +177,8 @@ def method2_graphs(
     """All valid orientation combinations of the undirected edges at the
     treatment nodes.  Valid means the background-knowledge construction
     succeeds for the combination; results are deduplicated and sorted."""
-    return _treatment_edge_combos(h, set(treatments), h.nodes)
+    a_set, _ = _checked_sets(h.graph, treatments, outcomes)
+    return _treatment_edge_combos(h, a_set, h.nodes)
 
 
 def method3_graphs(
@@ -192,8 +191,8 @@ def method3_graphs(
     the output is a coarsening of method 2's: the classes of represented DAGs
     still partition the input class and the effect is identified in each.
     """
-    a_set = set(treatments)
-    on_path = _PathSearch(h.graph, a_set, outcomes).nodes_on_paths() - a_set
+    a_set, y_set = _checked_sets(h.graph, treatments, outcomes)
+    on_path = _PathSearch(h.graph, a_set, y_set).nodes_on_paths() - a_set
     return _treatment_edge_combos(h, a_set, on_path)
 
 

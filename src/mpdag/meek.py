@@ -30,24 +30,25 @@ neighbourhood; any other input, a plain ``Mpdag(g)`` wrapper included, gets
 one full scan at its first closure.
 
 Every branching search runs on one engine, :func:`_branch_walk`, a
-depth-first walk over builders: a tree node orients its branch edge
-``u -> v`` on a copy of its builder and ``v -> u`` on the builder itself,
-re-closing each, so a shared prefix of orientations is closed once.  DAG
-enumeration, the consistent extension (the first leaf) and the method 2 and
-3 baselines read its leaves; the minimal enumeration copies one builder per
-node.  A graph is built only where one is returned or searched, without
-re-validation, from the builder's edge sets and bitmasks, which it keeps for
-its own path searches.  Only the checks that hold by construction are
-skipped (known endpoints, no self loop, one edge per pair); acyclicity is
-still checked by a Kahn pass over the masks, and a cyclic result goes
-through the validating constructor, so a class-empty input reports the
-directed-cycle witness that constructor finds.
+depth-first walk over builders whose one parameter is its branch-edge rule:
+a tree node orients its branch edge ``u -> v`` on a copy of its builder and
+``v -> u`` on the builder itself, re-closing each, so a shared prefix of
+orientations is closed once.  DAG enumeration and the consistent extension
+(the first leaf) branch on the first undirected edge, methods 2 and 3 on the
+first treatment edge, and the minimal enumeration on the first edge of a
+shortest violating path.  A graph is built only where one is returned or
+searched, without re-validation, from the builder's edge sets and bitmasks,
+which it keeps for its own path searches.  Only the checks that hold by
+construction are skipped (known endpoints, no self loop, one edge per
+pair); acyclicity is still checked by a Kahn pass over the masks, and a
+cyclic result goes through the validating constructor, so a class-empty
+input reports the directed-cycle witness that constructor finds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .graphs import (
     GraphError,
@@ -313,18 +314,19 @@ def construct_mpdag(h: Mpdag, requests: Sequence[tuple[str, str]]) -> Mpdag:
     return builder.mpdag()
 
 
-def _branch_walk(root: _Builder, among: Optional[list[int]] = None) -> Iterator[_Builder]:
+def _branch_walk(
+    root: _Builder, branch_edge: Callable[[_Builder], Optional[tuple[int, int]]]
+) -> Iterator[_Builder]:
     """The leaves of the branch tree below ``root``, depth first.
 
-    A node's branch edge ``u -- v`` is its first undirected edge in node
-    order, or its first undirected edge among ``among`` (see
-    :meth:`_Builder.first_undirected`); a node without one is a leaf,
-    yielded as the builder itself.  Its children orient the edge ``u -> v``,
-    on a copy of the node's builder, then ``v -> u``, each re-closed.  A
-    listed edge that a closure already directed is passed over: as
-    background knowledge one of its orientations holds and the other
-    conflicts.  The root is not re-closed, so a plain ``Mpdag(g)`` wrapper
-    branches on the first undirected edge of ``g`` itself.
+    ``branch_edge`` maps a tree node's builder to its branch edge, an
+    undirected edge ``(u, v)`` of node indices, or to None for a leaf, which
+    is yielded as the builder itself.  The rule is called once per node, in
+    depth-first order.  A node's children orient the edge ``u -> v``, on a
+    copy of the node's builder, then ``v -> u``, each re-closed; the
+    ``u -> v`` child's whole subtree comes before the ``v -> u`` child.  The
+    root is not re-closed, so a plain ``Mpdag(g)`` wrapper branches on an
+    undirected edge of ``g`` itself.
     """
     stack: list[tuple[_Builder, Optional[tuple[int, int]]]] = [(root, None)]
     while stack:
@@ -332,7 +334,7 @@ def _branch_walk(root: _Builder, among: Optional[list[int]] = None) -> Iterator[
         if arc is not None:
             builder.orient(*arc)
             builder.close()
-        edge = builder.first_undirected(among)
+        edge = branch_edge(builder)
         if edge is None:
             yield builder
             continue
@@ -377,7 +379,8 @@ def enumerate_dags(h: Mpdag) -> list[PartiallyDirectedGraph]:
     two orientations of a branch edge split the leaves, so none repeats;
     every member passes :func:`is_represented`.
     """
-    dags = [leaf.mpdag() for leaf in _branch_walk(_Builder(h.graph))]
+    leaves = _branch_walk(_Builder(h.graph), _Builder.first_undirected)
+    dags = [leaf.mpdag() for leaf in leaves]
     return [d.graph for d in sorted(dags, key=Mpdag.key)]
 
 
@@ -392,5 +395,5 @@ def consistent_extension(h: Mpdag) -> PartiallyDirectedGraph:
     only a class-empty input can end in a directed cycle, which raises
     :class:`InternalInconsistencyError`.
     """
-    leaf = next(_branch_walk(_Builder(h.graph)))
+    leaf = next(_branch_walk(_Builder(h.graph), _Builder.first_undirected))
     return leaf.mpdag("MPDAG admits no consistent extension").graph

@@ -15,6 +15,8 @@ from pathlib import Path
 import numpy as np
 
 import mpdag as M
+from mpdag.identify import _violating_search
+from mpdag.meek import _Builder
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -500,6 +502,54 @@ def exhaustive_id_graphs(h: M.Mpdag, treatments, outcomes):
     recurse(h)
     m = len(exhaustive_possibly_causal_paths(h.graph, a_list, y_list, True))
     return m, [leaves[k] for k in sorted(leaves)], audit
+
+
+def stacked_id_graphs(h: M.Mpdag, treatments, outcomes) -> M.EnumerationResult:
+    """The minimal enumeration on an explicit stack of its own: each node
+    pops its graph, builder and shortest violating path, records its branch,
+    and pushes its two children, ``a1 -> v1`` on a copy of the builder and
+    ``v1 -> a1`` on the builder itself, each closed and searched at once.
+
+    This is the loop the package used before the branch walk took a
+    branch-edge rule, kept as the reference that walk is compared against
+    (its root's count and shortest path now come from two searches).
+    """
+    a_list = tuple(sorted(set(treatments)))
+    y_list = tuple(sorted(set(outcomes)))
+    audit: list[M.BranchRecord] = []
+    leaves: dict[tuple, M.Mpdag] = {}
+
+    root = _violating_search(h, a_list, y_list)
+    m = root.count()
+    stack = [(h, _Builder(h.graph), root.shortest())]
+    while stack:
+        current, builder, shortest = stack.pop()
+        if shortest is None:
+            leaves[current.key()] = current
+            continue
+        a1, v1 = shortest.nodes[0], shortest.nodes[1]
+        audit.append(
+            M.BranchRecord(
+                graph=current.graph.edge_lines(),
+                edge=(a1, v1),
+                path=shortest.nodes,
+                _mpdag=current,
+                _treatments=a_list,
+                _outcomes=y_list,
+            )
+        )
+        children = []
+        for child, request in ((builder.copy(), (a1, v1)), (builder, (v1, a1))):
+            child.request(*request)
+            graph = child.mpdag()
+            path = _violating_search(graph, a_list, y_list).shortest()
+            children.append((graph, child, path))
+        # pushed in reverse, so the a1 -> v1 subtree is finished first
+        stack.extend(reversed(children))
+    if audit:
+        vars(audit[0])["violating"] = m
+    graphs = tuple(leaves[k] for k in sorted(leaves))
+    return M.EnumerationResult(graphs=graphs, audit=tuple(audit), m=m)
 
 
 def exhaustive_possible_descendants(g: M.PartiallyDirectedGraph, sources) -> set[str]:

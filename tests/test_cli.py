@@ -176,6 +176,14 @@ def test_effects_sampled_needs_seed(capsys):
     assert "seed" in err
 
 
+@pytest.mark.parametrize("out", ["Y,A2", ""])
+def test_effects_takes_exactly_one_outcome(capsys, out):
+    code, stdout, err = run(capsys, "effects", "--scm", FIXTURES / "sim_scm.json",
+                            "--treat", "A1", "--out", out, "--cov", "exact")
+    assert code == 1 and stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_simulate_writes_jsonl(capsys, tmp_path):
     out_file = tmp_path / "results.jsonl"
     code, out, _ = run(capsys, "simulate", "--p", "5", "--deg", "2", "--n", "100",

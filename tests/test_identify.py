@@ -219,3 +219,41 @@ class TestFindAdjustmentSet:
         h = M.meek_closure(M.parse_graph(text))
         assert len(h.nodes) == 23
         assert M.find_adjustment_set(h, ["x2"], ["x1"]) is None
+
+
+# every query on a treatment set and an outcome set, by name
+SET_QUERIES = {
+    "is_identified": M.is_identified,
+    "violating_paths": M.violating_paths,
+    "forbidden_set": M.forbidden_set,
+    "g_formula": M.g_formula,
+    "is_adjustment_set": lambda h, a, y: M.is_adjustment_set(h, a, y, []),
+    "find_adjustment_set": M.find_adjustment_set,
+    "select_branch_edge": M.select_branch_edge,
+    "id_graphs": M.id_graphs,
+    "method2_graphs": M.method2_graphs,
+    "method3_graphs": M.method3_graphs,
+}
+
+UNKNOWN = "unknown node: ['zz']"
+OVERLAP = "treatments and outcomes overlap: ['A']"
+EMPTY = "treatment and outcome sets must be nonempty"
+
+
+@pytest.mark.parametrize("query", SET_QUERIES)
+@pytest.mark.parametrize("a, y, message", [
+    pytest.param(["A"], ["zz"], UNKNOWN, id="unknown-outcome"),
+    pytest.param(["zz"], ["Y"], UNKNOWN, id="unknown-treatment"),
+    pytest.param(["A"], ["A", "Y"], OVERLAP, id="overlap"),
+    pytest.param([], ["Y"], EMPTY, id="no-treatment"),
+    pytest.param(["A"], [], EMPTY, id="no-outcome"),
+    # two faults: the unknown node is named first
+    pytest.param(["A", "zz"], ["A"], UNKNOWN, id="unknown-and-overlap"),
+    pytest.param([], ["zz"], UNKNOWN, id="unknown-and-empty"),
+])
+def test_every_query_checks_treatments_and_outcomes_alike(
+    four_mpdag, query, a, y, message
+):
+    with pytest.raises(M.GraphError) as exc:
+        SET_QUERIES[query](four_mpdag, a, y)
+    assert str(exc.value) == message

@@ -14,6 +14,7 @@ from helpers import (
     exhaustive_id_graphs,
     fixture_mpdag,
     lines,
+    stacked_id_graphs,
 )
 
 # the (file, treatments, outcome) queries the fixture corpus is checked on
@@ -108,15 +109,19 @@ class TestMinimalEnumeration:
 class TestOutputSensitiveEnumeration:
     @pytest.mark.parametrize("h, a, y", list(oracle_queries()))
     def test_audit_and_counts_match_exhaustive_oracle(self, h, a, y):
+        # and the stack loop the enumeration ran on before the branch walk
         m, graphs, audit = exhaustive_id_graphs(h, a, y)
+        stacked = stacked_id_graphs(h, a, y)
         result = M.id_graphs(h, a, y)
-        assert result.m == m
-        assert [g.key() for g in result.graphs] == [g.key() for g in graphs]
-        assert [(r.edge, r.path, r.violating) for r in result.audit] == audit
+        assert result.m == m == stacked.m
+        keys = [g.key() for g in result.graphs]
+        assert keys == [g.key() for g in graphs] == [g.key() for g in stacked.graphs]
+        trail = [(r.edge, r.path, r.violating) for r in result.audit]
+        assert trail == audit == [(r.edge, r.path, r.violating) for r in stacked.audit]
 
     def test_paths_are_enumerated_in_full_only_on_demand(self, monkeypatch):
         walks = []
-        for method in ("paths", "count", "count_and_shortest", "nodes_on_paths"):
+        for method in ("paths", "count", "nodes_on_paths"):
             full = getattr(_PathSearch, method)
 
             def counted(self, _full=full):
@@ -126,13 +131,16 @@ class TestOutputSensitiveEnumeration:
             monkeypatch.setattr(_PathSearch, method, counted)
         h = complete_graph(8)
         result = M.id_graphs(h, ["v0"], ["v1"])
-        assert walks == ["count_and_shortest"]  # the root's m
+        assert walks == ["count"]  # the root's m
         assert (result.m, result.n, len(result.audit)) == (1957, 65, 64)
         branch = result.audit[1]  # below v0 -> v1: every root path but v0 -- v1
         assert branch.violating == 1956
         assert len(walks) == 2
         assert branch.violating == 1956
         assert result.audit[0].violating == result.m
+        assert len(walks) == 2
+        # an identified input: its one shortest-path search shows m = 0
+        assert M.id_graphs(result.graphs[0], ["v0"], ["v1"]).m == 0
         assert len(walks) == 2
 
     def test_branch_depth_is_not_bounded_by_the_recursion_limit(self):

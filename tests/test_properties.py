@@ -32,6 +32,7 @@ from helpers import (
     replayed_treatment_edge_combos,
     rescanning_construct_mpdag,
     rescanning_meek_closure,
+    stacked_id_graphs,
     unshielded_subsequence,
 )
 
@@ -196,7 +197,6 @@ def test_path_search_matches_exhaustive_oracle(query, start_undirected_only):
     first = expected[0] if expected else None
     assert search.count() == len(expected)
     assert search.shortest() == first
-    assert search.count_and_shortest() == (len(expected), first)
     if start_undirected_only:
         verdict = M.is_identified(h, a, y)
         assert verdict.identified == (not expected)
@@ -209,9 +209,12 @@ def test_id_graphs_audit_matches_exhaustive_oracle(query):
     h, a, y = query
     m, graphs, audit = exhaustive_id_graphs(h, a, y)
     result = M.id_graphs(h, a, y)
-    assert result.m == m
-    assert [g.key() for g in result.graphs] == [g.key() for g in graphs]
-    assert [(r.edge, r.path, r.violating) for r in result.audit] == audit
+    stacked = stacked_id_graphs(h, a, y)
+    assert result.m == m == stacked.m
+    keys = [g.key() for g in result.graphs]
+    assert keys == [g.key() for g in graphs] == [g.key() for g in stacked.graphs]
+    trail = [(r.edge, r.path, r.violating) for r in result.audit]
+    assert trail == audit == [(r.edge, r.path, r.violating) for r in stacked.audit]
     if audit:
         assert M.select_branch_edge(h, a, y) == audit[0][0]
 
