@@ -16,7 +16,12 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .graphs import GraphError, InternalInconsistencyError, PartiallyDirectedGraph
+from .graphs import (
+    GraphError,
+    InternalInconsistencyError,
+    PartiallyDirectedGraph,
+    _checked_sets,
+)
 from .graphio import (
     graph_to_json,
     load_graph,
@@ -202,7 +207,7 @@ def _cmd_idgraphs(args: argparse.Namespace) -> int:
         graphs = list(result.graphs)
         audit = [record.to_json() for record in result.audit]
     else:
-        m = _violating_search(h, treat, out).count()
+        m = _violating_search(h, *_checked_sets(h.graph, treat, out)).count()
         audit = []
         if args.method == 1:
             graphs = [Mpdag(d) for d in enumerate_dags(h)]

@@ -20,34 +20,36 @@ possibly causal path has an unshielded possibly causal subsequence (Perković,
 Kalisch & Maathuis, UAI 2017), and d-connection is a rule on consecutive
 triples (Bayes-ball, Shachter 1998).
 
-Proper possibly causal paths come from a depth-first search over per-node
-bitmasks that never appends a node with a child already on the path, since a
-"possibly causal" verdict checks *all* ordered node pairs for a backward
-edge.  Its callers use it in three ways:
+Paths from a start set to a target set come from one walk,
+:func:`_proper_paths`: a depth-first search over per-node bitmasks on an
+explicit stack (a long chain cannot exhaust the interpreter stack), set by
+its first step, its step rule and a table of the nodes it may not append.
+One walk, four uses: list, count, shortest, adjustment witness.
 
-* listing every path (:func:`proper_possibly_causal_paths`), exponential in
-  the worst case;
-* counting paths without building them (the diagnostic m at the root, and
-  the per-branch counts of the minimal enumeration when read), still
-  exponential, since every path is visited;
-* the first shortest path (identifiability witness, and the branch-edge rule
-  of the minimal enumeration on :mod:`mpdag.meek`'s one branch walk), where
-  each hit bounds the rest of the search to shorter paths: a short witness
-  ends the search early, while an identified effect still costs a full search.
+* The proper possibly causal paths (:class:`_PathSearch`) step to any
+  neighbour and never append a node with a child already on the path, since
+  a "possibly causal" verdict checks *all* ordered node pairs for a backward
+  edge.  Listing them (:func:`proper_possibly_causal_paths`) and counting
+  them (the diagnostic m at the root, and the per-branch counts of the
+  minimal enumeration when read) visit every path.
+* The first shortest path (identifiability witness, and the branch-edge rule
+  of the minimal enumeration on :mod:`mpdag.meek`'s one branch walk) bounds
+  the rest of the search to shorter paths at each hit: a short witness ends
+  the search early, while an identified effect still costs a full search.
+* The adjustment witness steps by the definite-status rule of d-separation
+  (:func:`_open_step`), so it visits only the paths a candidate set leaves
+  open, and keeps the first shortest non-causal one.
 
-The adjustment witness comes from a second depth-first search, which steps
-by the definite-status rule of d-separation and so visits only open paths.
-Both keep an explicit stack, so a long chain cannot exhaust the interpreter
-stack.  Listing and counting paths, proving an effect identified and the
-adjustment witness are exponential in the worst case and meant for desk-scale
-graphs (roughly p <= 15); there is no silent truncation.
+Listing and counting paths, proving an effect identified and the adjustment
+witness are exponential in the worst case and meant for desk-scale graphs
+(roughly p <= 15); there is no silent truncation.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Generator, Iterable, Iterator, Optional, Sequence
 
 DIRECTED_MARK = "->"
@@ -447,26 +449,31 @@ def _open_step(masks: _AdjacencyMasks, blocking: int) -> Callable[[int, int], in
     return step
 
 
-def _definite_status_walk(
-    g: PartiallyDirectedGraph, starts: Iterable[str], given: Iterable[str]
-) -> Iterator[list[int]]:
-    """Depth-first search over the proper definite-status paths from each
-    node of ``starts`` that ``given`` leaves open (:func:`_open_step`).
+def _proper_paths(
+    starts: int,
+    targets: int,
+    first: Sequence[int],
+    step: Callable[[int, int], int],
+    back: Sequence[int],
+) -> Generator[list[int], Optional[int], None]:
+    """Depth-first search over the proper paths from the nodes of ``starts``
+    that end in a node of ``targets``, yielding each as the live list of node
+    indices (valid until the next step).
 
-    Proper: no node after the first is in ``starts``.  Iterative, with one
-    mask of untried extensions per path node; starts and extensions are
-    taken in node order.  Yields each path right after it is extended, as the
-    live list of node indices (valid until the next step).  Sending a node
-    count into the generator bounds the paths that are still to come to that
-    many nodes, as in :meth:`_PathSearch.walk`.
+    From a start ``s`` the path moves to a node of ``first[s]``, and after
+    ``u, v`` to one of ``step(u, v)``; it never takes a node twice, a start
+    after the first node, or a node ``w`` with ``back[w]`` on the path, and it
+    stops growing once every target is on it, as no extension can end in a
+    new one.  Starts and steps are taken in node order, so among paths of one
+    length the first yielded is the smallest.  Iterative, with one mask of
+    untried extensions per path node.  Sending a node count into the
+    generator bounds the paths that are still to come to that many nodes.
     """
-    masks = g._masks
-    neighbours, start_bits = masks.neighbours, masks.bits(starts)
-    step = _open_step(masks, masks.bits(given))
-    limit = len(neighbours)
-    for a in _bit_indices(start_bits):
+    limit = len(first)
+    for a in _bit_indices(starts):
         path, members = [a], 1 << a
-        pending = [neighbours[a] & ~start_bits]
+        # pending[k]: the untried extensions of path[: k + 1]
+        pending = [first[a] & ~starts]
         while pending:
             candidates = pending[-1]
             if not candidates or len(path) >= limit:
@@ -475,10 +482,18 @@ def _definite_status_walk(
                 continue
             low = candidates & -candidates
             pending[-1] = candidates ^ low
-            path.append(low.bit_length() - 1)
+            w = low.bit_length() - 1
+            if back[w] & members:
+                continue
+            u = path[-1]
+            path.append(w)
             members |= low
-            limit = (yield path) or limit
-            pending.append(step(path[-2], path[-1]) & ~(members | start_bits))
+            if low & targets:
+                limit = (yield path) or limit
+            if targets & ~members:
+                pending.append(step(u, w) & ~(members | starts))
+            else:
+                pending.append(0)
 
 
 def _last_hit(
@@ -517,86 +532,50 @@ def _check_disjoint(name_a: str, a: set[str], name_b: str, b: set[str]) -> None:
 
 def _checked_sets(
     g: PartiallyDirectedGraph, treatments: Iterable[str], outcomes: Iterable[str]
-) -> tuple[set[str], set[str]]:
-    """The treatment and outcome sets of a query, checked in one order for
-    every query: an unknown node, then an overlap, then an empty set."""
+) -> tuple[int, int]:
+    """The masks of the treatment and outcome sets of a query, checked in one
+    order for every query: an unknown node, then an overlap, then an empty
+    set.  The path searches below take these masks as they are."""
     a_set, y_set = set(treatments), set(outcomes)
     _check_known(g, a_set | y_set)
     _check_disjoint("treatments", a_set, "outcomes", y_set)
     if not a_set or not y_set:
         raise GraphError("treatment and outcome sets must be nonempty")
-    return a_set, y_set
+    return g._masks.bits(a_set), g._masks.bits(y_set)
 
 
 class _PathSearch:
-    """Depth-first search for the proper possibly causal paths from a
-    treatment set to an outcome set, over the adjacency bitmasks.
+    """The proper possibly causal paths from the treatment mask ``starts`` to
+    the outcome mask ``targets``, as checked by :func:`_checked_sets`.
 
-    A path may not revisit a node or pass through a treatment, and a node
-    ``w`` is not appended when it has a child already on the path: that edge
-    would point backwards and make the path non-causal.  With
-    ``start_undirected_only`` the first edge must be undirected.  Paths are
-    visited in node order (by first node, then second, ...), so among paths
-    of one length the first found is the smallest.  The callers differ only
-    in what they do on a hit: list every path, count them, or keep the first
-    shortest one.  Invalid endpoint sets raise :class:`GraphError` here, when
-    the search is set up.
+    One :func:`_proper_paths` walk over the adjacency bitmasks: it steps to
+    any neighbour and never appends a node with a child already on the path,
+    since that edge would point backwards and make the path non-causal.  With
+    ``start_undirected_only`` the first edge must be undirected.  The callers
+    differ only in what they do with the paths: list them, count them,
+    collect their nodes, or keep the first shortest one.
     """
 
     def __init__(
         self,
         g: PartiallyDirectedGraph,
-        treatments: Iterable[str],
-        outcomes: Iterable[str],
+        starts: int,
+        targets: int,
         start_undirected_only: bool = False,
     ) -> None:
-        a_set, y_set = _checked_sets(g, treatments, outcomes)
         masks = g._masks
+        neighbours = masks.neighbours
         self._nodes = g.nodes
-        self._masks = masks
-        self._starts = sorted(masks.index[a] for a in a_set)
-        self._banned = sum(1 << i for i in self._starts)
-        self._outcomes = masks.bits(y_set)
-        self._first_step = masks.undirected if start_undirected_only else masks.neighbours
-
-    def walk(self) -> Iterator[list[int]]:
-        """Yield every path that ends in an outcome, as the live list of node
-        indices (valid until the next step).  Sending a node count into the
-        generator bounds the paths that are still to come to that many nodes.
-        """
-        neighbours, children = self._masks.neighbours, self._masks.children
-        banned, outcomes = self._banned, self._outcomes
-        limit = len(neighbours)
-        for a in self._starts:
-            path = [a]
-            members = 1 << a
-            # pending[k]: the untried extensions of path[: k + 1]
-            pending = [self._first_step[a] & ~banned]
-            while pending:
-                candidates = pending[-1]
-                if not candidates or len(path) >= limit:
-                    pending.pop()
-                    members ^= 1 << path.pop()
-                    continue
-                low = candidates & -candidates
-                pending[-1] = candidates ^ low
-                w = low.bit_length() - 1
-                if children[w] & members:
-                    continue
-                path.append(w)
-                members |= low
-                if low & outcomes:
-                    limit = (yield path) or limit
-                # once every outcome is on the path, no extension can end in one
-                if outcomes & ~members:
-                    pending.append(neighbours[w] & ~(members | banned))
-                else:
-                    pending.append(0)
+        self._children = masks.children
+        self._starts = starts
+        first = masks.undirected if start_undirected_only else neighbours
+        step = lambda u, v: neighbours[v]
+        self.walk = partial(_proper_paths, starts, targets, first, step, masks.children)
 
     def node_path(self, seq: Sequence[int]) -> NodePath:
         """The path of node indices ``seq`` as a :class:`NodePath`.  A found
         path has no ``<-`` mark: the search never appends a parent."""
-        children = self._masks.children
+        children = self._children
         return NodePath(
             tuple(self._nodes[i] for i in seq),
             tuple(
@@ -614,13 +593,14 @@ class _PathSearch:
     def count(self) -> int:
         return sum(1 for _ in self.walk())
 
-    def nodes_on_paths(self) -> frozenset[str]:
-        """Every node of every path, without listing the paths."""
+    def nodes_on_paths(self) -> int:
+        """The mask of the nodes after the first on some path, without
+        listing the paths: the on-path nodes that are not treatments."""
         on_path = 0
         for seq in self.walk():
             for i in seq:
                 on_path |= 1 << i
-        return frozenset(self._nodes[i] for i in _bit_indices(on_path))
+        return on_path & ~self._starts
 
     def shortest(self) -> Optional[NodePath]:
         """The first path by length, then node sequence, or None.
@@ -645,7 +625,8 @@ def proper_possibly_causal_paths(
     outcome node it reaches).  With ``start_undirected_only`` the first edge
     must be undirected.  Output is sorted by length, then by node sequence.
     """
-    return _PathSearch(g, treatments, outcomes, start_undirected_only).paths()
+    starts, targets = _checked_sets(g, treatments, outcomes)
+    return _PathSearch(g, starts, targets, start_undirected_only).paths()
 
 
 def _reach(starts: int, first: Sequence[int], step: Callable[[int, int], int]) -> int:

@@ -11,24 +11,24 @@ Maathuis, JMLR 2018), so that set is the only candidate tried.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Optional
+from typing import Iterable, Optional
 
 from .graphs import (
     GraphError,
     InternalInconsistencyError,
     NodePath,
+    PartiallyDirectedGraph,
     _PathSearch,
     _check_known,
     _checked_sets,
     _closure,
-    _definite_status_walk,
     _last_hit,
+    _open_step,
     _possibly_causal_reach,
+    _proper_paths,
     bucket_decomposition,
     parents_of_set,
     path_in,
-    possible_ancestors,
-    possible_descendants,
     proper_possibly_causal_paths,
 )
 from .meek import Mpdag
@@ -51,12 +51,11 @@ class Identifiability:
         return self.identified
 
 
-def _violating_search(
-    h: Mpdag, treatments: Iterable[str], outcomes: Iterable[str]
-) -> _PathSearch:
-    """Search for the violating paths: proper possibly causal paths that
-    start with an undirected edge."""
-    return _PathSearch(h.graph, treatments, outcomes, start_undirected_only=True)
+def _violating_search(h: Mpdag, starts: int, targets: int) -> _PathSearch:
+    """Search for the violating paths from the treatment mask ``starts`` to
+    the outcome mask ``targets`` (as :func:`_checked_sets` gives them): proper
+    possibly causal paths that start with an undirected edge."""
+    return _PathSearch(h.graph, starts, targets, start_undirected_only=True)
 
 
 def violating_paths(
@@ -74,10 +73,19 @@ def is_identified(
 ) -> Identifiability:
     """Graphical identifiability of the total effect, with a shortest witness
     path when the answer is no."""
-    witness = _violating_search(h, treatments, outcomes).shortest()
+    checked = _checked_sets(h.graph, treatments, outcomes)
+    witness = _violating_search(h, *checked).shortest()
     if witness is not None:
         return Identifiability(False, witness)
     return Identifiability(True)
+
+
+def _require_identified(h: Mpdag, a: int, y: int) -> None:
+    """Raise :class:`NotIdentifiedError` unless the effect of the treatment
+    mask ``a`` on the outcome mask ``y`` is identified."""
+    witness = _violating_search(h, a, y).shortest()
+    if witness is not None:
+        raise NotIdentifiedError(witness)
 
 
 @dataclass(frozen=True)
@@ -131,24 +139,20 @@ def g_formula(
     full graph.  Buckets are ordered by smallest member; the product itself is
     order-free.
     """
-    a_set, y_set = _checked_sets(h.graph, treatments, outcomes)
-    verdict = is_identified(h, a_set, y_set)
-    if not verdict:
-        raise NotIdentifiedError(verdict.witness)
     g = h.graph
-    masks = g._masks
-    a_bits, y_bits = masks.bits(a_set), masks.bits(y_set)
-    parents_without_a = [p & ~a_bits for p in masks.parents]
-    b_set = g._names(_closure(y_bits, parents_without_a) & ~y_bits)
-    buckets = bucket_decomposition(g, b_set | y_set)
+    a, y = _checked_sets(g, treatments, outcomes)
+    _require_identified(h, a, y)
+    parents_without_a = [p & ~a for p in g._masks.parents]
+    b = _closure(y, parents_without_a) & ~y
+    buckets = bucket_decomposition(g, g._names(b | y))
     return GFormula(
-        treatments=tuple(sorted(a_set)),
-        outcomes=tuple(sorted(y_set)),
+        treatments=tuple(sorted(g._names(a))),
+        outcomes=tuple(sorted(g._names(y))),
         buckets=tuple(
             (tuple(sorted(bucket)), tuple(sorted(parents_of_set(g, bucket))))
             for bucket in buckets
         ),
-        marginalize=tuple(sorted(b_set)),
+        marginalize=tuple(sorted(g._names(b))),
     )
 
 
@@ -157,10 +161,13 @@ def forbidden_set(
 ) -> frozenset[str]:
     """Possible descendants of every non-treatment node lying on some proper
     possibly causal path from the treatments to the outcomes."""
-    a_set, y_set = _checked_sets(h.graph, treatments, outcomes)
     g = h.graph
-    on_path = _PathSearch(g, a_set, y_set).nodes_on_paths() - a_set
-    return g._names(_possibly_causal_reach(g._masks, g._masks.bits(on_path)))
+    return g._names(_forbidden(g, *_checked_sets(g, treatments, outcomes)))
+
+
+def _forbidden(g: PartiallyDirectedGraph, a: int, y: int) -> int:
+    """The mask of the forbidden set for the checked masks ``a`` and ``y``."""
+    return _possibly_causal_reach(g._masks, _PathSearch(g, a, y).nodes_on_paths())
 
 
 @dataclass(frozen=True)
@@ -175,25 +182,19 @@ class AdjustmentVerdict:
 
 
 def _adjustment_verdict(
-    h: Mpdag,
-    a_set: set[str],
-    y_set: set[str],
-    z_set: AbstractSet[str],
-    forb: frozenset[str],
+    g: PartiallyDirectedGraph, a: int, y: int, z: int, forb: int
 ) -> AdjustmentVerdict:
-    """:func:`is_adjustment_set` for an identified effect whose forbidden set
-    is ``forb``."""
-    hit = z_set & forb
+    """:func:`is_adjustment_set` for an identified effect, on masks: the
+    treatments ``a``, the outcomes ``y``, the candidate ``z`` and the
+    forbidden set ``forb``."""
+    hit = z & forb
     if hit:
-        return AdjustmentVerdict(False, "forbidden", witness_node=min(hit))
-    g = h.graph
-    children = g._masks.children
-    y_bits = g._masks.bits(y_set)
+        return AdjustmentVerdict(False, "forbidden", witness_node=min(g._names(hit)))
+    masks = g._masks
+    children = masks.children
 
     def non_causal(seq: list[int]) -> bool:
-        # ends in an outcome, and some node has a child earlier on the path
-        if not y_bits >> seq[-1] & 1:
-            return False
+        # some node has a child earlier on the path
         members = 0
         for i in seq:
             if children[i] & members:
@@ -202,7 +203,9 @@ def _adjustment_verdict(
         return False
 
     # the first open non-causal path by length, then node sequence
-    best = _last_hit(_definite_status_walk(g, a_set, z_set), non_causal)
+    no_back = [0] * len(g.nodes)
+    walk = _proper_paths(a, y, masks.neighbours, _open_step(masks, z), no_back)
+    best = _last_hit(walk, non_causal)
     if best is None:
         return AdjustmentVerdict(True)
     witness = path_in(g, [g.nodes[i] for i in best])
@@ -228,15 +231,14 @@ def is_adjustment_set(
     invalid set is the smallest open non-causal path by length, then node
     sequence.
     """
-    a_set, y_set = _checked_sets(h.graph, treatments, outcomes)
-    z_set = _check_known(h.graph, adjust)
-    overlap = z_set & (a_set | y_set)
+    g = h.graph
+    a, y = _checked_sets(g, treatments, outcomes)
+    z = g._masks.bits(_check_known(g, adjust))
+    overlap = z & (a | y)
     if overlap:
-        raise GraphError(f"adjustment set overlaps A or Y: {sorted(overlap)}")
-    verdict = is_identified(h, a_set, y_set)
-    if not verdict:
-        raise NotIdentifiedError(verdict.witness)
-    return _adjustment_verdict(h, a_set, y_set, z_set, forbidden_set(h, a_set, y_set))
+        raise GraphError(f"adjustment set overlaps A or Y: {sorted(g._names(overlap))}")
+    _require_identified(h, a, y)
+    return _adjustment_verdict(g, a, y, z, _forbidden(g, a, y))
 
 
 def find_adjustment_set(
@@ -256,20 +258,17 @@ def find_adjustment_set(
     it when the outcome is a definite cause of the treatment, so None is a
     legitimate answer there too.
     """
-    a_set, y_set = _checked_sets(h.graph, treatments, outcomes)
-    verdict = is_identified(h, a_set, y_set)
-    if not verdict:
-        raise NotIdentifiedError(verdict.witness)
     g = h.graph
-    forb = forbidden_set(h, a_set, y_set)
-    candidate = frozenset(
-        possible_ancestors(g, a_set | y_set) - forb - a_set - y_set
-    )
-    if _adjustment_verdict(h, a_set, y_set, candidate, forb):
-        return candidate
+    a, y = _checked_sets(g, treatments, outcomes)
+    _require_identified(h, a, y)
+    masks = g._masks
+    forb = _forbidden(g, a, y)
+    candidate = _possibly_causal_reach(masks, a | y, forward=False) & ~(forb | a | y)
+    if _adjustment_verdict(g, a, y, candidate, forb):
+        return g._names(candidate)
     # for one treatment a and one outcome y, a proper possibly causal path
     # from a to y exists exactly when y is a possible descendant of a
-    if len(a_set) == len(y_set) == 1 and y_set <= possible_descendants(g, min(a_set)):
+    if a.bit_count() == y.bit_count() == 1 and _possibly_causal_reach(masks, a) & y:
         raise InternalInconsistencyError(
             "no adjustment set found for singleton treatment and outcome"
         )

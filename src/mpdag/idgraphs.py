@@ -51,8 +51,8 @@ class BranchRecord:
     edge: tuple[str, str]
     path: tuple[str, ...]
     _mpdag: Mpdag = field(repr=False, compare=False)
-    _treatments: tuple[str, ...] = field(repr=False, compare=False)
-    _outcomes: tuple[str, ...] = field(repr=False, compare=False)
+    _treatments: int = field(repr=False, compare=False)  # node masks
+    _outcomes: int = field(repr=False, compare=False)
 
     @cached_property
     def violating(self) -> int:
@@ -94,7 +94,8 @@ def select_branch_edge(
     Only meaningful while the effect is unidentified; calling this on an
     identified input is an error.
     """
-    shortest = _violating_search(h, treatments, outcomes).shortest()
+    checked = _checked_sets(h.graph, treatments, outcomes)
+    shortest = _violating_search(h, *checked).shortest()
     if shortest is None:
         raise GraphError("effect already identified; no branch edge")
     return shortest.nodes[0], shortest.nodes[1]
@@ -115,15 +116,15 @@ def id_graphs(
     child, then everything below its ``v1 -> a1`` child.  Only the root's
     violating paths are enumerated in full (for ``m``).
     """
-    a_list = tuple(sorted(set(treatments)))
-    y_list = tuple(sorted(set(outcomes)))
+    # every builder shares h's node order, so the masks hold at every node
+    a, y = _checked_sets(h.graph, treatments, outcomes)
     audit: list[BranchRecord] = []
     leaves: dict[tuple, Mpdag] = {}
 
     def branch_edge(builder: _Builder) -> Optional[tuple[int, int]]:
         # only the root is visited before the first branch is recorded
         current = builder.mpdag() if audit else h
-        shortest = _violating_search(current, a_list, y_list).shortest()
+        shortest = _violating_search(current, a, y).shortest()
         if shortest is None:
             leaves[current.key()] = current
             return None
@@ -134,8 +135,8 @@ def id_graphs(
                 edge=(a1, v1),
                 path=shortest.nodes,
                 _mpdag=current,
-                _treatments=a_list,
-                _outcomes=y_list,
+                _treatments=a,
+                _outcomes=y,
             )
         )
         return builder.index[a1], builder.index[v1]
@@ -144,7 +145,7 @@ def id_graphs(
         pass
     m = 0  # an identified root: its shortest-path search found no path
     if audit:  # the root's record keeps the count
-        m = _violating_search(h, a_list, y_list).count()
+        m = _violating_search(h, a, y).count()
         vars(audit[0])["violating"] = m
 
     graphs = tuple(leaves[k] for k in sorted(leaves))
@@ -156,16 +157,14 @@ def id_graphs(
     return result
 
 
-def _treatment_edge_combos(h: Mpdag, a: set[str], far: Iterable[str]) -> list[Mpdag]:
-    """Every orientation of the undirected edges joining a treatment to a
-    node of ``far`` that is valid background knowledge for ``h``, sorted
-    canonically: the leaves of the branch walk on the first of those edges
-    still undirected, where each prefix of choices is closed once (an edge a
-    closure directed has only that orientation).  Distinct choices orient
-    some edge differently, so no graph repeats."""
-    masks = h.graph._masks
-    t, f = masks.bits(a), masks.bits(far)
-    # per node u, the v with u a treatment and v in far, or the other way round
+def _treatment_edge_combos(h: Mpdag, t: int, f: int) -> list[Mpdag]:
+    """Every orientation of the undirected edges joining a treatment (a node
+    of the mask ``t``) to a node of the mask ``f`` that is valid background
+    knowledge for ``h``, sorted canonically: the leaves of the branch walk on
+    the first of those edges still undirected, where each prefix of choices
+    is closed once (an edge a closure directed has only that orientation).
+    Distinct choices orient some edge differently, so no graph repeats."""
+    # per node u, the v with u a treatment and v in f, or the other way round
     among = [f * (t >> u & 1) | t * (f >> u & 1) for u in range(len(h.nodes))]
     leaves = _branch_walk(_Builder(h.graph), lambda b: b.first_undirected(among))
     return sorted((leaf.mpdag() for leaf in leaves), key=Mpdag.key)
@@ -177,8 +176,8 @@ def method2_graphs(
     """All valid orientation combinations of the undirected edges at the
     treatment nodes.  Valid means the background-knowledge construction
     succeeds for the combination; results are deduplicated and sorted."""
-    a_set, _ = _checked_sets(h.graph, treatments, outcomes)
-    return _treatment_edge_combos(h, a_set, h.nodes)
+    a, _ = _checked_sets(h.graph, treatments, outcomes)
+    return _treatment_edge_combos(h, a, (1 << len(h.nodes)) - 1)
 
 
 def method3_graphs(
@@ -191,9 +190,8 @@ def method3_graphs(
     the output is a coarsening of method 2's: the classes of represented DAGs
     still partition the input class and the effect is identified in each.
     """
-    a_set, y_set = _checked_sets(h.graph, treatments, outcomes)
-    on_path = _PathSearch(h.graph, a_set, y_set).nodes_on_paths() - a_set
-    return _treatment_edge_combos(h, a_set, on_path)
+    a, y = _checked_sets(h.graph, treatments, outcomes)
+    return _treatment_edge_combos(h, a, _PathSearch(h.graph, a, y).nodes_on_paths())
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 import mpdag as M
+from mpdag.graphs import _bit_indices, _checked_sets, _open_step
 from mpdag.identify import _violating_search
 from mpdag.meek import _Builder
 
@@ -480,6 +481,86 @@ def exhaustive_possibly_causal_paths(
     return [M.path_in(g, seq) for seq in found]
 
 
+def possibly_causal_walk(
+    g: M.PartiallyDirectedGraph, treatments, outcomes, start_undirected_only=False
+):
+    """The proper possibly causal path walk as its own depth-first search,
+    kept as the reference the package's one shared path walk is compared
+    against: the set-up of the path search object, then its walk unchanged.
+
+    Yields every path that ends in an outcome, as the live list of node
+    indices (valid until the next step).  Sending a node count into the
+    generator bounds the paths that are still to come to that many nodes.
+    """
+    masks = g._masks
+    starts = sorted(masks.index[a] for a in set(treatments))
+    banned = sum(1 << i for i in starts)
+    outcomes = masks.bits(outcomes)
+    first_step = masks.undirected if start_undirected_only else masks.neighbours
+
+    neighbours, children = masks.neighbours, masks.children
+    limit = len(neighbours)
+    for a in starts:
+        path = [a]
+        members = 1 << a
+        # pending[k]: the untried extensions of path[: k + 1]
+        pending = [first_step[a] & ~banned]
+        while pending:
+            candidates = pending[-1]
+            if not candidates or len(path) >= limit:
+                pending.pop()
+                members ^= 1 << path.pop()
+                continue
+            low = candidates & -candidates
+            pending[-1] = candidates ^ low
+            w = low.bit_length() - 1
+            if children[w] & members:
+                continue
+            path.append(w)
+            members |= low
+            if low & outcomes:
+                limit = (yield path) or limit
+            # once every outcome is on the path, no extension can end in one
+            if outcomes & ~members:
+                pending.append(neighbours[w] & ~(members | banned))
+            else:
+                pending.append(0)
+
+
+def definite_status_walk(g: M.PartiallyDirectedGraph, starts, given):
+    """Depth-first search over the proper definite-status paths from each
+    node of ``starts`` that ``given`` leaves open (``graphs._open_step``),
+    kept as its own walk for the reference the package's one shared path
+    walk is compared against.
+
+    Proper: no node after the first is in ``starts``.  Iterative, with one
+    mask of untried extensions per path node; starts and extensions are
+    taken in node order.  Yields each path right after it is extended, as the
+    live list of node indices (valid until the next step), whether or not it
+    ends in an outcome.  Sending a node count into the generator bounds the
+    paths that are still to come to that many nodes.
+    """
+    masks = g._masks
+    neighbours, start_bits = masks.neighbours, masks.bits(starts)
+    step = _open_step(masks, masks.bits(given))
+    limit = len(neighbours)
+    for a in _bit_indices(start_bits):
+        path, members = [a], 1 << a
+        pending = [neighbours[a] & ~start_bits]
+        while pending:
+            candidates = pending[-1]
+            if not candidates or len(path) >= limit:
+                pending.pop()
+                members ^= 1 << path.pop()
+                continue
+            low = candidates & -candidates
+            pending[-1] = candidates ^ low
+            path.append(low.bit_length() - 1)
+            members |= low
+            limit = (yield path) or limit
+            pending.append(step(path[-2], path[-1]) & ~(members | start_bits))
+
+
 def exhaustive_id_graphs(h: M.Mpdag, treatments, outcomes):
     """The minimal enumeration rebuilt on the exhaustive path oracle: lists
     every violating path at each recursion node, branches on the first.
@@ -514,12 +595,11 @@ def stacked_id_graphs(h: M.Mpdag, treatments, outcomes) -> M.EnumerationResult:
     branch-edge rule, kept as the reference that walk is compared against
     (its root's count and shortest path now come from two searches).
     """
-    a_list = tuple(sorted(set(treatments)))
-    y_list = tuple(sorted(set(outcomes)))
+    a, y = _checked_sets(h.graph, treatments, outcomes)
     audit: list[M.BranchRecord] = []
     leaves: dict[tuple, M.Mpdag] = {}
 
-    root = _violating_search(h, a_list, y_list)
+    root = _violating_search(h, a, y)
     m = root.count()
     stack = [(h, _Builder(h.graph), root.shortest())]
     while stack:
@@ -534,15 +614,15 @@ def stacked_id_graphs(h: M.Mpdag, treatments, outcomes) -> M.EnumerationResult:
                 edge=(a1, v1),
                 path=shortest.nodes,
                 _mpdag=current,
-                _treatments=a_list,
-                _outcomes=y_list,
+                _treatments=a,
+                _outcomes=y,
             )
         )
         children = []
         for child, request in ((builder.copy(), (a1, v1)), (builder, (v1, a1))):
             child.request(*request)
             graph = child.mpdag()
-            path = _violating_search(graph, a_list, y_list).shortest()
+            path = _violating_search(graph, a, y).shortest()
             children.append((graph, child, path))
         # pushed in reverse, so the a1 -> v1 subtree is finished first
         stack.extend(reversed(children))

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import pytest
 import mpdag.cli
 from mpdag import RejectionBudgetError
 from mpdag.cli import main
-from helpers import FIXTURES
+from helpers import FIXTURES, load_fixture
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "src" / "mpdag" / "schemas"
 
@@ -318,6 +319,36 @@ def test_baseline_methods_and_enumeration_golden_digest(capsys):
         assert code == 0
         digest.update(out.encode())
     assert digest.hexdigest() == BASELINES_GOLDEN_SHA256
+
+
+# sha256 of `adjust FILE --treat a --out y --set Z --format json` for every
+# ordered node pair (a, y) and every subset Z of the other two nodes (by
+# size, then name) of the five four-node fixtures below: per run its stdout,
+# its stderr and the line "exit <status>"; recorded while the adjustment
+# witness came from a depth-first search of its own
+ADJUST_SET_GOLDEN_SHA256 = (
+    "6b0023cfbf5208759c773d9afa510fd929bbf09d05663d36b4cb8374317d64a4"
+)
+
+
+def test_adjust_set_golden_digest(capsys):
+    digest = hashlib.sha256()
+    runs = witnesses = 0
+    for name in ("four_node_mpdag.txt", "four_node_dag.txt", "complete4.txt",
+                 "sim_cpdag.txt", "sim_dag.txt"):
+        nodes = load_fixture(name).nodes
+        for a, y in itertools.permutations(nodes, 2):
+            rest = [v for v in nodes if v not in (a, y)]
+            for k in range(len(rest) + 1):
+                for z in itertools.combinations(rest, k):
+                    code, out, err = run(capsys, "adjust", FIXTURES / name,
+                                         "--treat", a, "--out", y,
+                                         "--set", ",".join(z), "--format", "json")
+                    digest.update(f"{out}{err}exit {code}\n".encode())
+                    runs += 1
+                    witnesses += '"open_path"' in out
+    assert (runs, witnesses) == (240, 64)
+    assert digest.hexdigest() == ADJUST_SET_GOLDEN_SHA256
 
 
 def test_idgraphs_verify_never_flags_fixture_corpus(capsys):

@@ -1,7 +1,10 @@
+import itertools
+import sys
+
 import pytest
 
 import mpdag as M
-from helpers import lines
+from helpers import fixture_mpdag, lines
 
 
 @pytest.fixture(scope="module")
@@ -257,3 +260,50 @@ def test_every_query_checks_treatments_and_outcomes_alike(
     with pytest.raises(M.GraphError) as exc:
         SET_QUERIES[query](four_mpdag, a, y)
     assert str(exc.value) == message
+
+
+def count_checked_sets(monkeypatch) -> list:
+    """Wrap ``graphs._checked_sets`` in every package module that holds it;
+    the returned list gets one entry per call."""
+    calls = []
+    checked = M.graphs._checked_sets
+
+    def counted(*args):
+        calls.append(args)
+        return checked(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "mpdag" and hasattr(module, "_checked_sets"):
+            monkeypatch.setattr(module, "_checked_sets", counted)
+    return calls
+
+
+# queries that take an identified effect, and the two method entry points
+CHECKED_ONCE = {
+    "find_adjustment_set": M.find_adjustment_set,
+    "is_adjustment_set": lambda h, a, y: M.is_adjustment_set(h, a, y, ["V1"]),
+    "g_formula": M.g_formula,
+    "forbidden_set": M.forbidden_set,
+    "method3_graphs": M.method3_graphs,
+    "id_graphs": M.id_graphs,
+}
+
+
+@pytest.mark.parametrize("query", CHECKED_ONCE)
+def test_every_query_checks_its_sets_once(monkeypatch, query):
+    h = fixture_mpdag("four_node_dag.txt")
+    calls = count_checked_sets(monkeypatch)
+    CHECKED_ONCE[query](h, ["A"], ["Y"])
+    assert len(calls) == 1
+
+
+def test_id_graphs_checks_its_sets_once_for_all_branches(monkeypatch):
+    names = [f"v{i}" for i in range(8)]
+    k8 = M.meek_closure(
+        M.PartiallyDirectedGraph(names, (), itertools.combinations(names, 2))
+    )
+    calls = count_checked_sets(monkeypatch)
+    result = M.id_graphs(k8, ["v0"], ["v1"])
+    assert (len(result.audit), result.n) == (64, 65)
+    assert result.audit[1].violating == 1956  # a branch count, read on demand
+    assert len(calls) == 1

@@ -6,7 +6,8 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import mpdag as M
-from mpdag.graphs import _PathSearch, _kahn
+from mpdag.graphs import _PathSearch, _checked_sets, _kahn, _last_hit
+from mpdag.identify import _adjustment_verdict
 from mpdag.linear import _regression_effects, _total_effect_from_matrix
 from mpdag.meek import _Builder
 from helpers import (
@@ -16,6 +17,7 @@ from helpers import (
     chained_consistent_extension,
     chained_enumerate_dags,
     classify_path,
+    definite_status_walk,
     exhaustive_d_separated,
     exhaustive_find_adjustment_set,
     exhaustive_forbidden_set,
@@ -26,6 +28,7 @@ from helpers import (
     exhaustive_possibly_causal_paths,
     formula_effect,
     partial_correlation,
+    possibly_causal_walk,
     random_dag,
     random_scm,
     regression_coefficient_matrix,
@@ -193,7 +196,8 @@ def test_path_search_matches_exhaustive_oracle(query, start_undirected_only):
     h, a, y = query
     expected = exhaustive_possibly_causal_paths(h.graph, a, y, start_undirected_only)
     assert M.proper_possibly_causal_paths(h.graph, a, y, start_undirected_only) == expected
-    search = _PathSearch(h.graph, a, y, start_undirected_only)
+    checked = _checked_sets(h.graph, a, y)
+    search = _PathSearch(h.graph, *checked, start_undirected_only)
     first = expected[0] if expected else None
     assert search.count() == len(expected)
     assert search.shortest() == first
@@ -201,6 +205,49 @@ def test_path_search_matches_exhaustive_oracle(query, start_undirected_only):
         verdict = M.is_identified(h, a, y)
         assert verdict.identified == (not expected)
         assert verdict.witness == first
+
+
+@settings(max_examples=200)
+@given(mpdag_queries(), st.integers(0, 2**31 - 1))
+def test_shared_path_walk_matches_its_two_oracles(query, seed):
+    # one walk, checked against the two depth-first searches in helpers: the
+    # same target-ending paths in the same order, in both first-step modes,
+    # the same shortest path, and the same adjustment witness for random Z
+    h, a, y = query
+    g = h.graph
+    starts, targets = _checked_sets(g, a, y)
+    for undirected_only in (False, True):
+        search = _PathSearch(g, starts, targets, undirected_only)
+        oracle = possibly_causal_walk(g, a, y, undirected_only)
+        assert [tuple(seq) for seq in search.walk()] == [tuple(seq) for seq in oracle]
+        shortest = _last_hit(
+            possibly_causal_walk(g, a, y, undirected_only), lambda seq: True
+        )
+        assert _last_hit(search.walk(), lambda seq: True) == shortest
+
+    children = g._masks.children
+
+    def non_causal(seq: list[int]) -> bool:
+        # ends in an outcome, and some node has a child earlier on the path
+        if not targets >> seq[-1] & 1:
+            return False
+        members = 0
+        for i in seq:
+            if children[i] & members:
+                return True
+            members |= 1 << i
+        return False
+
+    rng = np.random.default_rng(seed)
+    rest = [v for v in g.nodes if v not in a and v not in y]
+    for _ in range(3):
+        z = [v for v in rest if rng.random() < 0.5]
+        best = _last_hit(definite_status_walk(g, a, z), non_causal)
+        # an empty forbidden set, so the verdict is the witness walk's
+        verdict = _adjustment_verdict(g, starts, targets, g._masks.bits(z), 0)
+        assert verdict.valid == (best is None)
+        if best is not None:
+            assert verdict.witness_path.nodes == tuple(g.nodes[i] for i in best)
 
 
 @settings(max_examples=200)
