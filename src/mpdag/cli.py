@@ -43,7 +43,6 @@ from .linear import (
     ExactCovariance,
     LinearScm,
     RejectionBudgetError,
-    _identified_extension,
     _regression_effects,
     count_distinct,
     covariance,
@@ -55,6 +54,7 @@ from .linear import (
 from .meek import (
     Mpdag,
     OrientationConflictError,
+    consistent_extension,
     construct_mpdag,
     cpdag_of_dag,
     enumerate_dags,
@@ -349,13 +349,12 @@ def _simulate_one(seed: int, args: argparse.Namespace) -> dict:
         target = Path(args.dump_data)
         target.mkdir(parents=True, exist_ok=True)
         (target / f"instance_{seed}.csv").write_text(data.to_csv(), encoding="utf-8")
-    # one sweep over the class (method 1) and the members' extensions
+    # one sweep over the class (method 1) and the members' extensions; each
+    # member is identified where its enumeration stopped
     fitted = {"1": dags}
     for key in ("2", "3", "4"):
         if members[key] is not None:
-            fitted[key] = [
-                _identified_extension(m, treat, outcome) for m in members[key]
-            ]
+            fitted[key] = [consistent_extension(m) for m in members[key]]
     sample_cov = ExactCovariance(data.columns, data.covariance())
     estimates = _regression_effects(
         sample_cov, [d for group in fitted.values() for d in group], treat, outcome

@@ -10,7 +10,10 @@ children, undirected neighbours, and their union): bit ``i`` of an entry
 stands for ``nodes[i]``, so taking bits lowest first lists nodes in name
 order.  Name queries (``parents``, ``mark``, ...) read that table, and every
 search below works on it directly, turning names into bits and back only at
-its public entry points.
+its public entry points.  Acyclicity is decided by one depth-first search
+over the children masks (:func:`_directed_cycle`), for the validating
+constructor and for the graphs the orientation engine builds from its own
+masks alike, so both report the same witness for the same edges.
 
 Ancestors, descendants and buckets are closures over one mask table, node by
 node.  Possible descendants and ancestors and d-separation are one polynomial
@@ -90,9 +93,11 @@ def validate_pdag(
 
     Total function: never raises, always returns a verdict.  Checks, in order:
     unknown endpoints, self loops, duplicate adjacencies (a pair carrying both
-    a directed and an undirected edge, or two undirected copies), and a
-    directed cycle in the directed part (a two-cycle ``A->B, B->A`` is
-    reported as a cycle, not a duplicate).
+    a directed and an undirected edge, the smallest such pair reported, or two
+    undirected copies), and a directed cycle in the directed part (a
+    two-cycle ``A->B, B->A`` is reported as a cycle, not a duplicate).  The
+    constructor passes its edges sorted, so the first violation it reports
+    does not depend on the iteration order of a set.
     """
     node_list = list(nodes)
     node_set = set(node_list)
@@ -111,48 +116,56 @@ def validate_pdag(
     dir_pairs = {frozenset(e) for e in directed}
     clash = und_pairs & dir_pairs
     if clash:
-        pair = tuple(sorted(next(iter(clash))))
+        pair = min(tuple(sorted(e)) for e in clash)
         return Validation(False, "duplicate adjacency", pair)
-    if len(und_pairs) < len(set(undirected)):
+    und_set = set(undirected)
+    if len(und_pairs) < len(und_set):
         for u, v in undirected:
-            if (v, u) in set(undirected):
+            if (v, u) in und_set:
                 return Validation(False, "duplicate adjacency", tuple(sorted((u, v))))
-    cycle = _find_directed_cycle(node_list, directed)
+    order = sorted(node_set)
+    index = {n: i for i, n in enumerate(order)}
+    children = [0] * len(order)
+    for tail, head in directed:
+        children[index[tail]] |= 1 << index[head]
+    cycle = _directed_cycle(order, children)
     if cycle is not None:
         return Validation(False, "directed cycle", cycle)
     return Validation(True)
 
 
-def _find_directed_cycle(
-    nodes: Sequence[str], directed: Iterable[tuple[str, str]]
+def _directed_cycle(
+    nodes: Sequence[str], children: Sequence[int]
 ) -> Optional[tuple[str, ...]]:
-    """First directed cycle met by a depth-first search in node order.
+    """The first directed cycle met by a depth-first search over the masks
+    ``children`` (bit ``i`` stands for ``nodes[i]``) that takes roots and
+    children in node order, its first node repeated at the end; or None.
 
-    Iterative, so a long directed chain cannot exhaust the interpreter stack.
+    Iterative, with one mask of untried children per path node, so a long
+    directed chain cannot exhaust the interpreter stack.
     """
-    children: dict[str, list[str]] = {n: [] for n in nodes}
-    for tail, head in directed:
-        children[tail].append(head)
-    state: dict[str, int] = {}  # 0 on stack, 1 done
-    for root in sorted(nodes):
-        if root in state:
+    done = 0
+    for root in range(len(nodes)):
+        if done >> root & 1:
             continue
-        state[root] = 0
-        stack_path = [root]
-        pending = [iter(sorted(children[root]))]
+        path, on_path = [root], 1 << root
+        pending = [children[root]]
         while pending:
-            for w in pending[-1]:
-                if w not in state:
-                    state[w] = 0
-                    stack_path.append(w)
-                    pending.append(iter(sorted(children[w])))
-                    break
-                if state[w] == 0:
-                    i = stack_path.index(w)
-                    return tuple(stack_path[i:]) + (w,)
-            else:
-                state[stack_path.pop()] = 1
+            untried = pending[-1] & ~done
+            if not untried:
                 pending.pop()
+                v = path.pop()
+                on_path ^= 1 << v
+                done |= 1 << v
+                continue
+            low = untried & -untried
+            w = low.bit_length() - 1
+            if on_path & low:
+                return tuple(nodes[i] for i in path[path.index(w):]) + (nodes[w],)
+            pending[-1] = untried ^ low
+            path.append(w)
+            on_path |= low
+            pending.append(children[w])
     return None
 
 
@@ -165,10 +178,8 @@ def _bit_indices(mask: int) -> Iterator[int]:
 
 
 def _kahn(masks: "_AdjacencyMasks") -> list[int]:
-    """Kahn's algorithm over the directed part, smallest ready index first.
-
-    The order misses a node exactly when the directed part has a cycle.
-    """
+    """Kahn's algorithm over the directed part, smallest ready index first:
+    every node, as no graph of this module has a directed cycle."""
     children = masks.children
     indegree = [p.bit_count() for p in masks.parents]
     ready = sum(1 << i for i, d in enumerate(indegree) if not d)
@@ -226,7 +237,7 @@ class PartiallyDirectedGraph:
         node_tuple = tuple(sorted(set(nodes)))
         dir_set = frozenset((str(t), str(h)) for t, h in directed)
         und_set = frozenset(tuple(sorted((str(u), str(v)))) for u, v in undirected)
-        verdict = validate_pdag(node_tuple, dir_set, und_set)
+        verdict = validate_pdag(node_tuple, sorted(dir_set), sorted(und_set))
         if not verdict.ok:
             raise GraphError(f"{verdict.violation}: {verdict.witness}")
         object.__setattr__(self, "nodes", node_tuple)
@@ -247,12 +258,13 @@ class PartiallyDirectedGraph:
 
         The parts must be consistent by construction: known endpoints, no
         self loop, at most one edge per adjacent pair.  Those checks are
-        skipped; acyclicity is not.  A cyclic directed part goes through the
-        validating constructor, which raises the same :class:`GraphError`,
-        witness included, as for any other input.
+        skipped; acyclicity is not.  A cyclic directed part raises the
+        :class:`GraphError` the constructor raises for the same edges, from
+        the same search over the same masks, witness included.
         """
-        if len(_kahn(masks)) < len(nodes):
-            return cls(nodes, directed, undirected)
+        cycle = _directed_cycle(nodes, masks.children)
+        if cycle is not None:
+            raise GraphError(f"directed cycle: {cycle}")
         g = object.__new__(cls)
         object.__setattr__(g, "nodes", nodes)
         object.__setattr__(g, "directed", directed)
@@ -367,10 +379,7 @@ class PartiallyDirectedGraph:
         """Topological order of a fully directed graph, ties by node order."""
         if not self.is_directed:
             raise GraphError("topological order requires a fully directed graph")
-        order = _kahn(self._masks)
-        if len(order) != len(self.nodes):
-            raise InternalInconsistencyError("directed part is cyclic")
-        return tuple(self.nodes[i] for i in order)
+        return tuple(self.nodes[i] for i in _kahn(self._masks))
 
     def unshielded_colliders(self) -> frozenset[tuple[str, str, str]]:
         """Triples ``(a, b, c)`` with ``a -> b <- c``, ``a`` and ``c`` nonadjacent.

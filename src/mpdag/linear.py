@@ -48,7 +48,6 @@ class LinearScm:
     def __post_init__(self) -> None:
         if not self.dag.is_directed:
             raise GraphError("LinearScm needs a fully directed DAG")
-        self.dag.topological_order()  # raises if cyclic
         keys = {tuple(k) for k in self.coefficients}
         if keys != set(self.dag.directed):
             raise GraphError("coefficient keys must match the DAG edges exactly")
@@ -305,20 +304,6 @@ def _raise_rank_deficient(
             ) from exc
 
 
-def _identified_extension(
-    h: Mpdag,
-    treatments: Sequence[str],
-    outcome: str,
-    extension: Optional[PartiallyDirectedGraph] = None,
-) -> PartiallyDirectedGraph:
-    """The DAG to fit for ``h``: ``extension``, or else a consistent
-    extension of ``h``, once the effect is known to be identified in ``h``."""
-    verdict = is_identified(h, treatments, [outcome])
-    if not verdict:
-        raise NotIdentifiedError(verdict.witness)
-    return extension if extension is not None else consistent_extension(h)
-
-
 def estimate_effect(
     source: CovarianceLike,
     h: Mpdag,
@@ -334,7 +319,10 @@ def estimate_effect(
     extension is used.
     """
     a_list = tuple(sorted(set(treatments)))
-    dag = _identified_extension(h, a_list, outcome, extension)
+    verdict = is_identified(h, a_list, [outcome])
+    if not verdict:
+        raise NotIdentifiedError(verdict.witness)
+    dag = extension if extension is not None else consistent_extension(h)
     cov = _as_covariance(source, h.graph.nodes)
     (values,) = _regression_effects(cov, [dag], a_list, outcome)
     return EffectEstimate(
@@ -383,7 +371,8 @@ def possible_effects(
     a_list = tuple(sorted(set(treatments)))
     enumeration = id_graphs(h, a_list, [outcome])
     cov = _as_covariance(source, h.graph.nodes)
-    dags = [_identified_extension(m, a_list, outcome) for m in enumeration.graphs]
+    # the members are identified where the enumeration stopped
+    dags = [consistent_extension(m) for m in enumeration.graphs]
     values = _regression_effects(cov, dags, a_list, outcome)
     estimates = tuple(
         EffectEstimate(

@@ -40,9 +40,13 @@ shortest violating path.  A graph is built only where one is returned or
 searched, without re-validation, from the builder's edge sets and bitmasks,
 which it keeps for its own path searches.  Only the checks that hold by
 construction are skipped (known endpoints, no self loop, one edge per
-pair); acyclicity is still checked by a Kahn pass over the masks, and a
-cyclic result goes through the validating constructor, so a class-empty
-input reports the directed-cycle witness that constructor finds.
+pair); acyclicity is still checked, by the constructor's own cycle search
+on the builder's masks, so a class-empty input reports the directed-cycle
+witness the constructor would report for the same edges.  No other fact
+about a result is proved again: the CPDAG of a DAG represents it
+(Andersson, Madigan & Perlman 1997), and closing an MPDAG with an edge
+oriented keeps exactly the DAGs of its class that have that edge (Meek
+1995).
 """
 
 from __future__ import annotations
@@ -347,16 +351,12 @@ def cpdag_of_dag(d: PartiallyDirectedGraph) -> Mpdag:
     """The CPDAG of a DAG: skeleton plus unshielded colliders, then closure."""
     if not d.is_directed:
         raise GraphError("input must be a DAG (fully directed)")
-    d.topological_order()  # raises if cyclic
     directed: set[tuple[str, str]] = set()
     for a, b, c in d.unshielded_colliders():
         directed.add((a, b))
         directed.add((c, b))
     undirected = d.skeleton - {tuple(sorted(e)) for e in directed}
-    cpdag = meek_closure(PartiallyDirectedGraph(d.nodes, directed, undirected))
-    if not is_represented(d, cpdag):
-        raise InternalInconsistencyError("DAG not represented by its own CPDAG")
-    return cpdag
+    return meek_closure(PartiallyDirectedGraph(d.nodes, directed, undirected))
 
 
 def is_represented(d: PartiallyDirectedGraph, h: Mpdag) -> bool:

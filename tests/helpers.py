@@ -11,6 +11,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -749,6 +750,43 @@ def exhaustive_find_adjustment_set(h: M.Mpdag, treatments, outcomes):
         raise M.InternalInconsistencyError(
             "no adjustment set found for singleton treatment and outcome"
         )
+    return None
+
+
+def names_directed_cycle(
+    nodes: Sequence[str], directed: Iterable[tuple[str, str]]
+) -> Optional[tuple[str, ...]]:
+    """First directed cycle met by a depth-first search in node order.
+
+    Iterative, so a long directed chain cannot exhaust the interpreter stack.
+
+    The name-keyed search the package ran before its one search over the
+    children bitmasks, kept as the reference for that search's verdict and
+    witness.
+    """
+    children: dict[str, list[str]] = {n: [] for n in nodes}
+    for tail, head in directed:
+        children[tail].append(head)
+    state: dict[str, int] = {}  # 0 on stack, 1 done
+    for root in sorted(nodes):
+        if root in state:
+            continue
+        state[root] = 0
+        stack_path = [root]
+        pending = [iter(sorted(children[root]))]
+        while pending:
+            for w in pending[-1]:
+                if w not in state:
+                    state[w] = 0
+                    stack_path.append(w)
+                    pending.append(iter(sorted(children[w])))
+                    break
+                if state[w] == 0:
+                    i = stack_path.index(w)
+                    return tuple(stack_path[i:]) + (w,)
+            else:
+                state[stack_path.pop()] = 1
+                pending.pop()
     return None
 
 

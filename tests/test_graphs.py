@@ -57,6 +57,46 @@ class TestValidation:
         assert verdict.witness == (*names, names[0])
 
 
+# inputs with several violations of one kind, each passed to the
+# constructor, which stores its edges in sets
+SEVERAL_VIOLATIONS = """
+import mpdag as M
+inputs = [
+    (["A"], [("A", "X"), ("A", "Z"), ("A", "Q"), ("A", "W")], []),
+    ("abcd", [], [("c", "x"), ("a", "y"), ("b", "z")]),
+    ("abc", [("c", "c"), ("b", "b"), ("a", "a")], []),
+    ("abcd", [("d", "c"), ("b", "a")], [("c", "d"), ("a", "b")]),
+]
+for nodes, directed, undirected in inputs:
+    try:
+        M.PartiallyDirectedGraph(nodes, directed, undirected)
+    except M.GraphError as exc:
+        print(exc)
+"""
+
+
+class TestConstructorErrors:
+    EXPECTED = (
+        "unknown node: ('Q',)\n"
+        "unknown node: ('y',)\n"
+        "self loop: ('a',)\n"
+        "duplicate adjacency: ('a', 'b')\n"
+    )
+
+    def test_witness_does_not_depend_on_hash_seed(self):
+        src = str(Path(M.__file__).resolve().parent.parent)
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        outputs = {
+            subprocess.run(
+                [sys.executable, "-c", SEVERAL_VIOLATIONS],
+                env={**os.environ, "PYTHONHASHSEED": str(seed), "PYTHONPATH": path},
+                capture_output=True, text=True, check=True, timeout=60,
+            ).stdout
+            for seed in range(4)
+        }
+        assert outputs == {self.EXPECTED}
+
+
 def undirected_chain(n):
     names = [f"n{i:04d}" for i in range(n)]
     return names, M.PartiallyDirectedGraph(names, (), zip(names, names[1:]))

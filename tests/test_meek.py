@@ -64,14 +64,20 @@ class TestClosureRules:
     def test_closure_of_class_empty_pdag_is_internal_error(self):
         # x -> y <- w is a collider the undirected y -- z cannot keep: either
         # orientation of y -- z breaks the class, and the rules loop into a
-        # directed cycle
-        g = M.PartiallyDirectedGraph(
-            "wxyz",
-            [("x", "y"), ("z", "w"), ("w", "y")],
-            [("y", "z")],
-        )
-        with pytest.raises(M.InternalInconsistencyError):
-            M.meek_closure(g)
+        # directed cycle; on a 4-cycle, a -> b makes R1 orient the rest of
+        # the cycle around
+        cases = [
+            (pdag([("x", "y"), ("z", "w"), ("w", "y")], [("y", "z")]),
+             "('w', 'y', 'z', 'w')"),
+            (pdag([("a", "b")], [("b", "c"), ("c", "d"), ("a", "d")]),
+             "('a', 'b', 'c', 'd', 'a')"),
+        ]
+        for g, cycle in cases:
+            with pytest.raises(M.InternalInconsistencyError) as err:
+                M.meek_closure(g)
+            assert str(err.value) == (
+                f"rule closure produced an invalid graph: directed cycle: {cycle}"
+            )
 
     @pytest.mark.parametrize(
         "directed, undirected, cycle",
@@ -322,15 +328,17 @@ class TestConsistentExtension:
 
     def test_class_empty_input_is_internal_error(self):
         # the collider x -> y <- w leaves y -- z no orientation: y -> z, the
-        # smaller tail, closes the directed cycle w -> y -> z -> w
-        g = M.PartiallyDirectedGraph(
-            "wxyz",
-            [("x", "y"), ("z", "w"), ("w", "y")],
-            [("y", "z")],
-        )
-        with pytest.raises(M.InternalInconsistencyError) as err:
-            M.consistent_extension(M.Mpdag(g))
-        assert str(err.value) == (
-            "MPDAG admits no consistent extension:"
-            " directed cycle: ('w', 'y', 'z', 'w')"
-        )
+        # smaller tail, closes the directed cycle w -> y -> z -> w; on an
+        # undirected 4-cycle, a -> b makes R1 orient the rest around
+        cases = [
+            (pdag([("x", "y"), ("z", "w"), ("w", "y")], [("y", "z")]),
+             "('w', 'y', 'z', 'w')"),
+            (pdag((), [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")]),
+             "('a', 'b', 'c', 'd', 'a')"),
+        ]
+        for g, cycle in cases:
+            with pytest.raises(M.InternalInconsistencyError) as err:
+                M.consistent_extension(M.Mpdag(g))
+            assert str(err.value) == (
+                f"MPDAG admits no consistent extension: directed cycle: {cycle}"
+            )

@@ -1,6 +1,7 @@
 """Cross-cutting properties checked on randomly generated graphs and models."""
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -27,6 +28,7 @@ from helpers import (
     exhaustive_possible_descendants,
     exhaustive_possibly_causal_paths,
     formula_effect,
+    names_directed_cycle,
     partial_correlation,
     possibly_causal_walk,
     random_dag,
@@ -169,6 +171,61 @@ def _assert_trusted_snapshot(g):
         assert rescanning_meek_closure(g) == g
 
 
+@st.composite
+def digraph_parts(draw, max_nodes: int = 8):
+    """Nodes in a random order, and per pair of them no edge, one directed
+    edge either way, both (a two-cycle) or an undirected edge; the edges in
+    a random order."""
+    seed = draw(st.integers(0, 2**31 - 1))
+    rng = np.random.default_rng(seed)
+    p = int(rng.integers(1, max_nodes + 1))
+    nodes = [f"n{i}" for i in rng.permutation(p)]
+    density = rng.choice((0.2, 0.4, 0.7))
+    directed, undirected = [], []
+    for u, v in itertools.combinations(nodes, 2):
+        if rng.random() >= density:
+            continue
+        kind = int(rng.integers(0, 8))
+        if kind < 3:
+            directed.append((u, v))
+        elif kind < 6:
+            directed.append((v, u))
+        elif kind == 6:
+            directed += [(u, v), (v, u)]
+        else:
+            undirected.append((u, v))
+    directed = [directed[i] for i in rng.permutation(len(directed))]
+    return nodes, directed, undirected
+
+
+@settings(max_examples=500)
+@given(digraph_parts())
+def test_cycle_search_matches_name_keyed_oracle(parts):
+    # one search over the children bitmasks: the verdict and witness of
+    # validate_pdag, the constructor's error and the trusted build's error
+    # all equal the name-keyed depth-first search
+    nodes, directed, undirected = parts
+    cycle = names_directed_cycle(nodes, directed)
+    verdict = M.validate_pdag(nodes, directed, undirected)
+    made = _outcome(lambda: M.PartiallyDirectedGraph(nodes, directed, undirected))
+    order = tuple(sorted(nodes))
+    dir_set = frozenset(directed)
+    und_set = frozenset(tuple(sorted(e)) for e in undirected)
+    masks = M.PartiallyDirectedGraph._masks.func(
+        SimpleNamespace(nodes=order, directed=dir_set, undirected=und_set)
+    )
+    trusted = _outcome(
+        lambda: M.PartiallyDirectedGraph._trusted(order, dir_set, und_set, masks)
+    )
+    if cycle is None:
+        assert verdict.ok
+        assert made == trusted and made[0] == "ok"
+    else:
+        assert (verdict.violation, verdict.witness) == ("directed cycle", cycle)
+        text = f"directed cycle: {cycle}"
+        assert made == trusted == ("error", M.GraphError, text, None, None)
+
+
 @settings(max_examples=300)
 @given(orientation_cases())
 def test_closure_matches_rescanning_oracle(case):
@@ -264,6 +321,10 @@ def test_id_graphs_audit_matches_exhaustive_oracle(query):
     assert trail == audit == [(r.edge, r.path, r.violating) for r in stacked.audit]
     if audit:
         assert M.select_branch_edge(h, a, y) == audit[0][0]
+    # the effect is identified in every output of the three enumerations,
+    # which the effect estimates fit without checking
+    members = [*result.graphs, *M.method2_graphs(h, a, y), *M.method3_graphs(h, a, y)]
+    assert all(M.is_identified(member, a, y) for member in members)
 
 
 @settings(max_examples=200)
@@ -660,6 +721,8 @@ def test_consistent_extension_matches_the_chained_closures(query):
         ext = M.consistent_extension(g)
         assert ext == chained_consistent_extension(g)
         assert M.is_represented(ext, g)
+        # the CPDAG of a DAG represents it, which cpdag_of_dag does not check
+        assert M.is_represented(ext, M.cpdag_of_dag(ext))
 
 
 @st.composite
