@@ -433,6 +433,23 @@ def path_in(g: PartiallyDirectedGraph, nodes: Sequence[str]) -> NodePath:
     return NodePath(seq, tuple(marks))
 
 
+def _node_path(g: PartiallyDirectedGraph, seq: Sequence[int]) -> NodePath:
+    """The path of node indices ``seq`` as a :class:`NodePath`, its marks
+    read off the masks of ``g``.  For the index sequences of a walk over those
+    masks, which are paths of ``g`` by construction; :func:`path_in` checks
+    caller-given ones."""
+    children, parents = g._masks.children, g._masks.parents
+    return NodePath(
+        tuple(g.nodes[i] for i in seq),
+        tuple(
+            DIRECTED_MARK if children[u] >> v & 1
+            else REVERSED_MARK if parents[u] >> v & 1
+            else UNDIRECTED_MARK
+            for u, v in zip(seq, seq[1:])
+        ),
+    )
+
+
 def _open_step(masks: _AdjacencyMasks, blocking: int) -> Callable[[int, int], int]:
     """The definite-status rule of d-connection given the nodes of the mask
     ``blocking``: ``step(u, v)`` is the mask of the ``w != u`` for which
@@ -574,30 +591,17 @@ class _PathSearch:
     ) -> None:
         masks = g._masks
         neighbours = masks.neighbours
-        self._nodes = g.nodes
-        self._children = masks.children
+        self._graph = g
         self._starts = starts
         first = masks.undirected if start_undirected_only else neighbours
         step = lambda u, v: neighbours[v]
         self.walk = partial(_proper_paths, starts, targets, first, step, masks.children)
 
-    def node_path(self, seq: Sequence[int]) -> NodePath:
-        """The path of node indices ``seq`` as a :class:`NodePath`.  A found
-        path has no ``<-`` mark: the search never appends a parent."""
-        children = self._children
-        return NodePath(
-            tuple(self._nodes[i] for i in seq),
-            tuple(
-                DIRECTED_MARK if children[u] >> v & 1 else UNDIRECTED_MARK
-                for u, v in zip(seq, seq[1:])
-            ),
-        )
-
     def paths(self) -> list[NodePath]:
         """Every path, sorted by length, then by node sequence."""
         found = [tuple(seq) for seq in self.walk()]
         found.sort(key=lambda seq: (len(seq), seq))
-        return [self.node_path(seq) for seq in found]
+        return [_node_path(self._graph, seq) for seq in found]
 
     def count(self) -> int:
         return sum(1 for _ in self.walk())
@@ -618,7 +622,7 @@ class _PathSearch:
         the last hit is the first shortest path in node order.
         """
         best = _last_hit(self.walk(), lambda seq: True)
-        return None if best is None else self.node_path(best)
+        return None if best is None else _node_path(self._graph, best)
 
 
 def proper_possibly_causal_paths(
@@ -785,10 +789,10 @@ def d_separated(
     Decided by one edge-state search (Bayes-ball, Shachter 1998).
     """
     a_set, y_set, z_set = set(first), set(second), set(given)
+    _check_known(g, a_set | y_set | z_set)
     _check_disjoint("first", a_set, "second", y_set)
     _check_disjoint("first", a_set, "given", z_set)
     _check_disjoint("second", y_set, "given", z_set)
-    _check_known(g, a_set | y_set | z_set)
     masks = g._masks
     step = _open_step(masks, masks.bits(z_set))
     return not _reach(masks.bits(a_set), masks.neighbours, step) & masks.bits(y_set)

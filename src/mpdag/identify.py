@@ -23,12 +23,12 @@ from .graphs import (
     _checked_sets,
     _closure,
     _last_hit,
+    _node_path,
     _open_step,
     _possibly_causal_reach,
     _proper_paths,
     bucket_decomposition,
     parents_of_set,
-    path_in,
     proper_possibly_causal_paths,
 )
 from .meek import Mpdag
@@ -208,8 +208,7 @@ def _adjustment_verdict(
     best = _last_hit(walk, non_causal)
     if best is None:
         return AdjustmentVerdict(True)
-    witness = path_in(g, [g.nodes[i] for i in best])
-    return AdjustmentVerdict(False, "open_path", witness_path=witness)
+    return AdjustmentVerdict(False, "open_path", witness_path=_node_path(g, best))
 
 
 def is_adjustment_set(

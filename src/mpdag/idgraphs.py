@@ -11,9 +11,9 @@ orientation order matters.
 
 The recursion tree has one node per branch plus one per output graph, and
 each node needs only its shortest violating path, which a bounded search
-finds.  Violating paths are enumerated in full once per call, at the root,
-for the bound ``m``; the count at each branch of the audit trail is computed
-on first read.  The recursion has no stack of its own: it is the branch
+finds.  No call enumerates violating paths in full: the count at each branch
+of the audit trail, the root's bound ``m`` included, is computed on first
+read.  The recursion has no stack of its own: it is the branch
 walk of :mod:`mpdag.meek`, whose branch-edge rule reads a shortest violating
 path, so its depth is not limited by Python's recursion limit.
 
@@ -41,10 +41,8 @@ class BranchRecord:
     """One recursion node: the graph, the edge oriented, and the shortest
     violating path that selected it.
 
-    ``violating`` counts the violating paths of the branching graph.  Paths
-    are enumerated in full only at the root of :func:`id_graphs`, whose
-    record gets that count; any other record counts its graph's paths the
-    first time ``violating`` is read and keeps the number.
+    ``violating`` counts the violating paths of the branching graph, the
+    first time it is read; the record keeps the number.
     """
 
     graph: tuple[str, ...]  # canonical edge lines of the branching graph
@@ -71,19 +69,27 @@ class BranchRecord:
 class EnumerationResult:
     """Output of the minimal enumeration plus its audit trail.
 
-    ``m`` counts the violating paths of the root graph; the output size never
-    exceeds 2**m.  It is the one full path enumeration of an
-    :func:`id_graphs` call; the per-branch counts of the audit records are
-    computed only when read.
+    ``m`` counts the violating paths of the root graph: the root record's
+    ``violating``, or 0 when the audit is empty (an identified root).  It is
+    computed on first read, which also checks that the output size never
+    exceeds 2**m.
     """
 
     graphs: tuple[Mpdag, ...]
     audit: tuple[BranchRecord, ...]
-    m: int
 
     @property
     def n(self) -> int:
         return len(self.graphs)
+
+    @cached_property
+    def m(self) -> int:
+        m = self.audit[0].violating if self.audit else 0
+        if self.n > 2 ** m:
+            raise InternalInconsistencyError(
+                f"enumeration produced {self.n} graphs with m={m}"
+            )
+        return m
 
 
 def select_branch_edge(
@@ -113,8 +119,8 @@ def id_graphs(
     of its own, and a rule that searches each node's graph for that path.
     Output is canonically sorted; the audit trail records each branch in
     depth-first order: a branch, then everything below its ``a1 -> v1``
-    child, then everything below its ``v1 -> a1`` child.  Only the root's
-    violating paths are enumerated in full (for ``m``).
+    child, then everything below its ``v1 -> a1`` child.  No violating path
+    is enumerated in full until ``m`` or a record's ``violating`` is read.
     """
     # every builder shares h's node order, so the masks hold at every node
     a, y = _checked_sets(h.graph, treatments, outcomes)
@@ -143,18 +149,8 @@ def id_graphs(
 
     for _ in _branch_walk(_Builder(h.graph), branch_edge):
         pass
-    m = 0  # an identified root: its shortest-path search found no path
-    if audit:  # the root's record keeps the count
-        m = _violating_search(h, a, y).count()
-        vars(audit[0])["violating"] = m
-
     graphs = tuple(leaves[k] for k in sorted(leaves))
-    result = EnumerationResult(graphs=graphs, audit=tuple(audit), m=m)
-    if result.n > 2 ** result.m:
-        raise InternalInconsistencyError(
-            f"enumeration produced {result.n} graphs with m={result.m}"
-        )
-    return result
+    return EnumerationResult(graphs=graphs, audit=tuple(audit))
 
 
 def _treatment_edge_combos(h: Mpdag, t: int, f: int) -> list[Mpdag]:

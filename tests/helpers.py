@@ -593,8 +593,9 @@ def stacked_id_graphs(h: M.Mpdag, treatments, outcomes) -> M.EnumerationResult:
     ``v1 -> a1`` on the builder itself, each closed and searched at once.
 
     This is the loop the package used before the branch walk took a
-    branch-edge rule, kept as the reference that walk is compared against
-    (its root's count and shortest path now come from two searches).
+    branch-edge rule, kept as the reference that walk is compared against.
+    It counts the root's violating paths eagerly and presets that count on
+    the root record, from which the result reads ``m``.
     """
     a, y = _checked_sets(h.graph, treatments, outcomes)
     audit: list[M.BranchRecord] = []
@@ -630,7 +631,7 @@ def stacked_id_graphs(h: M.Mpdag, treatments, outcomes) -> M.EnumerationResult:
     if audit:
         vars(audit[0])["violating"] = m
     graphs = tuple(leaves[k] for k in sorted(leaves))
-    return M.EnumerationResult(graphs=graphs, audit=tuple(audit), m=m)
+    return M.EnumerationResult(graphs=graphs, audit=tuple(audit))
 
 
 def exhaustive_possible_descendants(g: M.PartiallyDirectedGraph, sources) -> set[str]:

@@ -253,6 +253,8 @@ queries = [
     lambda: M.g_formula(M.Mpdag(g), ["x3", "x1"], ["x2"]),
     lambda: M.is_adjustment_set(M.Mpdag(g), ["a"], ["b"], ["x3", "x1", "x2"]),
     lambda: M.parents_of_set(g, ["x3", "x1", "x2"]),
+    lambda: M.d_separated(g, ["x1"], ["x1"]),
+    lambda: M.d_separated(g, ["a", "x1"], ["a"]),
 ]
 for query in queries:
     try:
@@ -265,7 +267,7 @@ for query in queries:
 class TestUnknownNodes:
     def test_reachability_queries_name_the_smallest_unknown_node(self, capsys):
         exec(UNKNOWN_NODE_QUERIES, {})
-        assert capsys.readouterr().out == "unknown node: ['x1']\n" * 11
+        assert capsys.readouterr().out == "unknown node: ['x1']\n" * 13
 
     def test_ancestors_and_descendants_raise_graph_error(self):
         g = chain(("a", "b"))
@@ -291,7 +293,7 @@ class TestUnknownNodes:
             ).stdout
             for seed in range(1, 7)
         }
-        assert outputs == {"unknown node: ['x1']\n" * 11}
+        assert outputs == {"unknown node: ['x1']\n" * 13}
 
     def test_adjacency_queries(self):
         g = chain(("a", "b"))

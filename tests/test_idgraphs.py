@@ -131,17 +131,32 @@ class TestOutputSensitiveEnumeration:
             monkeypatch.setattr(_PathSearch, method, counted)
         h = complete_graph(8)
         result = M.id_graphs(h, ["v0"], ["v1"])
-        assert walks == ["count"]  # the root's m
-        assert (result.m, result.n, len(result.audit)) == (1957, 65, 64)
+        assert walks == []  # 64 branches, each on a shortest-path search
+        assert (result.n, len(result.audit)) == (65, 64)
+        assert result.m == 1957  # the root record counts on first read
+        assert walks == ["count"]
+        assert result.m == 1957
+        assert result.audit[0].violating == 1957
+        assert walks == ["count"]
         branch = result.audit[1]  # below v0 -> v1: every root path but v0 -- v1
         assert branch.violating == 1956
-        assert len(walks) == 2
+        assert walks == ["count", "count"]
         assert branch.violating == 1956
-        assert result.audit[0].violating == result.m
-        assert len(walks) == 2
+        assert walks == ["count", "count"]
         # an identified input: its one shortest-path search shows m = 0
         assert M.id_graphs(result.graphs[0], ["v0"], ["v1"]).m == 0
-        assert len(walks) == 2
+        assert walks == ["count", "count"]
+
+    def test_output_bound_is_checked_when_m_is_read(self, four_mpdag):
+        result = M.id_graphs(four_mpdag, ["A"], ["Y"])  # m = 2
+        forged = M.EnumerationResult(graphs=result.graphs * 2, audit=result.audit)
+        with pytest.raises(M.InternalInconsistencyError) as exc:
+            forged.m
+        assert str(exc.value) == "enumeration produced 6 graphs with m=2"
+        identified = M.EnumerationResult(graphs=result.graphs[:2], audit=())
+        with pytest.raises(M.InternalInconsistencyError) as exc:
+            identified.m
+        assert str(exc.value) == "enumeration produced 2 graphs with m=0"
 
     def test_branch_depth_is_not_bounded_by_the_recursion_limit(self):
         # A -- v_i -> Y for pairwise nonadjacent legs v_i: every branch
@@ -231,18 +246,15 @@ class TestVerifyPartition:
 
     def test_dropped_member_is_detected(self, four_mpdag):
         result = M.id_graphs(four_mpdag, ["A"], ["Y"])
-        broken = M.EnumerationResult(
-            graphs=result.graphs[:-1], audit=result.audit, m=result.m
-        )
+        broken = M.EnumerationResult(graphs=result.graphs[:-1], audit=result.audit)
         report = M.verify_partition(broken, four_mpdag, ["A"], ["Y"])
         assert not report.ok
         assert any("missing" in v for v in report.violations)
 
     def test_duplicated_member_is_detected(self, four_mpdag):
         result = M.id_graphs(four_mpdag, ["A"], ["Y"])
-        broken = M.EnumerationResult(
-            graphs=result.graphs + result.graphs[:1], audit=result.audit, m=result.m
-        )
+        graphs = result.graphs + result.graphs[:1]
+        broken = M.EnumerationResult(graphs=graphs, audit=result.audit)
         report = M.verify_partition(broken, four_mpdag, ["A"], ["Y"])
         assert not report.ok
         assert any("overlap" in v for v in report.violations)
