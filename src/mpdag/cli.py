@@ -25,14 +25,13 @@ from .graphs import (
 from .graphio import (
     graph_to_json,
     load_graph,
+    load_orientations,
     load_scm_file,
-    parse_orientations,
     render_dot,
     render_edge_list,
 )
 from .identify import (
-    NotIdentifiedError,
-    _violating_search,
+    _count_violating,
     find_adjustment_set,
     g_formula,
     is_adjustment_set,
@@ -41,7 +40,6 @@ from .identify import (
 from .idgraphs import id_graphs, method2_graphs, method3_graphs, verify_partition
 from .linear import (
     ExactCovariance,
-    LinearScm,
     RejectionBudgetError,
     _regression_effects,
     count_distinct,
@@ -110,7 +108,7 @@ def _cmd_close(args: argparse.Namespace) -> int:
 
 def _cmd_orient(args: argparse.Namespace) -> int:
     h = _load_mpdag(args.graph)
-    requests = parse_orientations(Path(args.bg).read_text(encoding="utf-8"))
+    requests = load_orientations(args.bg)
     try:
         oriented = construct_mpdag(h, requests)
     except OrientationConflictError as exc:
@@ -207,7 +205,7 @@ def _cmd_idgraphs(args: argparse.Namespace) -> int:
         graphs = list(result.graphs)
         audit = [record.to_json() for record in result.audit]
     else:
-        m = _violating_search(h, *_checked_sets(h.graph, treat, out)).count()
+        m = _count_violating(h.graph, *_checked_sets(h.graph, treat, out))
         audit = []
         if args.method == 1:
             graphs = [Mpdag(d) for d in enumerate_dags(h)]
@@ -243,23 +241,8 @@ def _cmd_idgraphs(args: argparse.Namespace) -> int:
     return 0
 
 
-def _scm_from_json(data: dict) -> LinearScm:
-    edges: dict[tuple[str, str], float] = {}
-    nodes: set[str] = set(data.get("nodes", []))
-    for key, coef in data["edges"].items():
-        tail, _, head = key.partition("->")
-        tail, head = tail.strip(), head.strip()
-        if not tail or not head:
-            raise GraphError(f"bad SCM edge key {key!r}, expected 'A -> B'")
-        edges[(tail, head)] = float(coef)
-        nodes.update((tail, head))
-    dag = PartiallyDirectedGraph(nodes, edges.keys(), ())
-    noise = {n: float(data.get("noise", {}).get(n, 1.0)) for n in dag.nodes}
-    return LinearScm(dag, edges, noise)
-
-
 def _cmd_effects(args: argparse.Namespace) -> int:
-    scm = _scm_from_json(load_scm_file(args.scm))
+    scm = load_scm_file(args.scm)
     h = _load_mpdag(args.graph) if args.graph else cpdag_of_dag(scm.dag)
     treat = _node_list(args.treat)
     outcomes = _node_list(args.out)
@@ -476,13 +459,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        GraphError,
-        NotIdentifiedError,
-        InternalInconsistencyError,
-        OSError,
-        json.JSONDecodeError,
-    ) as exc:
+    except (GraphError, InternalInconsistencyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

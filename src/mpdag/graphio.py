@@ -1,4 +1,5 @@
-"""Reading and writing the shared edge-list text format, plus DOT export.
+"""Reading and writing the shared edge-list text format, plus DOT export,
+and reading linear-SCM files.
 
 The format is one edge per line, UTF-8: ``X -> Y`` for a directed edge,
 ``X -- Y`` for an undirected one.  ``#`` starts a comment, blank lines are
@@ -9,13 +10,21 @@ lines touching the same node pair) are an error.
 Rendering is canonical: directed edges first, then undirected, each block
 sorted lexicographically.  ``parse_graph(render_edge_list(g)) == g`` holds for
 every valid graph.
+
+Every reader turns malformed input, a file that is not UTF-8 included, into
+a :class:`GraphError`, except an SCM file that is not JSON, which raises
+:class:`json.JSONDecodeError`.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
+from typing import Any
+
 from .graphs import GraphError, PartiallyDirectedGraph
+from .linear import LinearScm
 
 
 class GraphParseError(GraphError):
@@ -60,24 +69,30 @@ def parse_graph(text: str) -> PartiallyDirectedGraph:
     return PartiallyDirectedGraph(nodes, directed, undirected)
 
 
+def _read_text(path: str | Path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise GraphError(f"{path}: not UTF-8 text (byte {exc.start})") from exc
+
+
 def load_graph(path: str | Path) -> PartiallyDirectedGraph:
-    return parse_graph(Path(path).read_text(encoding="utf-8"))
+    return parse_graph(_read_text(path))
+
+
+def _isolated(g: PartiallyDirectedGraph) -> list[str]:
+    """The nodes on no edge, in node order."""
+    return [n for n, row in zip(g.nodes, g._masks.neighbours) if not row]
 
 
 def render_edge_list(g: PartiallyDirectedGraph) -> str:
-    lines = [f"{t} -> {h}" for t, h in g.sorted_directed()]
-    lines += [f"{u} -- {v}" for u, v in g.sorted_undirected()]
-    connected = {n for e in g.directed | g.undirected for n in e}
-    lines += [n for n in g.nodes if n not in connected]
+    lines = [*g.edge_lines(), *_isolated(g)]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
 def render_dot(g: PartiallyDirectedGraph, name: str = "g") -> str:
     lines = [f"digraph {name} {{"]
-    connected = {n for e in g.directed | g.undirected for n in e}
-    for n in g.nodes:
-        if n not in connected:
-            lines.append(f'  "{n}";')
+    lines += [f'  "{n}";' for n in _isolated(g)]
     for t, h in g.sorted_directed():
         lines.append(f'  "{t}" -> "{h}";')
     for u, v in g.sorted_undirected():
@@ -103,6 +118,10 @@ def parse_orientations(text: str) -> list[tuple[str, str]]:
     return requests
 
 
+def load_orientations(path: str | Path) -> list[tuple[str, str]]:
+    return parse_orientations(_read_text(path))
+
+
 def graph_to_json(g: PartiallyDirectedGraph) -> dict:
     return {
         "nodes": list(g.nodes),
@@ -111,9 +130,55 @@ def graph_to_json(g: PartiallyDirectedGraph) -> dict:
     }
 
 
-def load_scm_file(path: str | Path) -> dict:
-    """Load a linear-SCM JSON file: {"edges": {"A->B": coef}, "noise": {...}}."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    if "edges" not in data:
+def _number(value: Any, where: str) -> float:
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise GraphError(f"{where}: {value!r} is not a finite number")
+    return number
+
+
+def _are_node_names(values: Any) -> bool:
+    """Are ``values`` node names: strings that are non-whitespace tokens?"""
+    return all(isinstance(v, str) and v.split() == [v] for v in values)
+
+
+def load_scm_file(path: str | Path) -> LinearScm:
+    """Read a linear SCM from a JSON object with the keys ``edges``, a
+    mapping from ``"A -> B"`` to the edge coefficient, and optionally
+    ``noise``, a mapping from a node to its noise variance (1.0 if left out),
+    and ``nodes``, a list of nodes in no edge.
+
+    Node names are non-whitespace tokens, as in graph files.  Any other key,
+    two keys naming one edge, a noise entry naming no node and a value that
+    is not a finite number each raise a :class:`GraphError` that names the
+    key.
+    """
+    data = json.loads(_read_text(path))
+    if not isinstance(data, dict) or not isinstance(data.get("edges"), dict):
         raise GraphError("SCM file needs an 'edges' mapping")
-    return data
+    extra = sorted(data.keys() - {"edges", "noise", "nodes"})
+    if extra:
+        raise GraphError(f"unknown SCM key {extra[0]!r}")
+    noise, nodes = data.get("noise", {}), data.get("nodes", [])
+    if not isinstance(noise, dict):
+        raise GraphError("SCM 'noise' must be a mapping")
+    if not isinstance(nodes, list) or not _are_node_names(nodes):
+        raise GraphError("SCM 'nodes' must be a list of node names")
+    keys: dict[tuple[str, ...], str] = {}
+    for key in data["edges"]:
+        edge = tuple(part.strip() for part in key.split("->"))
+        if len(edge) != 2 or not _are_node_names(edge):
+            raise GraphError(f"bad SCM edge key {key!r}, expected 'A -> B'")
+        if edge in keys:
+            raise GraphError(f"SCM edge key {key!r} repeats {keys[edge]!r}")
+        keys[edge] = key
+    edges = {e: _number(data["edges"][k], f"SCM edge {k!r}") for e, k in keys.items()}
+    dag = PartiallyDirectedGraph([*nodes, *(n for e in edges for n in e)], edges, ())
+    unknown = sorted(noise.keys() - set(dag.nodes))
+    if unknown:
+        raise GraphError(f"SCM noise key {unknown[0]!r} names no node")
+    variances = {n: _number(noise.get(n, 1.0), f"SCM noise {n!r}") for n in dag.nodes}
+    return LinearScm(dag, edges, variances)

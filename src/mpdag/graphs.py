@@ -5,15 +5,18 @@ PDAGs.  Node names are plain strings; the canonical node order (used for every
 tie-break in the package) is lexicographic, so results never depend on the
 order in which edges were supplied.
 
-Adjacency is one table of per-node bitmasks in node order (parents,
-children, undirected neighbours, and their union): bit ``i`` of an entry
-stands for ``nodes[i]``, so taking bits lowest first lists nodes in name
-order.  Name queries (``parents``, ``mark``, ...) read that table, and every
-search below works on it directly, turning names into bits and back only at
-its public entry points.  Acyclicity is decided by one depth-first search
-over the children masks (:func:`_directed_cycle`), for the validating
-constructor and for the graphs the orientation engine builds from its own
-masks alike, so both report the same witness for the same edges.
+A graph is its node tuple and one table of per-node bitmasks in node order
+(parents, children, undirected neighbours, and their union): bit ``i`` of an
+entry stands for ``nodes[i]``, so taking bits lowest first lists nodes in
+name order.  The table is the only stored adjacency.  The edge sets, the
+canonical edge lines, equality and hashing are read off it, as are the name
+queries (``parents``, ``mark``, ...), and every search below works on it
+directly, turning names into bits and back only at its public entry points.
+The validating constructor builds its table from named edges with one
+function (:func:`_mask_table`); the orientation engine hands its own masks to
+the trusted constructor.  Acyclicity is decided for both by one depth-first
+search over the children masks (:func:`_directed_cycle`), so both report the
+same witness for the same edges.
 
 Ancestors, descendants and buckets are closures over one mask table, node by
 node.  Possible descendants and ancestors and d-separation are one polynomial
@@ -29,16 +32,19 @@ explicit stack (a long chain cannot exhaust the interpreter stack), set by
 its first step, its step rule and a table of the nodes it may not append.
 One walk, four uses: list, count, shortest, adjustment witness.
 
-* The proper possibly causal paths (:class:`_PathSearch`) step to any
-  neighbour and never append a node with a child already on the path, since
-  a "possibly causal" verdict checks *all* ordered node pairs for a backward
-  edge.  Listing them (:func:`proper_possibly_causal_paths`) and counting
-  them (the diagnostic m at the root, and the per-branch counts of the
-  minimal enumeration when read) visit every path.
-* The first shortest path (identifiability witness, and the branch-edge rule
-  of the minimal enumeration on :mod:`mpdag.meek`'s one branch walk) bounds
-  the rest of the search to shorter paths at each hit: a short witness ends
-  the search early, while an identified effect still costs a full search.
+* The proper possibly causal paths (:func:`_possibly_causal_walk`) step to
+  any neighbour and never append a node with a child already on the path,
+  since a "possibly causal" verdict checks *all* ordered node pairs for a
+  backward edge.  Listing them (:func:`proper_possibly_causal_paths`),
+  collecting the nodes on them (:func:`_nodes_on_paths`, for the forbidden
+  set and method 3) and counting the violating ones (the diagnostic m at the
+  root, and the per-branch counts of the minimal enumeration when read)
+  visit every path.
+* The first shortest violating path (the identifiability witness, and the
+  branch-edge rule of the minimal enumeration on :mod:`mpdag.meek`'s one
+  branch walk) bounds the rest of the search to shorter paths at each hit: a
+  short witness ends the search early, while an identified effect still
+  costs a full search.
 * The adjustment witness steps by the definite-status rule of d-separation
   (:func:`_open_step`), so it visits only the paths a candidate set leaves
   open, and keeps the first shortest non-causal one.
@@ -51,8 +57,8 @@ witness are exponential in the worst case and meant for desk-scale graphs
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import cached_property, partial
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Generator, Iterable, Iterator, Optional, Sequence
 
 DIRECTED_MARK = "->"
@@ -74,11 +80,13 @@ class InternalInconsistencyError(RuntimeError):
 
 @dataclass(frozen=True)
 class Validation:
-    """Verdict of :func:`validate_pdag`."""
+    """Verdict of :func:`validate_pdag`.  A valid verdict carries the mask
+    table of the edges, which the graph constructor keeps."""
 
     ok: bool
     violation: Optional[str] = None
     witness: Optional[tuple[str, ...]] = None
+    _masks: Optional["_AdjacencyMasks"] = field(default=None, repr=False, compare=False)
 
     def __bool__(self) -> bool:
         return self.ok
@@ -124,14 +132,11 @@ def validate_pdag(
             if (v, u) in und_set:
                 return Validation(False, "duplicate adjacency", tuple(sorted((u, v))))
     order = sorted(node_set)
-    index = {n: i for i, n in enumerate(order)}
-    children = [0] * len(order)
-    for tail, head in directed:
-        children[index[tail]] |= 1 << index[head]
-    cycle = _directed_cycle(order, children)
+    masks = _mask_table(order, directed, undirected)
+    cycle = _directed_cycle(order, masks.children)
     if cycle is not None:
         return Validation(False, "directed cycle", cycle)
-    return Validation(True)
+    return Validation(True, _masks=masks)
 
 
 def _directed_cycle(
@@ -198,9 +203,12 @@ def _kahn(masks: "_AdjacencyMasks") -> list[int]:
 
 @dataclass(frozen=True)
 class _AdjacencyMasks:
-    """Adjacency as bitmasks: bit ``i`` of an entry stands for ``nodes[i]``."""
+    """Adjacency as bitmasks: bit ``i`` of an entry stands for ``nodes[i]``.
 
-    index: dict[str, int]
+    Equality and hashing leave out ``index``, a function of the node tuple
+    that a graph compares beside its table."""
+
+    index: dict[str, int] = field(compare=False)
     neighbours: tuple[int, ...]
     children: tuple[int, ...]
     undirected: tuple[int, ...]
@@ -210,23 +218,57 @@ class _AdjacencyMasks:
         """The mask of the named nodes."""
         return sum(1 << self.index[n] for n in set(names))
 
+    def mark(self, i: int, j: int) -> Optional[str]:
+        """The edge mark between nodes ``i`` and ``j`` seen from ``i``, or
+        None."""
+        if self.children[i] >> j & 1:
+            return DIRECTED_MARK
+        if self.parents[i] >> j & 1:
+            return REVERSED_MARK
+        if self.undirected[i] >> j & 1:
+            return UNDIRECTED_MARK
+        return None
+
+
+def _mask_table(
+    nodes: Sequence[str],
+    directed: Iterable[tuple[str, str]],
+    undirected: Iterable[tuple[str, str]],
+) -> _AdjacencyMasks:
+    """The mask table of named edges over the sorted ``nodes``, every
+    endpoint one of them."""
+    index = {n: i for i, n in enumerate(nodes)}
+    children, parents, und = ([0] * len(index) for _ in range(3))
+    for tail, head in directed:
+        children[index[tail]] |= 1 << index[head]
+        parents[index[head]] |= 1 << index[tail]
+    for u, v in undirected:
+        und[index[u]] |= 1 << index[v]
+        und[index[v]] |= 1 << index[u]
+    return _AdjacencyMasks(
+        index=index,
+        neighbours=tuple(c | p | u for c, p, u in zip(children, parents, und)),
+        children=tuple(children),
+        undirected=tuple(und),
+        parents=tuple(parents),
+    )
+
 
 @dataclass(frozen=True)
 class PartiallyDirectedGraph:
     """Immutable partially directed graph without directed cycles.
 
-    ``nodes`` is kept sorted; ``undirected`` pairs are stored with the smaller
-    endpoint first.  The constructor normalises its input and raises
-    :class:`GraphError` on any invariant violation, so instances are always
-    valid PDAGs.  The edge sets define equality, hashing and the text form;
-    adjacency is one table of per-node bitmasks in node order (``_masks``),
-    built once from them, and every name query reads it.  All queries are
-    read-only and safe to share across threads.
+    A graph is its sorted ``nodes`` and its mask table ``_masks``, the only
+    stored adjacency.  The constructor takes named edges, normalises them and
+    raises :class:`GraphError` on any invariant violation, so instances are
+    always valid PDAGs.  Equality and hashing compare the nodes and the
+    table; the edge sets ``directed`` and ``undirected`` (each undirected
+    pair with its smaller endpoint first) and the text form are read off the
+    table.  All queries are read-only and safe to share across threads.
     """
 
     nodes: tuple[str, ...]
-    directed: frozenset[tuple[str, str]]
-    undirected: frozenset[tuple[str, str]]
+    _masks: _AdjacencyMasks
 
     def __init__(
         self,
@@ -235,62 +277,40 @@ class PartiallyDirectedGraph:
         undirected: Iterable[tuple[str, str]] = (),
     ) -> None:
         node_tuple = tuple(sorted(set(nodes)))
-        dir_set = frozenset((str(t), str(h)) for t, h in directed)
-        und_set = frozenset(tuple(sorted((str(u), str(v)))) for u, v in undirected)
+        dir_set = {(str(t), str(h)) for t, h in directed}
+        und_set = {tuple(sorted((str(u), str(v)))) for u, v in undirected}
         verdict = validate_pdag(node_tuple, sorted(dir_set), sorted(und_set))
         if not verdict.ok:
             raise GraphError(f"{verdict.violation}: {verdict.witness}")
         object.__setattr__(self, "nodes", node_tuple)
-        object.__setattr__(self, "directed", dir_set)
-        object.__setattr__(self, "undirected", und_set)
+        object.__setattr__(self, "_masks", verdict._masks)
 
     @classmethod
     def _trusted(
-        cls,
-        nodes: tuple[str, ...],
-        directed: frozenset[tuple[str, str]],
-        undirected: frozenset[tuple[str, str]],
-        masks: _AdjacencyMasks,
+        cls, nodes: tuple[str, ...], masks: _AdjacencyMasks
     ) -> "PartiallyDirectedGraph":
-        """A graph from already normalised parts: sorted ``nodes``, edges as
-        the constructor stores them, and the matching ``masks``, which become
-        its ``_masks``.
+        """The graph of sorted ``nodes`` and the mask table ``masks`` over
+        them, which becomes its ``_masks``.
 
-        The parts must be consistent by construction: known endpoints, no
-        self loop, at most one edge per adjacent pair.  Those checks are
-        skipped; acyclicity is not.  A cyclic directed part raises the
-        :class:`GraphError` the constructor raises for the same edges, from
-        the same search over the same masks, witness included.
+        The checks a mask table makes moot (known endpoints, no self loop, at
+        most one edge per adjacent pair) are skipped; acyclicity is not.  A
+        cyclic directed part raises the :class:`GraphError` the constructor
+        raises for the same edges, from the same search over the same masks,
+        witness included.
         """
         cycle = _directed_cycle(nodes, masks.children)
         if cycle is not None:
             raise GraphError(f"directed cycle: {cycle}")
         g = object.__new__(cls)
         object.__setattr__(g, "nodes", nodes)
-        object.__setattr__(g, "directed", directed)
-        object.__setattr__(g, "undirected", undirected)
         object.__setattr__(g, "_masks", masks)
         return g
 
-    # -- adjacency -----------------------------------------------------------
+    def __repr__(self) -> str:
+        edges = f"directed={self.directed!r}, undirected={self.undirected!r}"
+        return f"PartiallyDirectedGraph(nodes={self.nodes!r}, {edges})"
 
-    @cached_property
-    def _masks(self) -> _AdjacencyMasks:
-        index = {n: i for i, n in enumerate(self.nodes)}
-        children, parents, und = ([0] * len(index) for _ in range(3))
-        for tail, head in self.directed:
-            children[index[tail]] |= 1 << index[head]
-            parents[index[head]] |= 1 << index[tail]
-        for u, v in self.undirected:
-            und[index[u]] |= 1 << index[v]
-            und[index[v]] |= 1 << index[u]
-        return _AdjacencyMasks(
-            index=index,
-            neighbours=tuple(c | p | u for c, p, u in zip(children, parents, und)),
-            children=tuple(children),
-            undirected=tuple(und),
-            parents=tuple(parents),
-        )
+    # -- adjacency -----------------------------------------------------------
 
     def _names(self, mask: int) -> frozenset[str]:
         """The nodes whose bits are set in ``mask``."""
@@ -319,31 +339,40 @@ class PartiallyDirectedGraph:
         None."""
         masks = self._masks
         i, j = masks.index[u], masks.index.get(v)
-        if j is None:
-            return None
-        if masks.children[i] >> j & 1:
-            return DIRECTED_MARK
-        if masks.parents[i] >> j & 1:
-            return REVERSED_MARK
-        if masks.undirected[i] >> j & 1:
-            return UNDIRECTED_MARK
-        return None
+        return None if j is None else masks.mark(i, j)
+
+    def _pairs(self, table: Sequence[int]) -> list[tuple[str, str]]:
+        """The pairs ``(nodes[u], nodes[v])`` with bit ``v`` set in
+        ``table[u]``, sorted: bits come out in node order, which is name
+        order."""
+        nodes = self.nodes
+        return [
+            (nodes[u], nodes[v]) for u, row in enumerate(table) for v in _bit_indices(row)
+        ]
+
+    @cached_property
+    def directed(self) -> frozenset[tuple[str, str]]:
+        return frozenset(self.sorted_directed())
+
+    @cached_property
+    def undirected(self) -> frozenset[tuple[str, str]]:
+        return frozenset(self.sorted_undirected())
 
     @property
     def skeleton(self) -> frozenset[tuple[str, str]]:
-        pairs = {tuple(sorted(e)) for e in self.directed}
-        return frozenset(pairs | set(self.undirected))
+        pairs = self._pairs(self._masks.neighbours)
+        return frozenset((u, v) for u, v in pairs if u < v)
 
     @property
     def is_directed(self) -> bool:
         """True iff every edge is directed (the graph is then a DAG)."""
-        return not self.undirected
+        return not any(self._masks.undirected)
 
     def sorted_directed(self) -> list[tuple[str, str]]:
-        return sorted(self.directed)
+        return self._pairs(self._masks.children)
 
     def sorted_undirected(self) -> list[tuple[str, str]]:
-        return sorted(self.undirected)
+        return [(u, v) for u, v in self._pairs(self._masks.undirected) if u < v]
 
     def edge_lines(self) -> tuple[str, ...]:
         """Canonical text lines: directed edges first, then undirected."""
@@ -438,16 +467,8 @@ def _node_path(g: PartiallyDirectedGraph, seq: Sequence[int]) -> NodePath:
     read off the masks of ``g``.  For the index sequences of a walk over those
     masks, which are paths of ``g`` by construction; :func:`path_in` checks
     caller-given ones."""
-    children, parents = g._masks.children, g._masks.parents
-    return NodePath(
-        tuple(g.nodes[i] for i in seq),
-        tuple(
-            DIRECTED_MARK if children[u] >> v & 1
-            else REVERSED_MARK if parents[u] >> v & 1
-            else UNDIRECTED_MARK
-            for u, v in zip(seq, seq[1:])
-        ),
-    )
+    marks = tuple(g._masks.mark(u, v) for u, v in zip(seq, seq[1:]))
+    return NodePath(tuple(g.nodes[i] for i in seq), marks)
 
 
 def _open_step(masks: _AdjacencyMasks, blocking: int) -> Callable[[int, int], int]:
@@ -570,59 +591,34 @@ def _checked_sets(
     return g._masks.bits(a_set), g._masks.bits(y_set)
 
 
-class _PathSearch:
-    """The proper possibly causal paths from the treatment mask ``starts`` to
-    the outcome mask ``targets``, as checked by :func:`_checked_sets`.
+def _possibly_causal_walk(
+    g: PartiallyDirectedGraph,
+    starts: int,
+    targets: int,
+    start_undirected_only: bool = False,
+) -> Generator[list[int], Optional[int], None]:
+    """The :func:`_proper_paths` walk over the proper possibly causal paths
+    from the treatment mask ``starts`` to the outcome mask ``targets``, as
+    :func:`_checked_sets` gives them.  It steps to any neighbour and never
+    appends a node with a child already on the path, since that edge would
+    point backwards and make the path non-causal.  With
+    ``start_undirected_only`` the first edge must be undirected."""
+    masks = g._masks
+    neighbours = masks.neighbours
+    first = masks.undirected if start_undirected_only else neighbours
+    return _proper_paths(
+        starts, targets, first, lambda u, v: neighbours[v], masks.children
+    )
 
-    One :func:`_proper_paths` walk over the adjacency bitmasks: it steps to
-    any neighbour and never appends a node with a child already on the path,
-    since that edge would point backwards and make the path non-causal.  With
-    ``start_undirected_only`` the first edge must be undirected.  The callers
-    differ only in what they do with the paths: list them, count them,
-    collect their nodes, or keep the first shortest one.
-    """
 
-    def __init__(
-        self,
-        g: PartiallyDirectedGraph,
-        starts: int,
-        targets: int,
-        start_undirected_only: bool = False,
-    ) -> None:
-        masks = g._masks
-        neighbours = masks.neighbours
-        self._graph = g
-        self._starts = starts
-        first = masks.undirected if start_undirected_only else neighbours
-        step = lambda u, v: neighbours[v]
-        self.walk = partial(_proper_paths, starts, targets, first, step, masks.children)
-
-    def paths(self) -> list[NodePath]:
-        """Every path, sorted by length, then by node sequence."""
-        found = [tuple(seq) for seq in self.walk()]
-        found.sort(key=lambda seq: (len(seq), seq))
-        return [_node_path(self._graph, seq) for seq in found]
-
-    def count(self) -> int:
-        return sum(1 for _ in self.walk())
-
-    def nodes_on_paths(self) -> int:
-        """The mask of the nodes after the first on some path, without
-        listing the paths: the on-path nodes that are not treatments."""
-        on_path = 0
-        for seq in self.walk():
-            for i in seq:
-                on_path |= 1 << i
-        return on_path & ~self._starts
-
-    def shortest(self) -> Optional[NodePath]:
-        """The first path by length, then node sequence, or None.
-
-        Each hit bounds the rest of the search to strictly shorter paths, so
-        the last hit is the first shortest path in node order.
-        """
-        best = _last_hit(self.walk(), lambda seq: True)
-        return None if best is None else _node_path(self._graph, best)
+def _nodes_on_paths(g: PartiallyDirectedGraph, starts: int, targets: int) -> int:
+    """The mask of the nodes after the first on some proper possibly causal
+    path from ``starts`` to ``targets``, without listing the paths: the
+    on-path nodes that are not treatments."""
+    on_path = 0
+    for seq in _possibly_causal_walk(g, starts, targets):
+        on_path |= sum(1 << i for i in seq)  # a path has no node twice
+    return on_path & ~starts
 
 
 def proper_possibly_causal_paths(
@@ -639,7 +635,9 @@ def proper_possibly_causal_paths(
     must be undirected.  Output is sorted by length, then by node sequence.
     """
     starts, targets = _checked_sets(g, treatments, outcomes)
-    return _PathSearch(g, starts, targets, start_undirected_only).paths()
+    walk = _possibly_causal_walk(g, starts, targets, start_undirected_only)
+    found = sorted((tuple(seq) for seq in walk), key=lambda seq: (len(seq), seq))
+    return [_node_path(g, seq) for seq in found]
 
 
 def _reach(starts: int, first: Sequence[int], step: Callable[[int, int], int]) -> int:

@@ -18,14 +18,15 @@ from .graphs import (
     InternalInconsistencyError,
     NodePath,
     PartiallyDirectedGraph,
-    _PathSearch,
     _check_known,
     _checked_sets,
     _closure,
     _last_hit,
     _node_path,
+    _nodes_on_paths,
     _open_step,
     _possibly_causal_reach,
+    _possibly_causal_walk,
     _proper_paths,
     bucket_decomposition,
     parents_of_set,
@@ -51,11 +52,25 @@ class Identifiability:
         return self.identified
 
 
-def _violating_search(h: Mpdag, starts: int, targets: int) -> _PathSearch:
-    """Search for the violating paths from the treatment mask ``starts`` to
-    the outcome mask ``targets`` (as :func:`_checked_sets` gives them): proper
-    possibly causal paths that start with an undirected edge."""
-    return _PathSearch(h.graph, starts, targets, start_undirected_only=True)
+def _shortest_violating(
+    g: PartiallyDirectedGraph, starts: int, targets: int
+) -> Optional[NodePath]:
+    """The first violating path from the treatment mask ``starts`` to the
+    outcome mask ``targets`` (as :func:`_checked_sets` gives them) by length,
+    then node sequence, or None.  Violating paths are the proper possibly
+    causal paths that start with an undirected edge.
+
+    Each hit bounds the rest of the walk to strictly shorter paths, so the
+    last hit is the first shortest path in node order.
+    """
+    walk = _possibly_causal_walk(g, starts, targets, True)
+    best = _last_hit(walk, lambda seq: True)
+    return None if best is None else _node_path(g, best)
+
+
+def _count_violating(g: PartiallyDirectedGraph, starts: int, targets: int) -> int:
+    """The number of violating paths, as for :func:`_shortest_violating`."""
+    return sum(1 for _ in _possibly_causal_walk(g, starts, targets, True))
 
 
 def violating_paths(
@@ -73,17 +88,17 @@ def is_identified(
 ) -> Identifiability:
     """Graphical identifiability of the total effect, with a shortest witness
     path when the answer is no."""
-    checked = _checked_sets(h.graph, treatments, outcomes)
-    witness = _violating_search(h, *checked).shortest()
+    g = h.graph
+    witness = _shortest_violating(g, *_checked_sets(g, treatments, outcomes))
     if witness is not None:
         return Identifiability(False, witness)
     return Identifiability(True)
 
 
-def _require_identified(h: Mpdag, a: int, y: int) -> None:
+def _require_identified(g: PartiallyDirectedGraph, a: int, y: int) -> None:
     """Raise :class:`NotIdentifiedError` unless the effect of the treatment
     mask ``a`` on the outcome mask ``y`` is identified."""
-    witness = _violating_search(h, a, y).shortest()
+    witness = _shortest_violating(g, a, y)
     if witness is not None:
         raise NotIdentifiedError(witness)
 
@@ -141,7 +156,7 @@ def g_formula(
     """
     g = h.graph
     a, y = _checked_sets(g, treatments, outcomes)
-    _require_identified(h, a, y)
+    _require_identified(g, a, y)
     parents_without_a = [p & ~a for p in g._masks.parents]
     b = _closure(y, parents_without_a) & ~y
     buckets = bucket_decomposition(g, g._names(b | y))
@@ -167,7 +182,7 @@ def forbidden_set(
 
 def _forbidden(g: PartiallyDirectedGraph, a: int, y: int) -> int:
     """The mask of the forbidden set for the checked masks ``a`` and ``y``."""
-    return _possibly_causal_reach(g._masks, _PathSearch(g, a, y).nodes_on_paths())
+    return _possibly_causal_reach(g._masks, _nodes_on_paths(g, a, y))
 
 
 @dataclass(frozen=True)
@@ -236,7 +251,7 @@ def is_adjustment_set(
     overlap = z & (a | y)
     if overlap:
         raise GraphError(f"adjustment set overlaps A or Y: {sorted(g._names(overlap))}")
-    _require_identified(h, a, y)
+    _require_identified(g, a, y)
     return _adjustment_verdict(g, a, y, z, _forbidden(g, a, y))
 
 
@@ -259,7 +274,7 @@ def find_adjustment_set(
     """
     g = h.graph
     a, y = _checked_sets(g, treatments, outcomes)
-    _require_identified(h, a, y)
+    _require_identified(g, a, y)
     masks = g._masks
     forb = _forbidden(g, a, y)
     candidate = _possibly_causal_reach(masks, a | y, forward=False) & ~(forb | a | y)

@@ -31,8 +31,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional
 
-from .graphs import GraphError, InternalInconsistencyError, _PathSearch, _checked_sets
-from .identify import GFormula, _violating_search, g_formula, is_identified
+from .graphs import GraphError, InternalInconsistencyError
+from .graphs import _checked_sets, _nodes_on_paths
+from .identify import GFormula, g_formula, is_identified
+from .identify import _count_violating, _shortest_violating
 from .meek import Mpdag, _branch_walk, _Builder, enumerate_dags
 
 
@@ -54,7 +56,7 @@ class BranchRecord:
 
     @cached_property
     def violating(self) -> int:
-        return _violating_search(self._mpdag, self._treatments, self._outcomes).count()
+        return _count_violating(self._mpdag.graph, self._treatments, self._outcomes)
 
     def to_json(self) -> dict:
         return {
@@ -100,8 +102,8 @@ def select_branch_edge(
     Only meaningful while the effect is unidentified; calling this on an
     identified input is an error.
     """
-    checked = _checked_sets(h.graph, treatments, outcomes)
-    shortest = _violating_search(h, *checked).shortest()
+    g = h.graph
+    shortest = _shortest_violating(g, *_checked_sets(g, treatments, outcomes))
     if shortest is None:
         raise GraphError("effect already identified; no branch edge")
     return shortest.nodes[0], shortest.nodes[1]
@@ -130,7 +132,7 @@ def id_graphs(
     def branch_edge(builder: _Builder) -> Optional[tuple[int, int]]:
         # only the root is visited before the first branch is recorded
         current = builder.mpdag() if audit else h
-        shortest = _violating_search(current, a, y).shortest()
+        shortest = _shortest_violating(current.graph, a, y)
         if shortest is None:
             leaves[current.key()] = current
             return None
@@ -187,7 +189,7 @@ def method3_graphs(
     still partition the input class and the effect is identified in each.
     """
     a, y = _checked_sets(h.graph, treatments, outcomes)
-    return _treatment_edge_combos(h, a, _PathSearch(h.graph, a, y).nodes_on_paths())
+    return _treatment_edge_combos(h, a, _nodes_on_paths(h.graph, a, y))
 
 
 @dataclass(frozen=True)
@@ -216,15 +218,11 @@ def verify_partition(
     a_list = sorted(set(treatments))
     y_list = sorted(set(outcomes))
     violations: list[str] = []
-    root_dags = {d.edge_lines(): d for d in enumerate_dags(root)}
-    member_dags: list[set[tuple[str, ...]]] = []
-    for member in result.graphs:
-        member_dags.append({d.edge_lines() for d in enumerate_dags(member)})
-    covered: set[tuple[str, ...]] = set()
-    for dags in member_dags:
-        covered |= dags
-    missing = set(root_dags) - covered
-    extra = covered - set(root_dags)
+    root_dags = {d.edge_lines() for d in enumerate_dags(root)}
+    member_dags = [{d.edge_lines() for d in enumerate_dags(m)} for m in result.graphs]
+    covered = set().union(*member_dags)
+    missing = root_dags - covered
+    extra = covered - root_dags
     if missing:
         violations.append(f"missing DAGs: {sorted(missing)[0]}")
     if extra:

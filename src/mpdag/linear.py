@@ -406,7 +406,7 @@ def _draw_coefficients(
     """One coefficient per edge in sorted order, uniform on [-1.5, -0.5]
     union [0.5, 1.5]: a magnitude, then a sign."""
     coefs = {}
-    for edge in sorted(dag.directed):
+    for edge in dag.sorted_directed():
         magnitude = rng.uniform(0.5, 1.5)
         coefs[edge] = magnitude if rng.random() < 0.5 else -magnitude
     return coefs

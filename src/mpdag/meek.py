@@ -36,14 +36,16 @@ a tree node orients its branch edge ``u -> v`` on a copy of its builder and
 orientations is closed once.  DAG enumeration and the consistent extension
 (the first leaf) branch on the first undirected edge, methods 2 and 3 on the
 first treatment edge, and the minimal enumeration on the first edge of a
-shortest violating path.  A graph is built only where one is returned or
-searched, without re-validation, from the builder's edge sets and bitmasks,
-which it keeps for its own path searches.  Only the checks that hold by
-construction are skipped (known endpoints, no self loop, one edge per
-pair); acyclicity is still checked, by the constructor's own cycle search
-on the builder's masks, so a class-empty input reports the directed-cycle
-witness the constructor would report for the same edges.  No other fact
-about a result is proved again: the CPDAG of a DAG represents it
+shortest violating path.
+
+A builder's masks are a graph's mask table, so a graph is built only where
+one is returned or searched, from the node tuple and a frozen copy of the
+masks, without naming an edge and without re-validation.  Only the checks
+that hold by construction are skipped (known endpoints, no self loop, one
+edge per pair); acyclicity is still checked, by the constructor's own cycle
+search on the builder's masks, so a class-empty input reports the
+directed-cycle witness the constructor would report for the same edges.  No
+other fact about a result is proved again: the CPDAG of a DAG represents it
 (Andersson, Madigan & Perlman 1997), and closing an MPDAG with an edge
 oriented keeps exactly the DAGs of its class that have that edge (Meek
 1995).
@@ -85,11 +87,8 @@ class Mpdag:
 
     def key(self) -> tuple:
         """Canonical sort/equality key."""
-        return (
-            self.graph.nodes,
-            tuple(self.graph.sorted_directed()),
-            tuple(self.graph.sorted_undirected()),
-        )
+        g = self.graph
+        return g.nodes, tuple(g.sorted_directed()), tuple(g.sorted_undirected())
 
 
 _CLOSED = "_meek_closed"  # set on graphs a closure produced
@@ -109,7 +108,6 @@ class _Builder:
 
     def __init__(self, g: PartiallyDirectedGraph) -> None:
         masks = g._masks
-        self.source = g
         self.nodes = g.nodes
         self.index = masks.index
         self.adj = masks.neighbours
@@ -117,7 +115,6 @@ class _Builder:
         self.und = list(masks.undirected)
         self.parents = list(masks.parents)
         self._firing: dict[tuple[int, int], tuple[int, int, int, int]] = {}
-        self._oriented: list[tuple[int, int]] = []
         # A graph from a closure has no firing edge; any other input gets a
         # full scan at its first closure.
         self._unscanned = not getattr(g, _CLOSED, False)
@@ -127,17 +124,16 @@ class _Builder:
         return not self._unscanned and not self._firing
 
     def copy(self) -> "_Builder":
-        """An independent builder in the same state: the masks, the firing
-        table and the orientation list are copied; the skeleton, the index
-        and the source graph are shared, and nothing mutates them."""
+        """An independent builder in the same state: the masks and the
+        firing table are copied; the skeleton, the node tuple and the index
+        are shared, and nothing mutates them."""
         # attribute by attribute: going through ``vars()`` would give both
         # builders a materialised ``__dict__``, which CPython reads more
         # slowly in the rule checks
         new = object.__new__(_Builder)
-        new.source, new.nodes = self.source, self.nodes
-        new.index, new.adj = self.index, self.adj
+        new.nodes, new.index, new.adj = self.nodes, self.index, self.adj
         new.children, new.und = self.children[:], self.und[:]
-        new.parents, new._oriented = self.parents[:], self._oriented[:]
+        new.parents = self.parents[:]
         new._firing, new._unscanned = dict(self._firing), self._unscanned
         return new
 
@@ -172,35 +168,18 @@ class _Builder:
         self.und[head] &= ~(1 << tail)
         self.children[tail] |= 1 << head
         self.parents[head] |= 1 << tail
-        self._oriented.append((tail, head))
         self._firing.pop((min(tail, head), max(tail, head)), None)
         if not self._unscanned:
             self._recheck_around(tail, head)
 
     def snapshot(self) -> PartiallyDirectedGraph:
-        """The current graph: the source graph's edge sets with the
-        orientations applied, and the builder's masks as its ``_masks``.  It
-        becomes the source, so a later snapshot applies only the orientations
-        made after this one."""
-        nodes = self.nodes
-        new = [(nodes[t], nodes[h]) for t, h in self._oriented]
-        g = PartiallyDirectedGraph._trusted(
-            nodes,
-            self.source.directed.union(new),
-            self.source.undirected.difference(
-                (t, h) if t < h else (h, t) for t, h in new
-            ),
-            _AdjacencyMasks(
-                self.index,
-                self.adj,
-                tuple(self.children),
-                tuple(self.und),
-                tuple(self.parents),
-            ),
-        )
+        """The current graph: the builder's masks, frozen, as its mask
+        table."""
+        rows = self.children, self.und, self.parents
+        masks = _AdjacencyMasks(self.index, self.adj, *map(tuple, rows))
+        g = PartiallyDirectedGraph._trusted(self.nodes, masks)
         if self.closed:
             object.__setattr__(g, _CLOSED, True)
-        self.source, self._oriented = g, []
         return g
 
     def mpdag(self, context: str = "orientation produced an invalid graph") -> Mpdag:
@@ -351,37 +330,52 @@ def cpdag_of_dag(d: PartiallyDirectedGraph) -> Mpdag:
     """The CPDAG of a DAG: skeleton plus unshielded colliders, then closure."""
     if not d.is_directed:
         raise GraphError("input must be a DAG (fully directed)")
-    directed: set[tuple[str, str]] = set()
-    for a, b, c in d.unshielded_colliders():
-        directed.add((a, b))
-        directed.add((c, b))
-    undirected = d.skeleton - {tuple(sorted(e)) for e in directed}
-    return meek_closure(PartiallyDirectedGraph(d.nodes, directed, undirected))
+    masks = d._masks
+    adj = masks.neighbours
+    # a -> b stays directed when b has a parent nonadjacent to a: the edge is
+    # in an unshielded collider
+    parents = tuple(
+        sum(1 << a for a in _bit_indices(row) if row & ~(adj[a] | 1 << a))
+        for row in masks.parents
+    )
+    children = tuple(
+        sum(1 << b for b, row in enumerate(parents) if row >> a & 1)
+        for a in range(len(adj))
+    )
+    und = tuple(n & ~(c | p) for n, c, p in zip(adj, children, parents))
+    pattern = _AdjacencyMasks(masks.index, adj, children, und, parents)
+    return meek_closure(PartiallyDirectedGraph._trusted(d.nodes, pattern))
 
 
 def is_represented(d: PartiallyDirectedGraph, h: Mpdag) -> bool:
     """Is DAG ``d`` in the class of ``h``: same skeleton, same unshielded
     colliders, and every directed edge of ``h`` kept with its orientation."""
-    if set(d.nodes) != set(h.graph.nodes):
+    if d.nodes != h.graph.nodes:
         raise GraphError("node sets differ")
     if not d.is_directed:
         raise GraphError("first argument must be a DAG (fully directed)")
+    mine, theirs = d._masks, h.graph._masks
     return (
-        d.skeleton == h.graph.skeleton
+        mine.neighbours == theirs.neighbours
         and d.unshielded_colliders() == h.graph.unshielded_colliders()
-        and h.graph.directed <= d.directed
+        and not any(c & ~dc for c, dc in zip(theirs.children, mine.children))
     )
 
 
 def enumerate_dags(h: Mpdag) -> list[PartiallyDirectedGraph]:
-    """All DAGs represented by an MPDAG: the leaves of the branch walk on the
-    first undirected edge (:func:`_branch_walk`), sorted canonically.  The
-    two orientations of a branch edge split the leaves, so none repeats;
-    every member passes :func:`is_represented`.
+    """All DAGs represented by an MPDAG, in canonical (:meth:`Mpdag.key`)
+    order: the leaves of the branch walk on the first undirected edge
+    (:func:`_branch_walk`).  The two orientations of a branch edge split the
+    leaves, so none repeats; every member passes :func:`is_represented`.
+
+    The walk yields the leaves already sorted.  It branches on the smallest
+    undirected pair ``(u, v)``, ``u < v``, and finishes the ``u -> v``
+    subtree first; two DAGs with one skeleton first differ in key order at
+    the smallest pair they orient differently, and for two leaves that is
+    the branch pair of the node where their paths split.
     """
     leaves = _branch_walk(_Builder(h.graph), _Builder.first_undirected)
-    dags = [leaf.mpdag() for leaf in leaves]
-    return [d.graph for d in sorted(dags, key=Mpdag.key)]
+    return [leaf.mpdag().graph for leaf in leaves]
 
 
 def consistent_extension(h: Mpdag) -> PartiallyDirectedGraph:

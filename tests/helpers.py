@@ -17,7 +17,7 @@ import numpy as np
 
 import mpdag as M
 from mpdag.graphs import _bit_indices, _checked_sets, _open_step
-from mpdag.identify import _violating_search
+from mpdag.identify import _count_violating, _shortest_violating
 from mpdag.meek import _Builder
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -487,7 +487,8 @@ def possibly_causal_walk(
 ):
     """The proper possibly causal path walk as its own depth-first search,
     kept as the reference the package's one shared path walk is compared
-    against: the set-up of the path search object, then its walk unchanged.
+    against: the possibly causal walk's set-up and loop as they were before
+    the loop was shared.
 
     Yields every path that ends in an outcome, as the live list of node
     indices (valid until the next step).  Sending a node count into the
@@ -601,9 +602,8 @@ def stacked_id_graphs(h: M.Mpdag, treatments, outcomes) -> M.EnumerationResult:
     audit: list[M.BranchRecord] = []
     leaves: dict[tuple, M.Mpdag] = {}
 
-    root = _violating_search(h, a, y)
-    m = root.count()
-    stack = [(h, _Builder(h.graph), root.shortest())]
+    m = _count_violating(h.graph, a, y)
+    stack = [(h, _Builder(h.graph), _shortest_violating(h.graph, a, y))]
     while stack:
         current, builder, shortest = stack.pop()
         if shortest is None:
@@ -624,7 +624,7 @@ def stacked_id_graphs(h: M.Mpdag, treatments, outcomes) -> M.EnumerationResult:
         for child, request in ((builder.copy(), (a1, v1)), (builder, (v1, a1))):
             child.request(*request)
             graph = child.mpdag()
-            path = _violating_search(graph, a, y).shortest()
+            path = _shortest_violating(graph.graph, a, y)
             children.append((graph, child, path))
         # pushed in reverse, so the a1 -> v1 subtree is finished first
         stack.extend(reversed(children))

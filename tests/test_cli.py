@@ -376,6 +376,39 @@ def test_parse_error_reports_line(capsys, tmp_path):
     assert "line 2" in err
 
 
+# a malformed input file is one "error:" line on stderr and exit status 1,
+# never a traceback; an SCM file that would lose data silently is malformed
+@pytest.mark.parametrize("text", [
+    '{"edges": {"A -> Y": "abc"}}',
+    '{"edges": ["A -> Y"]}',
+    '["edges"]',
+    '{"edges": {"A -> Y": 1.0}, "noise": [1]}',
+    '{"edges": {"A -> Y": 1.0, "A->Y": 3.0}}',
+    '{"edges": {"A -> Y": 1.0}, "noise": {"Yy": 2.0}}',
+    '{"edges": {"A -> Y": 1.0, "A -> B -> Y": 1.0}}',
+])
+def test_malformed_scm_file_is_one_error_line(capsys, tmp_path, text):
+    scm = tmp_path / "scm.json"
+    scm.write_text(text)
+    code, out, err = run(capsys, "effects", "--scm", scm, "--treat", "A",
+                         "--out", "Y", "--cov", "exact")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("check-id", "BAD", "--treat", "A", "--out", "Y"),
+    ("orient", FIXTURES / "four_node_mpdag.txt", "--bg", "BAD"),
+])
+def test_non_utf8_input_file_is_one_error_line(capsys, tmp_path, argv):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"A -> Y\n\xff\n")
+    code, out, err = run(capsys, *(bad if arg == "BAD" else arg for arg in argv))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "not UTF-8" in err
+
+
 def test_unknown_node_is_domain_error(capsys):
     code, _, err = run(capsys, "check-id", FIXTURES / "four_node_mpdag.txt",
                        "--treat", "A", "--out", "nope")

@@ -1,8 +1,12 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
 import mpdag as M
-from helpers import load_fixture, random_dag
+from mpdag.graphio import load_scm_file
+from helpers import FIXTURES, load_fixture, random_dag, sim_scm
 
 
 def test_parse_directed_and_undirected():
@@ -91,3 +95,35 @@ def test_graph_json_shape(four_mpdag):
     payload = M.graph_to_json(four_mpdag.graph)
     assert payload["directed"] == [["A", "Y"]]
     assert ["V1", "Y"] in payload["undirected"]
+
+
+def test_scm_file_reads_the_fixture():
+    assert load_scm_file(FIXTURES / "sim_scm.json") == sim_scm()
+
+
+def test_scm_file_defaults_noise_and_keeps_declared_nodes(tmp_path):
+    path = tmp_path / "scm.json"
+    path.write_text(json.dumps(
+        {"edges": {"A->Y": 2}, "noise": {"Y": 0.5}, "nodes": ["Z"]}
+    ))
+    scm = load_scm_file(path)
+    assert scm.nodes == ("A", "Y", "Z")
+    assert scm.coefficients == {("A", "Y"): 2.0}
+    assert scm.noise_variances == {"A": 1.0, "Y": 0.5, "Z": 1.0}
+
+
+# each would otherwise lose data silently; the error names the offending key
+@pytest.mark.parametrize("data, key", [
+    ({"edges": {"A -> Y": 1.0, "A->Y": 3.0}}, "A->Y"),
+    ({"edges": {"A -> Y": 1.0}, "noise": {"Yy": 2.0}}, "Yy"),
+    ({"edges": {"A -> B -> Y": 1.0}}, "A -> B -> Y"),
+    ({"edges": {"A -> Y": 1.0}, "noies": {"Y": 2.0}}, "noies"),
+    ({"edges": {"A -> Y": "abc"}}, "A -> Y"),
+    ({"edges": {"A -> Y": float("nan")}}, "A -> Y"),
+    ({"edges": {"A -> Y": 1.0}, "noise": {"Y": float("inf")}}, "Y"),
+])
+def test_scm_file_rejects_what_it_would_lose(tmp_path, data, key):
+    path = tmp_path / "scm.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(M.GraphError, match=re.escape(repr(key))):
+        load_scm_file(path)

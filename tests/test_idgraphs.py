@@ -4,7 +4,7 @@ import sys
 import pytest
 
 import mpdag as M
-from mpdag.graphs import _PathSearch
+from mpdag import graphs, identify, idgraphs
 from helpers import (
     COMPLETE4_MINIMAL,
     FOUR_NODE_MINIMAL,
@@ -120,32 +120,38 @@ class TestOutputSensitiveEnumeration:
         assert trail == audit == [(r.edge, r.path, r.violating) for r in stacked.audit]
 
     def test_paths_are_enumerated_in_full_only_on_demand(self, monkeypatch):
+        # every function that walks all paths, wherever a module holds it
         walks = []
-        for method in ("paths", "count", "nodes_on_paths"):
-            full = getattr(_PathSearch, method)
+        for module in (graphs, identify, idgraphs):
+            for name in (
+                "proper_possibly_causal_paths", "_nodes_on_paths", "_count_violating"
+            ):
+                full = getattr(module, name, None)
+                if full is None:
+                    continue
 
-            def counted(self, _full=full):
-                walks.append(_full.__name__)
-                return _full(self)
+                def counted(*args, _full=full):
+                    walks.append(_full.__name__)
+                    return _full(*args)
 
-            monkeypatch.setattr(_PathSearch, method, counted)
+                monkeypatch.setattr(module, name, counted)
         h = complete_graph(8)
         result = M.id_graphs(h, ["v0"], ["v1"])
         assert walks == []  # 64 branches, each on a shortest-path search
         assert (result.n, len(result.audit)) == (65, 64)
         assert result.m == 1957  # the root record counts on first read
-        assert walks == ["count"]
+        assert walks == ["_count_violating"]
         assert result.m == 1957
         assert result.audit[0].violating == 1957
-        assert walks == ["count"]
+        assert walks == ["_count_violating"]
         branch = result.audit[1]  # below v0 -> v1: every root path but v0 -- v1
         assert branch.violating == 1956
-        assert walks == ["count", "count"]
+        assert walks == ["_count_violating"] * 2
         assert branch.violating == 1956
-        assert walks == ["count", "count"]
+        assert walks == ["_count_violating"] * 2
         # an identified input: its one shortest-path search shows m = 0
         assert M.id_graphs(result.graphs[0], ["v0"], ["v1"]).m == 0
-        assert walks == ["count", "count"]
+        assert walks == ["_count_violating"] * 2
 
     def test_output_bound_is_checked_when_m_is_read(self, four_mpdag):
         result = M.id_graphs(four_mpdag, ["A"], ["Y"])  # m = 2

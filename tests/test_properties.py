@@ -1,14 +1,20 @@
 """Cross-cutting properties checked on randomly generated graphs and models."""
 
 import itertools
-from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import mpdag as M
-from mpdag.graphs import _PathSearch, _checked_sets, _kahn, _last_hit
-from mpdag.identify import _adjustment_verdict
+from mpdag.graphs import (
+    _checked_sets,
+    _kahn,
+    _last_hit,
+    _mask_table,
+    _nodes_on_paths,
+    _possibly_causal_walk,
+)
+from mpdag.identify import _adjustment_verdict, _count_violating, _shortest_violating
 from mpdag.linear import _regression_effects, _total_effect_from_matrix
 from mpdag.meek import _Builder
 from helpers import (
@@ -160,11 +166,13 @@ def _outcome(call):
 
 
 def _assert_trusted_snapshot(g):
-    """``g`` came from the trusted constructor with its masks preset, and is
-    the graph the validating constructor builds from its edges."""
-    assert "_masks" in vars(g)
+    """``g``, a graph the trusted constructor built from a builder's masks,
+    is the graph the validating constructor builds from its edges: the same
+    edge sets, equality, hash and mask table."""
     validated = M.PartiallyDirectedGraph(g.nodes, g.directed, g.undirected)
-    assert g == validated
+    assert g.directed == validated.directed
+    assert g.undirected == validated.undirected
+    assert g == validated and validated == g
     assert hash(g) == hash(validated)
     assert g._masks == validated._masks
     if getattr(g, "_meek_closed", False):
@@ -209,14 +217,8 @@ def test_cycle_search_matches_name_keyed_oracle(parts):
     verdict = M.validate_pdag(nodes, directed, undirected)
     made = _outcome(lambda: M.PartiallyDirectedGraph(nodes, directed, undirected))
     order = tuple(sorted(nodes))
-    dir_set = frozenset(directed)
-    und_set = frozenset(tuple(sorted(e)) for e in undirected)
-    masks = M.PartiallyDirectedGraph._masks.func(
-        SimpleNamespace(nodes=order, directed=dir_set, undirected=und_set)
-    )
-    trusted = _outcome(
-        lambda: M.PartiallyDirectedGraph._trusted(order, dir_set, und_set, masks)
-    )
+    masks = _mask_table(order, directed, undirected)
+    trusted = _outcome(lambda: M.PartiallyDirectedGraph._trusted(order, masks))
     if cycle is None:
         assert verdict.ok
         assert made == trusted and made[0] == "ok"
@@ -254,11 +256,13 @@ def test_path_search_matches_exhaustive_oracle(query, start_undirected_only):
     expected = exhaustive_possibly_causal_paths(h.graph, a, y, start_undirected_only)
     assert M.proper_possibly_causal_paths(h.graph, a, y, start_undirected_only) == expected
     checked = _checked_sets(h.graph, a, y)
-    search = _PathSearch(h.graph, *checked, start_undirected_only)
     first = expected[0] if expected else None
-    assert search.count() == len(expected)
-    assert search.shortest() == first
-    if start_undirected_only:
+    if not start_undirected_only:
+        on_paths = {n for path in expected for n in path.nodes} - set(a)
+        assert h.graph._names(_nodes_on_paths(h.graph, *checked)) == on_paths
+    else:
+        assert _count_violating(h.graph, *checked) == len(expected)
+        assert _shortest_violating(h.graph, *checked) == first
         verdict = M.is_identified(h, a, y)
         assert verdict.identified == (not expected)
         assert verdict.witness == first
@@ -274,13 +278,14 @@ def test_shared_path_walk_matches_its_two_oracles(query, seed):
     g = h.graph
     starts, targets = _checked_sets(g, a, y)
     for undirected_only in (False, True):
-        search = _PathSearch(g, starts, targets, undirected_only)
+        walk = _possibly_causal_walk(g, starts, targets, undirected_only)
         oracle = possibly_causal_walk(g, a, y, undirected_only)
-        assert [tuple(seq) for seq in search.walk()] == [tuple(seq) for seq in oracle]
+        assert [tuple(seq) for seq in walk] == [tuple(seq) for seq in oracle]
         shortest = _last_hit(
             possibly_causal_walk(g, a, y, undirected_only), lambda seq: True
         )
-        assert _last_hit(search.walk(), lambda seq: True) == shortest
+        walk = _possibly_causal_walk(g, starts, targets, undirected_only)
+        assert _last_hit(walk, lambda seq: True) == shortest
 
     children = g._masks.children
 
@@ -778,8 +783,7 @@ def test_branch_walk_matches_the_rebuilding_oracles(case):
 
 
 def _builder_state(b):
-    return (list(b.children), list(b.und), list(b.parents), dict(b._firing),
-            list(b._oriented))
+    return list(b.children), list(b.und), list(b.parents), dict(b._firing)
 
 
 @settings(max_examples=100)
