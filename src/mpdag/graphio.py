@@ -9,7 +9,8 @@ lines touching the same node pair) are an error.
 
 Rendering is canonical: directed edges first, then undirected, each block
 sorted lexicographically.  ``parse_graph(render_edge_list(g)) == g`` holds for
-every valid graph.
+every valid graph whose node names are tokens of the format; the renderer
+raises a :class:`GraphError` for any other.
 
 Every reader turns malformed input, a file that is not UTF-8 included, into
 a :class:`GraphError`, except an SCM file that is not JSON, which raises
@@ -86,17 +87,28 @@ def _isolated(g: PartiallyDirectedGraph) -> list[str]:
 
 
 def render_edge_list(g: PartiallyDirectedGraph) -> str:
+    """The edge-list text of ``g``; a :class:`GraphError` names the smallest
+    node that is not a non-empty token free of whitespace and ``#``."""
+    bad = [n for n in g.nodes if "#" in n or not _are_node_names([n])]
+    if bad:
+        raise GraphError(f"node {bad[0]!r} is not a token of the edge-list format")
     lines = [*g.edge_lines(), *_isolated(g)]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def _dot_id(name: str) -> str:
+    """``name`` as a quoted DOT ID.  Backslashes are doubled, so that one at
+    the end cannot escape the closing quote, and quotes are escaped."""
+    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def render_dot(g: PartiallyDirectedGraph, name: str = "g") -> str:
+    """``g`` as a DOT digraph, an undirected edge as an edge without
+    arrowheads (``dir=none``)."""
     lines = [f"digraph {name} {{"]
-    lines += [f'  "{n}";' for n in _isolated(g)]
-    for t, h in g.sorted_directed():
-        lines.append(f'  "{t}" -> "{h}";')
-    for u, v in g.sorted_undirected():
-        lines.append(f'  "{u}" -- "{v}";')
+    lines += [f"  {_dot_id(n)};" for n in _isolated(g)]
+    for pairs, attrs in ((g.sorted_directed(), ""), (g.sorted_undirected(), " [dir=none]")):
+        lines += [f"  {_dot_id(u)} -> {_dot_id(v)}{attrs};" for u, v in pairs]
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -13,10 +13,12 @@ canonical edge lines, equality and hashing are read off it, as are the name
 queries (``parents``, ``mark``, ...), and every search below works on it
 directly, turning names into bits and back only at its public entry points.
 The validating constructor builds its table from named edges with one
-function (:func:`_mask_table`); the orientation engine hands its own masks to
-the trusted constructor.  Acyclicity is decided for both by one depth-first
-search over the children masks (:func:`_directed_cycle`), so both report the
-same witness for the same edges.
+function (:func:`_mask_table`) and decides acyclicity by one depth-first
+search over the children masks (:func:`_directed_cycle`).  The orientation
+engine hands its own masks to the trusted constructor, which checks nothing:
+:mod:`mpdag.meek` runs the same cycle search on them wherever acyclicity is
+not already known, so a cyclic result reports the witness the constructor
+would report for the same edges.
 
 Ancestors, descendants and buckets are closures over one mask table, node by
 node.  Possible descendants and ancestors and d-separation are one polynomial
@@ -276,7 +278,7 @@ class PartiallyDirectedGraph:
         directed: Iterable[tuple[str, str]] = (),
         undirected: Iterable[tuple[str, str]] = (),
     ) -> None:
-        node_tuple = tuple(sorted(set(nodes)))
+        node_tuple = tuple(sorted({str(n) for n in nodes}))
         dir_set = {(str(t), str(h)) for t, h in directed}
         und_set = {tuple(sorted((str(u), str(v)))) for u, v in undirected}
         verdict = validate_pdag(node_tuple, sorted(dir_set), sorted(und_set))
@@ -290,17 +292,14 @@ class PartiallyDirectedGraph:
         cls, nodes: tuple[str, ...], masks: _AdjacencyMasks
     ) -> "PartiallyDirectedGraph":
         """The graph of sorted ``nodes`` and the mask table ``masks`` over
-        them, which becomes its ``_masks``.
+        them, which becomes its ``_masks``, with no check at all.
 
-        The checks a mask table makes moot (known endpoints, no self loop, at
-        most one edge per adjacent pair) are skipped; acyclicity is not.  A
-        cyclic directed part raises the :class:`GraphError` the constructor
-        raises for the same edges, from the same search over the same masks,
-        witness included.
+        A mask table makes known endpoints, no self loop and at most one edge
+        per adjacent pair moot; acyclicity is the caller's to guarantee.  The
+        callers are :mod:`mpdag.meek`'s: a builder whose class is known to be
+        nonempty, any other builder after its own cycle search, and the
+        pattern of a DAG, a subgraph of that DAG.
         """
-        cycle = _directed_cycle(nodes, masks.children)
-        if cycle is not None:
-            raise GraphError(f"directed cycle: {cycle}")
         g = object.__new__(cls)
         object.__setattr__(g, "nodes", nodes)
         object.__setattr__(g, "_masks", masks)

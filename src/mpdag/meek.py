@@ -24,10 +24,7 @@ reads only the parents, children and undirected neighbours of ``u``, the
 parents of ``v`` and the parents of the undirected neighbours of ``u``.  So
 orienting ``t -> h`` re-checks only the undirected edges at ``t`` or ``h``
 and those joining an undirected neighbour of ``h`` to a child of ``h``, all
-of them within the closed neighbourhood N[h].  Graphs a closure produced are
-marked as closed, so orienting an edge of one re-checks only that
-neighbourhood; any other input, a plain ``Mpdag(g)`` wrapper included, gets
-one full scan at its first closure.
+of them within the closed neighbourhood N[h].
 
 Every branching search runs on one engine, :func:`_branch_walk`, a
 depth-first walk over builders whose one parameter is its branch-edge rule:
@@ -38,17 +35,26 @@ orientations is closed once.  DAG enumeration and the consistent extension
 first treatment edge, and the minimal enumeration on the first edge of a
 shortest violating path.
 
+What is trusted follows provenance, and this module alone decides it.  A
+graph is flagged *sound* when it is closed and represents at least one DAG:
+the CPDAG of a DAG (its class holds that DAG), and every closed graph that a
+builder with a sound root returns, since orienting an undirected edge of a
+class-nonempty MPDAG and closing keeps exactly the DAGs of its class that
+have that edge, and there is one (Meek 1995).  The flag is never set on the
+closure of a user graph, on anything below a plain ``Mpdag(g)`` or on a
+graph the validating constructor builds: a closed, acyclic PDAG can still
+represent no DAG (an undirected 4-cycle).  A builder on a sound graph starts
+with an empty firing table and never searches for a cycle; any other builder
+scans every edge once when it is made, and searches its masks for a cycle at
+every snapshot, so a class-empty input reports the directed-cycle witness
+the constructor would report for the same edges.
+
 A builder's masks are a graph's mask table, so a graph is built only where
 one is returned or searched, from the node tuple and a frozen copy of the
-masks, without naming an edge and without re-validation.  Only the checks
-that hold by construction are skipped (known endpoints, no self loop, one
-edge per pair); acyclicity is still checked, by the constructor's own cycle
-search on the builder's masks, so a class-empty input reports the
-directed-cycle witness the constructor would report for the same edges.  No
-other fact about a result is proved again: the CPDAG of a DAG represents it
-(Andersson, Madigan & Perlman 1997), and closing an MPDAG with an edge
-oriented keeps exactly the DAGs of its class that have that edge (Meek
-1995).
+masks, without naming an edge and without re-validation.  No other fact
+about a result is proved again: the CPDAG of a DAG represents it (Andersson,
+Madigan & Perlman 1997), and closing an MPDAG with an edge oriented keeps
+exactly the DAGs of its class that have that edge (Meek 1995).
 """
 
 from __future__ import annotations
@@ -62,6 +68,7 @@ from .graphs import (
     PartiallyDirectedGraph,
     _AdjacencyMasks,
     _bit_indices,
+    _directed_cycle,
 )
 
 
@@ -91,7 +98,7 @@ class Mpdag:
         return g.nodes, tuple(g.sorted_directed()), tuple(g.sorted_undirected())
 
 
-_CLOSED = "_meek_closed"  # set on graphs a closure produced
+_SOUND = "_meek_sound"  # true on closed graphs that represent a DAG
 
 
 class _Builder:
@@ -101,9 +108,11 @@ class _Builder:
     order.  ``adj`` is the skeleton, which the rules never change.
     ``_firing`` maps each undirected edge ``(i, j)``, ``i < j``, on which a
     rule fires to its first firing ``(rule, i, j, direction)``, direction 0
-    meaning ``i -> j``.  Until ``_unscanned`` is cleared by a full scan the
-    table is empty and means nothing; from then on each orientation updates
-    it.
+    meaning ``i -> j``; each orientation keeps it up to date.  ``sound``
+    says that the builder's root represents a DAG, so no orientation and
+    closure below it can make a directed cycle.  It is read off a graph
+    flagged sound, on which no rule fires; any other graph is scanned in
+    full here.
     """
 
     def __init__(self, g: PartiallyDirectedGraph) -> None:
@@ -115,13 +124,11 @@ class _Builder:
         self.und = list(masks.undirected)
         self.parents = list(masks.parents)
         self._firing: dict[tuple[int, int], tuple[int, int, int, int]] = {}
-        # A graph from a closure has no firing edge; any other input gets a
-        # full scan at its first closure.
-        self._unscanned = not getattr(g, _CLOSED, False)
-
-    @property
-    def closed(self) -> bool:
-        return not self._unscanned and not self._firing
+        self.sound = getattr(g, _SOUND, False)
+        if not self.sound:
+            for u, mask in enumerate(self.und):
+                for v in _bit_indices(mask >> (u + 1) << (u + 1)):
+                    self._update(u, v)
 
     def copy(self) -> "_Builder":
         """An independent builder in the same state: the masks and the
@@ -134,7 +141,7 @@ class _Builder:
         new.nodes, new.index, new.adj = self.nodes, self.index, self.adj
         new.children, new.und = self.children[:], self.und[:]
         new.parents = self.parents[:]
-        new._firing, new._unscanned = dict(self._firing), self._unscanned
+        new._firing, new.sound = dict(self._firing), self.sound
         return new
 
     def request(self, tail: str, head: str) -> None:
@@ -169,28 +176,25 @@ class _Builder:
         self.children[tail] |= 1 << head
         self.parents[head] |= 1 << tail
         self._firing.pop((min(tail, head), max(tail, head)), None)
-        if not self._unscanned:
-            self._recheck_around(tail, head)
-
-    def snapshot(self) -> PartiallyDirectedGraph:
-        """The current graph: the builder's masks, frozen, as its mask
-        table."""
-        rows = self.children, self.und, self.parents
-        masks = _AdjacencyMasks(self.index, self.adj, *map(tuple, rows))
-        g = PartiallyDirectedGraph._trusted(self.nodes, masks)
-        if self.closed:
-            object.__setattr__(g, _CLOSED, True)
-        return g
+        self._recheck_around(tail, head)
 
     def mpdag(self, context: str = "orientation produced an invalid graph") -> Mpdag:
-        """The snapshot as an MPDAG.  A class-empty PDAG (one representing no
-        DAG at all) can drive the rules into a directed cycle; that surfaces
-        as an internal inconsistency, ``context`` first, rather than a plain
-        invalid-graph error."""
-        try:
-            return Mpdag(self.snapshot())
-        except GraphError as exc:
-            raise InternalInconsistencyError(f"{context}: {exc}") from exc
+        """The current graph, its mask table the builder's masks, frozen;
+        flagged sound if the builder is sound and no rule fires.
+
+        Only a builder that is not sound searches its masks for a directed
+        cycle.  A class-empty PDAG (one representing no DAG at all) can drive
+        the rules into one; that surfaces as an internal inconsistency,
+        ``context`` first, rather than a plain invalid-graph error."""
+        rows = self.children, self.und, self.parents
+        masks = _AdjacencyMasks(self.index, self.adj, *map(tuple, rows))
+        if not self.sound:
+            cycle = _directed_cycle(self.nodes, masks.children)
+            if cycle is not None:
+                raise InternalInconsistencyError(f"{context}: directed cycle: {cycle}")
+        g = PartiallyDirectedGraph._trusted(self.nodes, masks)
+        object.__setattr__(g, _SOUND, self.sound and not self._firing)
+        return Mpdag(g)
 
     # -- the table of firing edges -------------------------------------------
 
@@ -260,11 +264,6 @@ class _Builder:
     def close(self) -> None:
         """Apply R1-R4 until no rule fires anywhere, each step taking the
         first firing (rule, edge, direction)."""
-        if self._unscanned:
-            self._unscanned = False
-            for u, mask in enumerate(self.und):
-                for v in _bit_indices(mask >> (u + 1) << (u + 1)):
-                    self._update(u, v)
         while self._firing:
             _, u, v, direction = min(self._firing.values())
             self.orient(*((v, u) if direction else (u, v)))
@@ -274,8 +273,9 @@ def meek_closure(g: PartiallyDirectedGraph) -> Mpdag:
     """Close a valid PDAG under R1-R4.
 
     Idempotent and monotone: the skeleton is unchanged and the directed edge
-    set only grows.  Soundness of the rules means no directed cycle can
-    appear; if one does, an internal-inconsistency error is raised.
+    set only grows.  A directed cycle appears only on a class-empty input,
+    and raises an internal-inconsistency error.  The result is flagged sound
+    only if ``g`` was.
     """
     builder = _Builder(g)
     builder.close()
@@ -327,7 +327,8 @@ def _branch_walk(
 
 
 def cpdag_of_dag(d: PartiallyDirectedGraph) -> Mpdag:
-    """The CPDAG of a DAG: skeleton plus unshielded colliders, then closure."""
+    """The CPDAG of a DAG: skeleton plus unshielded colliders, then closure.
+    It is flagged sound, as its class holds ``d``."""
     if not d.is_directed:
         raise GraphError("input must be a DAG (fully directed)")
     masks = d._masks
@@ -344,7 +345,10 @@ def cpdag_of_dag(d: PartiallyDirectedGraph) -> Mpdag:
     )
     und = tuple(n & ~(c | p) for n, c, p in zip(adj, children, parents))
     pattern = _AdjacencyMasks(masks.index, adj, children, und, parents)
-    return meek_closure(PartiallyDirectedGraph._trusted(d.nodes, pattern))
+    builder = _Builder(PartiallyDirectedGraph._trusted(d.nodes, pattern))
+    builder.sound = True  # the pattern's class holds d
+    builder.close()
+    return builder.mpdag()
 
 
 def is_represented(d: PartiallyDirectedGraph, h: Mpdag) -> bool:

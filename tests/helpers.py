@@ -16,6 +16,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 import mpdag as M
+from mpdag import graphs, meek
 from mpdag.graphs import _bit_indices, _checked_sets, _open_step
 from mpdag.identify import _count_violating, _shortest_violating
 from mpdag.meek import _Builder
@@ -752,6 +753,23 @@ def exhaustive_find_adjustment_set(h: M.Mpdag, treatments, outcomes):
             "no adjustment set found for singleton treatment and outcome"
         )
     return None
+
+
+def count_cycle_searches(monkeypatch) -> list[tuple[str, ...]]:
+    """Wrap ``graphs._directed_cycle`` wherever a package module holds it:
+    the returned list gets the node tuple of every cycle search, until
+    ``monkeypatch`` undoes the wrapping."""
+    searches: list[tuple[str, ...]] = []
+    search = graphs._directed_cycle
+
+    def counted(nodes, children):
+        searches.append(tuple(nodes))
+        return search(nodes, children)
+
+    for module in (graphs, meek):
+        if hasattr(module, "_directed_cycle"):
+            monkeypatch.setattr(module, "_directed_cycle", counted)
+    return searches
 
 
 def names_directed_cycle(

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import re
 from pathlib import Path
 
 import jsonschema
@@ -351,6 +352,21 @@ def test_adjust_set_golden_digest(capsys):
     assert digest.hexdigest() == ADJUST_SET_GOLDEN_SHA256
 
 
+def test_workflow_checks_the_same_golden_digests():
+    # the CI workflow re-checks each golden digest on the installed console
+    # script; its sha256 literals must be exactly the five above
+    root = Path(__file__).resolve().parent.parent
+    text = (root / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
+    literals = re.findall(r"\b[0-9a-f]{64}\b", text)
+    assert sorted(literals) == sorted((
+        SIMULATE_GOLDEN_SHA256,
+        EFFECTS_GOLDEN_SHA256,
+        IDGRAPHS_AUDIT_GOLDEN_SHA256,
+        BASELINES_GOLDEN_SHA256,
+        ADJUST_SET_GOLDEN_SHA256,
+    ))
+
+
 def test_idgraphs_verify_never_flags_fixture_corpus(capsys):
     cases = [
         ("four_node_mpdag.txt", "A", "Y"),
@@ -434,4 +450,4 @@ def test_dot_output(capsys):
     code, out, _ = run(capsys, "close", FIXTURES / "four_node_mpdag.txt",
                        "--format", "dot")
     assert code == 0
-    assert '"A" -> "Y";' in out and '"V1" -- "Y";' in out
+    assert '"A" -> "Y";' in out and '"V1" -> "Y" [dir=none];' in out

@@ -72,8 +72,45 @@ def test_render_is_input_order_independent():
 def test_dot_uses_both_edge_ops(four_mpdag):
     dot = M.render_dot(four_mpdag.graph)
     assert '"A" -> "Y";' in dot
-    assert '"A" -- "V1";' in dot
+    assert '"A" -> "V1" [dir=none];' in dot
+    assert " -- " not in dot  # an edge operator of undirected graphs only
     assert dot.startswith("digraph")
+
+
+# a statement of render_dot: a node, or an edge with an optional attribute
+# list, each ID a DOT double-quoted string (only an escaped character may
+# follow a backslash, so no ID ends early)
+DOT_ID = r'"((?:[^"\\]|\\.)*)"'
+DOT_STATEMENT = re.compile(rf"  {DOT_ID}(?: -> {DOT_ID}( \[dir=none\])?)?;")
+
+
+def test_dot_ids_are_valid_for_quotes_and_backslashes():
+    g = M.parse_graph('a"b -> c\\\nc\\ -- "\nlone\\"\\\n')
+    assert g.nodes == ('"', 'a"b', "c\\", "lone\\\"\\")
+    dot = M.render_dot(g).splitlines()
+    assert dot[0] == "digraph g {" and dot[-1] == "}"
+    assert dot[1:-1] == [
+        '  "lone\\\\\\"\\\\";',
+        '  "a\\"b" -> "c\\\\";',
+        '  "\\"" -> "c\\\\" [dir=none];',
+    ]
+    named = []
+    for line in dot[1:-1]:
+        match = DOT_STATEMENT.fullmatch(line)
+        assert match, line
+        ids = [i for i in match.groups()[:2] if i is not None]
+        named += [re.sub(r"\\(.)", r"\1", i) for i in ids]
+    assert sorted(set(named)) == list(g.nodes)
+
+
+def test_edge_list_rejects_names_it_cannot_hold():
+    g = M.PartiallyDirectedGraph(["c#d", "a b", "e"], [("a b", "c#d")], [("c#d", "e")])
+    with pytest.raises(M.GraphError, match=re.escape("node 'a b'")):
+        M.render_edge_list(g)
+    with pytest.raises(M.GraphError, match=re.escape("node 'c#d'")):
+        M.render_edge_list(M.PartiallyDirectedGraph(["c#d", "e"], [], [("c#d", "e")]))
+    with pytest.raises(M.GraphError, match=re.escape("node ''")):
+        M.render_edge_list(M.PartiallyDirectedGraph(["", "e"]))
 
 
 def test_orientation_file_rules():

@@ -45,6 +45,11 @@ class TestValidation:
         with pytest.raises(M.GraphError):
             M.PartiallyDirectedGraph("AB", [("A", "C")])
 
+    def test_node_names_are_strings_like_edge_endpoints(self):
+        g = M.PartiallyDirectedGraph([1, 2, 3], [(1, 2)], [(2, 3)])
+        assert g == M.PartiallyDirectedGraph(["1", "2", "3"], [("1", "2")], [("2", "3")])
+        assert g.nodes == ("1", "2", "3")
+
     def test_long_directed_chain_is_accepted(self):
         names = [f"n{i:04d}" for i in range(5000)]
         g = M.PartiallyDirectedGraph(names, zip(names, names[1:]), ())

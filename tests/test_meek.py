@@ -5,6 +5,7 @@ import mpdag as M
 from helpers import (
     FOUR_NODE_DAGS,
     brute_force_class,
+    count_cycle_searches,
     lines,
     random_dag,
     rescanning_meek_closure,
@@ -342,3 +343,48 @@ class TestConsistentExtension:
             assert str(err.value) == (
                 f"MPDAG admits no consistent extension: directed cycle: {cycle}"
             )
+
+
+class TestSoundness:
+    def test_only_graphs_not_known_sound_are_searched_for_cycles(self, monkeypatch):
+        # below the CPDAG of a DAG no orientation engine call searches for a
+        # directed cycle; below a graph with the same edges, built by the
+        # validating constructor, every call that builds a graph does
+        searches = count_cycle_searches(monkeypatch)
+        rng = np.random.default_rng(23)
+        unidentified = 0
+        for _ in range(30):
+            p = int(rng.integers(2, 11))
+            dag = random_dag(rng, p, rng.choice((0.3, 0.5)))
+            a, y = ([dag.nodes[i]] for i in rng.permutation(p)[:2])
+            searches.clear()
+            h = M.cpdag_of_dag(dag)
+            assert searches == []
+            g = h.graph
+            plain = M.Mpdag(M.PartiallyDirectedGraph(g.nodes, g.directed, g.undirected))
+            # requests from the true DAG, on undirected and directed edges
+            known = [e for e in sorted(dag.directed) if rng.random() < 0.4]
+            calls = [
+                M.enumerate_dags,
+                M.consistent_extension,
+                lambda m: M.method2_graphs(m, a, y),
+                lambda m: M.method3_graphs(m, a, y),
+                lambda m: M.construct_mpdag(m, known),
+            ]
+            for call in calls:
+                searches.clear()
+                sound = call(h)
+                assert searches == []
+                assert call(plain) == sound
+                assert searches
+            searches.clear()
+            result = M.id_graphs(h, a, y)
+            assert searches == []
+            assert M.id_graphs(plain, a, y).graphs == result.graphs
+            # an identified root is returned as it is, with no graph built
+            assert bool(searches) == bool(result.audit)
+            unidentified += bool(result.audit)
+            searches.clear()
+            M.meek_closure(plain.graph)
+            assert len(searches) == 1
+        assert unidentified >= 5

@@ -16,7 +16,7 @@ from mpdag.graphs import (
 )
 from mpdag.identify import _adjustment_verdict, _count_violating, _shortest_violating
 from mpdag.linear import _regression_effects, _total_effect_from_matrix
-from mpdag.meek import _Builder
+from mpdag.meek import _SOUND, _Builder
 from helpers import (
     NameAdjacency,
     PathKind,
@@ -168,15 +168,20 @@ def _outcome(call):
 def _assert_trusted_snapshot(g):
     """``g``, a graph the trusted constructor built from a builder's masks,
     is the graph the validating constructor builds from its edges: the same
-    edge sets, equality, hash and mask table."""
+    edge sets, equality, hash and mask table.  If ``g`` is flagged sound, it
+    is closed, and its class, enumerated from the validated copy with a
+    cycle search at every leaf, is nonempty and the one ``g`` enumerates."""
     validated = M.PartiallyDirectedGraph(g.nodes, g.directed, g.undirected)
     assert g.directed == validated.directed
     assert g.undirected == validated.undirected
     assert g == validated and validated == g
     assert hash(g) == hash(validated)
     assert g._masks == validated._masks
-    if getattr(g, "_meek_closed", False):
+    assert not getattr(validated, _SOUND, False)
+    if getattr(g, _SOUND, False):
         assert rescanning_meek_closure(g) == g
+        dags = M.enumerate_dags(M.Mpdag(validated))
+        assert dags and M.enumerate_dags(M.Mpdag(g)) == dags
 
 
 @st.composite
@@ -210,22 +215,29 @@ def digraph_parts(draw, max_nodes: int = 8):
 @given(digraph_parts())
 def test_cycle_search_matches_name_keyed_oracle(parts):
     # one search over the children bitmasks: the verdict and witness of
-    # validate_pdag, the constructor's error and the trusted build's error
-    # all equal the name-keyed depth-first search
+    # validate_pdag, the constructor's error and the snapshot of a builder
+    # that is not sound, over the same masks, all equal the name-keyed
+    # depth-first search
     nodes, directed, undirected = parts
     cycle = names_directed_cycle(nodes, directed)
     verdict = M.validate_pdag(nodes, directed, undirected)
     made = _outcome(lambda: M.PartiallyDirectedGraph(nodes, directed, undirected))
     order = tuple(sorted(nodes))
-    masks = _mask_table(order, directed, undirected)
-    trusted = _outcome(lambda: M.PartiallyDirectedGraph._trusted(order, masks))
+    builder = _Builder(
+        M.PartiallyDirectedGraph._trusted(order, _mask_table(order, directed, undirected))
+    )
+    assert not builder.sound
+    snapshot = _outcome(lambda: builder.mpdag().graph)
     if cycle is None:
         assert verdict.ok
-        assert made == trusted and made[0] == "ok"
+        assert made == snapshot and made[0] == "ok"
     else:
         assert (verdict.violation, verdict.witness) == ("directed cycle", cycle)
         text = f"directed cycle: {cycle}"
-        assert made == trusted == ("error", M.GraphError, text, None, None)
+        assert made == ("error", M.GraphError, text, None, None)
+        context = "orientation produced an invalid graph"
+        error = ("error", M.InternalInconsistencyError, f"{context}: {text}")
+        assert snapshot == error + (None, None)
 
 
 @settings(max_examples=300)
@@ -235,7 +247,8 @@ def test_closure_matches_rescanning_oracle(case):
     closed = _outcome(lambda: M.meek_closure(g).graph)
     assert closed == _outcome(lambda: rescanning_meek_closure(g))
     outcomes = [closed]
-    # an unclosed wrapper is scanned in full; a closure's output is trusted
+    # neither a user graph nor its closure is sound: each is scanned in full,
+    # and every snapshot searched for a cycle
     inputs = [M.Mpdag(g)] + ([M.Mpdag(closed[1])] if closed[0] == "ok" else [])
     for h in inputs:
         oriented = _outcome(lambda: M.construct_mpdag(h, requests).graph)
@@ -246,7 +259,7 @@ def test_closure_matches_rescanning_oracle(case):
         if outcome[0] == "ok":
             _assert_trusted_snapshot(outcome[1])
     if closed[0] == "ok":
-        assert closed[1]._meek_closed
+        assert not getattr(closed[1], _SOUND, False)
 
 
 @settings(max_examples=200)
@@ -733,8 +746,8 @@ def test_consistent_extension_matches_the_chained_closures(query):
 @st.composite
 def branch_cases(draw):
     """An MPDAG from :func:`mpdag_queries`, or a plain ``Mpdag(g)`` wrapper
-    of a PDAG from :func:`orientation_cases`, which is scanned in full at
-    its first closure and may be unclosed or class-empty; with a treatment
+    of a PDAG from :func:`orientation_cases`, which is not sound, so it is
+    scanned in full and may be unclosed or class-empty; with a treatment
     set of one to three nodes and a one-node outcome set."""
     if draw(st.booleans()):
         h = draw(mpdag_queries(max_nodes=6))[0]
@@ -761,6 +774,11 @@ def test_branch_walk_matches_the_rebuilding_oracles(case):
         assert dags == expected
         assert extension == chained
         assert extension[1] in dags[1]
+        # the leaves below a sound root are sound, and no others
+        sound = getattr(g, _SOUND, False)
+        for dag in dags[1] + [extension[1]]:
+            assert getattr(dag, _SOUND, False) == sound
+            _assert_trusted_snapshot(dag)
     else:
         # a class-empty wrapper: the walk meets a directed cycle at a leaf,
         # the stack of MPDAGs at the first cyclic tree node it builds, so
@@ -777,9 +795,12 @@ def test_branch_walk_matches_the_rebuilding_oracles(case):
     for method, request_edges in (
         (M.method2_graphs, edges), (M.method3_graphs, restricted)
     ):
-        assert _outcome(lambda: method(h, a, y)) == _outcome(
+        combos = _outcome(lambda: method(h, a, y))
+        assert combos == _outcome(
             lambda: replayed_treatment_edge_combos(h, request_edges)
         )
+        for member in combos[1] if combos[0] == "ok" else ():
+            _assert_trusted_snapshot(member.graph)
 
 
 def _builder_state(b):
@@ -802,7 +823,7 @@ def test_builder_copy_shares_no_mutable_state(query):
     clone.close()
     assert _builder_state(source) == before
     source.close()
-    assert clone.snapshot() == source.snapshot()
+    assert clone.mpdag() == source.mpdag()
     closed = _builder_state(source)
     later = clone.first_undirected()
     if later is not None:
