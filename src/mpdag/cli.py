@@ -83,10 +83,12 @@ def _add_graph_arg(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("graph", help="edge-list graph file")
 
 
-def _add_format_arg(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--format", choices=("human", "json", "dot"), default="human"
-    )
+def _add_format_arg(
+    sub: argparse.ArgumentParser, *extra: str, default: str = "human"
+) -> None:
+    """``--format``: ``human``, ``json`` and the ``extra`` formats that the
+    command renders."""
+    sub.add_argument("--format", choices=("human", "json", *extra), default=default)
 
 
 def _add_treat_out(sub: argparse.ArgumentParser) -> None:
@@ -94,15 +96,11 @@ def _add_treat_out(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", required=True, help="comma-separated outcomes")
 
 
-def _cmd_cpdag(args: argparse.Namespace) -> int:
+def _cmd_graph(args: argparse.Namespace) -> int:
+    """``cpdag`` and ``close``: the MPDAG that ``args.make`` builds from the
+    graph file."""
     g = load_graph(args.graph)
-    print(_emit_graph(cpdag_of_dag(g).graph, args.format), end="")
-    return 0
-
-
-def _cmd_close(args: argparse.Namespace) -> int:
-    g = load_graph(args.graph)
-    print(_emit_graph(meek_closure(g).graph, args.format), end="")
+    print(_emit_graph(args.make(g).graph, args.format), end="")
     return 0
 
 
@@ -250,6 +248,8 @@ def _cmd_effects(args: argparse.Namespace) -> int:
         raise GraphError(f"effects takes exactly one outcome, got {outcomes}")
     (outcome,) = outcomes
     if args.cov == "exact":
+        if args.n is not None or args.seed is not None:
+            raise GraphError("exact effects take neither --n nor --seed")
         source = covariance(scm)
     else:
         if args.n is None or args.seed is None:
@@ -376,18 +376,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("cpdag", help="CPDAG of a DAG")
     _add_graph_arg(sub)
-    _add_format_arg(sub)
-    sub.set_defaults(func=_cmd_cpdag)
+    _add_format_arg(sub, "dot")
+    sub.set_defaults(func=_cmd_graph, make=cpdag_of_dag)
 
     sub = subs.add_parser("close", help="close a PDAG under the orientation rules")
     _add_graph_arg(sub)
-    _add_format_arg(sub)
-    sub.set_defaults(func=_cmd_close)
+    _add_format_arg(sub, "dot")
+    sub.set_defaults(func=_cmd_graph, make=meek_closure)
 
     sub = subs.add_parser("orient", help="apply background-knowledge orientations")
     _add_graph_arg(sub)
     sub.add_argument("--bg", required=True, help="file of 'X -> Y' requests")
-    _add_format_arg(sub)
+    _add_format_arg(sub, "dot")
     sub.set_defaults(func=_cmd_orient)
 
     sub = subs.add_parser("enumerate-dags", help="all DAGs represented by an MPDAG")
@@ -421,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_treat_out(sub)
     sub.add_argument("--method", type=int, choices=(1, 2, 3, 4), default=4)
     sub.add_argument("--verify", action="store_true")
-    sub.add_argument("--format", choices=("human", "json"), default="json")
+    _add_format_arg(sub, default="json")
     sub.set_defaults(func=_cmd_idgraphs)
 
     sub = subs.add_parser("effects", help="possible total effects under a linear SCM")
@@ -434,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--seed", type=int, help="sampling seed")
     sub.add_argument("--tol", type=float, default=1e-6,
                      help="tolerance for the distinct-value count")
-    sub.add_argument("--format", choices=("human", "json"), default="human")
+    _add_format_arg(sub)
     sub.set_defaults(func=_cmd_effects)
 
     sub = subs.add_parser("simulate", help="random-instance simulation study")

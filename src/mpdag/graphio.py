@@ -2,10 +2,12 @@
 and reading linear-SCM files.
 
 The format is one edge per line, UTF-8: ``X -> Y`` for a directed edge,
-``X -- Y`` for an undirected one.  ``#`` starts a comment, blank lines are
-ignored, node names are arbitrary non-whitespace tokens.  A node appearing in
-no edge can be declared on a line of its own.  Duplicate edge lines (any two
-lines touching the same node pair) are an error.
+``X -- Y`` for an undirected one.  ``#`` starts a comment and blank lines are
+ignored.  A node name is one non-whitespace token with no ``#`` in it; the
+same rule holds for the names in an SCM file, so every graph read from one
+can be written as an edge list.  A node appearing in no edge can be declared
+on a line of its own.  Duplicate edge lines (any two lines touching the same
+node pair) are an error.
 
 Rendering is canonical: directed edges first, then undirected, each block
 sorted lexicographically.  ``parse_graph(render_edge_list(g)) == g`` holds for
@@ -22,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 from .graphs import GraphError, PartiallyDirectedGraph
 from .linear import LinearScm
@@ -36,16 +38,27 @@ class GraphParseError(GraphError):
         self.line_no = line_no
 
 
+def _is_node_name(value: Any) -> bool:
+    """Is ``value`` a node name: a string that is one non-whitespace token
+    with no ``#`` in it?"""
+    return isinstance(value, str) and "#" not in value and value.split() == [value]
+
+
+def _lines(text: str) -> Iterator[tuple[int, str, list[str]]]:
+    """``(line number, line, tokens)`` for each line of ``text`` that is not
+    blank once its comment is cut; ``line`` is the cut line, stripped."""
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield line_no, line, line.split()
+
+
 def parse_graph(text: str) -> PartiallyDirectedGraph:
     nodes: set[str] = set()
     directed: list[tuple[str, str]] = []
     undirected: list[tuple[str, str]] = []
     seen_pairs: dict[frozenset[str], int] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
+    for line_no, line, tokens in _lines(text):
         if len(tokens) == 1:
             nodes.add(tokens[0])
             continue
@@ -88,8 +101,8 @@ def _isolated(g: PartiallyDirectedGraph) -> list[str]:
 
 def render_edge_list(g: PartiallyDirectedGraph) -> str:
     """The edge-list text of ``g``; a :class:`GraphError` names the smallest
-    node that is not a non-empty token free of whitespace and ``#``."""
-    bad = [n for n in g.nodes if "#" in n or not _are_node_names([n])]
+    node that is not a node name of the format."""
+    bad = [n for n in g.nodes if not _is_node_name(n)]
     if bad:
         raise GraphError(f"node {bad[0]!r} is not a token of the edge-list format")
     lines = [*g.edge_lines(), *_isolated(g)]
@@ -116,11 +129,7 @@ def render_dot(g: PartiallyDirectedGraph, name: str = "g") -> str:
 def parse_orientations(text: str) -> list[tuple[str, str]]:
     """Background-knowledge file: one ``X -> Y`` request per line, in order."""
     requests: list[tuple[str, str]] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
+    for line_no, line, tokens in _lines(text):
         if len(tokens) != 3 or tokens[1] != "->":
             raise GraphParseError(f"expected 'X -> Y', got {line!r}", line_no)
         request = (tokens[0], tokens[2])
@@ -152,21 +161,16 @@ def _number(value: Any, where: str) -> float:
     return number
 
 
-def _are_node_names(values: Any) -> bool:
-    """Are ``values`` node names: strings that are non-whitespace tokens?"""
-    return all(isinstance(v, str) and v.split() == [v] for v in values)
-
-
 def load_scm_file(path: str | Path) -> LinearScm:
     """Read a linear SCM from a JSON object with the keys ``edges``, a
     mapping from ``"A -> B"`` to the edge coefficient, and optionally
     ``noise``, a mapping from a node to its noise variance (1.0 if left out),
     and ``nodes``, a list of nodes in no edge.
 
-    Node names are non-whitespace tokens, as in graph files.  Any other key,
-    two keys naming one edge, a noise entry naming no node and a value that
-    is not a finite number each raise a :class:`GraphError` that names the
-    key.
+    Node names follow the rule of graph files: one non-whitespace token with
+    no ``#`` in it.  An edge key naming any other node, any other key, two
+    keys naming one edge, a noise entry naming no node and a value that is
+    not a finite number each raise a :class:`GraphError` that names the key.
     """
     data = json.loads(_read_text(path))
     if not isinstance(data, dict) or not isinstance(data.get("edges"), dict):
@@ -177,12 +181,12 @@ def load_scm_file(path: str | Path) -> LinearScm:
     noise, nodes = data.get("noise", {}), data.get("nodes", [])
     if not isinstance(noise, dict):
         raise GraphError("SCM 'noise' must be a mapping")
-    if not isinstance(nodes, list) or not _are_node_names(nodes):
+    if not isinstance(nodes, list) or not all(map(_is_node_name, nodes)):
         raise GraphError("SCM 'nodes' must be a list of node names")
     keys: dict[tuple[str, ...], str] = {}
     for key in data["edges"]:
         edge = tuple(part.strip() for part in key.split("->"))
-        if len(edge) != 2 or not _are_node_names(edge):
+        if len(edge) != 2 or not all(map(_is_node_name, edge)):
             raise GraphError(f"bad SCM edge key {key!r}, expected 'A -> B'")
         if edge in keys:
             raise GraphError(f"SCM edge key {key!r} repeats {keys[edge]!r}")

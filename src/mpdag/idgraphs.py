@@ -43,16 +43,20 @@ class BranchRecord:
     """One recursion node: the graph, the edge oriented, and the shortest
     violating path that selected it.
 
-    ``violating`` counts the violating paths of the branching graph, the
-    first time it is read; the record keeps the number.
+    ``graph``, the canonical edge lines of the branching graph, and
+    ``violating``, the number of its violating paths, are read off that graph
+    the first time they are read; the record keeps them.
     """
 
-    graph: tuple[str, ...]  # canonical edge lines of the branching graph
     edge: tuple[str, str]
     path: tuple[str, ...]
-    _mpdag: Mpdag = field(repr=False, compare=False)
+    _mpdag: Mpdag = field(repr=False)  # the branching graph
     _treatments: int = field(repr=False, compare=False)  # node masks
     _outcomes: int = field(repr=False, compare=False)
+
+    @cached_property
+    def graph(self) -> tuple[str, ...]:
+        return self._mpdag.graph.edge_lines()
 
     @cached_property
     def violating(self) -> int:
@@ -139,7 +143,6 @@ def id_graphs(
         a1, v1 = shortest.nodes[0], shortest.nodes[1]
         audit.append(
             BranchRecord(
-                graph=current.graph.edge_lines(),
                 edge=(a1, v1),
                 path=shortest.nodes,
                 _mpdag=current,

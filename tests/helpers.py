@@ -613,7 +613,6 @@ def stacked_id_graphs(h: M.Mpdag, treatments, outcomes) -> M.EnumerationResult:
         a1, v1 = shortest.nodes[0], shortest.nodes[1]
         audit.append(
             M.BranchRecord(
-                graph=current.graph.edge_lines(),
                 edge=(a1, v1),
                 path=shortest.nodes,
                 _mpdag=current,

@@ -178,6 +178,16 @@ def test_effects_sampled_needs_seed(capsys):
     assert "seed" in err
 
 
+# the exact covariance draws no sample, so a sample size or seed is an error
+@pytest.mark.parametrize("extra", [("--n", "5"), ("--seed", "3")])
+def test_effects_exact_takes_no_sample_options(capsys, extra):
+    code, out, err = run(capsys, "effects", "--scm", FIXTURES / "sim_scm.json",
+                         "--treat", "A1", "--out", "Y", "--cov", "exact", *extra)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert extra[0] in err
+
+
 @pytest.mark.parametrize("out", ["Y,A2", ""])
 def test_effects_takes_exactly_one_outcome(capsys, out):
     code, stdout, err = run(capsys, "effects", "--scm", FIXTURES / "sim_scm.json",
@@ -402,6 +412,7 @@ def test_parse_error_reports_line(capsys, tmp_path):
     '{"edges": {"A -> Y": 1.0, "A->Y": 3.0}}',
     '{"edges": {"A -> Y": 1.0}, "noise": {"Yy": 2.0}}',
     '{"edges": {"A -> Y": 1.0, "A -> B -> Y": 1.0}}',
+    '{"edges": {"A -> Y": 1.0}, "nodes": ["Z#"]}',
 ])
 def test_malformed_scm_file_is_one_error_line(capsys, tmp_path, text):
     scm = tmp_path / "scm.json"
@@ -451,3 +462,42 @@ def test_dot_output(capsys):
                        "--format", "dot")
     assert code == 0
     assert '"A" -> "Y";' in out and '"V1" -> "Y" [dir=none];' in out
+
+
+# the arguments of each command that takes --format, on a fixture it succeeds on
+FORMAT_COMMANDS = {
+    "cpdag": (FIXTURES / "four_node_dag.txt",),
+    "close": (FIXTURES / "four_node_mpdag.txt",),
+    "orient": (FIXTURES / "four_node_mpdag.txt", "--bg", FIXTURES / "bg_a_to_y.txt"),
+    "enumerate-dags": (FIXTURES / "four_node_mpdag.txt",),
+    "check-id": (FIXTURES / "four_node_mpdag.txt", "--treat", "A", "--out", "Y"),
+    "adjust": (FIXTURES / "four_node_dag.txt", "--treat", "A", "--out", "Y", "--find"),
+    "idgraphs": (FIXTURES / "four_node_mpdag.txt", "--treat", "A", "--out", "Y"),
+    "effects": ("--scm", FIXTURES / "sim_scm.json", "--treat", "A1", "--out", "Y",
+                "--cov", "exact"),
+}
+DOT_COMMANDS = {"cpdag", "close", "orient"}
+
+
+def _is_json(text: str) -> bool:
+    try:
+        json.loads(text)
+    except ValueError:
+        return False
+    return True
+
+
+# a format a command offers is a format it prints; any other is a usage error
+@pytest.mark.parametrize("fmt", ["human", "json", "dot"])
+@pytest.mark.parametrize("command", sorted(FORMAT_COMMANDS))
+def test_every_offered_format_is_rendered(capsys, command, fmt):
+    try:
+        code, out, _ = run(capsys, command, *FORMAT_COMMANDS[command], "--format", fmt)
+    except SystemExit as exc:
+        assert exc.code == 2 and "invalid choice" in capsys.readouterr().err
+        assert fmt == "dot" and command not in DOT_COMMANDS
+        return
+    assert code == 0
+    assert _is_json(out) == (fmt == "json")
+    assert out.startswith("digraph") == (fmt == "dot")
+    assert fmt != "dot" or command in DOT_COMMANDS

@@ -158,6 +158,7 @@ def test_scm_file_defaults_noise_and_keeps_declared_nodes(tmp_path):
     ({"edges": {"A -> Y": "abc"}}, "A -> Y"),
     ({"edges": {"A -> Y": float("nan")}}, "A -> Y"),
     ({"edges": {"A -> Y": 1.0}, "noise": {"Y": float("inf")}}, "Y"),
+    ({"edges": {"a#b -> Y": 1.0}}, "a#b -> Y"),
 ])
 def test_scm_file_rejects_what_it_would_lose(tmp_path, data, key):
     path = tmp_path / "scm.json"

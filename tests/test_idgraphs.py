@@ -118,6 +118,7 @@ class TestOutputSensitiveEnumeration:
         assert keys == [g.key() for g in graphs] == [g.key() for g in stacked.graphs]
         trail = [(r.edge, r.path, r.violating) for r in result.audit]
         assert trail == audit == [(r.edge, r.path, r.violating) for r in stacked.audit]
+        assert result.audit == stacked.audit  # records compare on their graph
 
     def test_paths_are_enumerated_in_full_only_on_demand(self, monkeypatch):
         # every function that walks all paths, wherever a module holds it
