@@ -118,8 +118,10 @@ def _cmd_orient(args: argparse.Namespace) -> int:
         if args.format == "json":
             print(json.dumps(payload, indent=2))
         else:
+            # a FAIL has no graph to draw: under dot, stdout stays empty
             print(f"FAIL: cannot orient {exc.request[0]} -> {exc.request[1]}"
-                  f" ({exc.reason})")
+                  f" ({exc.reason})",
+                  file=sys.stderr if args.format == "dot" else sys.stdout)
         return 0
     if args.format == "json":
         print(json.dumps({"status": "ok", "graph": graph_to_json(oriented.graph)},

@@ -41,7 +41,9 @@ One walk, four uses: list, count, shortest, adjustment witness.
   collecting the nodes on them (:func:`_nodes_on_paths`, for the forbidden
   set and method 3) and counting the violating ones (the diagnostic m at the
   root, and the per-branch counts of the minimal enumeration when read)
-  visit every path.
+  visit every path.  The walk gives the paths of each length in node
+  sequence order, so the listing sorts by length alone, and it reads every
+  path's marks off one table of mark rows built per call.
 * The first shortest violating path (the identifiability witness, and the
   branch-edge rule of the minimal enumeration on :mod:`mpdag.meek`'s one
   branch walk) bounds the rest of the search to shorter paths at each hit: a
@@ -182,6 +184,17 @@ def _bit_indices(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _index_pairs(table: Sequence[int]) -> list[tuple[int, int]]:
+    """The pairs ``(u, v)`` with bit ``v`` set in ``table[u]``, sorted."""
+    pairs = []
+    for u, row in enumerate(table):
+        while row:
+            low = row & -row
+            pairs.append((u, low.bit_length() - 1))
+            row ^= low
+    return pairs
 
 
 def _kahn(masks: "_AdjacencyMasks") -> list[int]:
@@ -345,9 +358,7 @@ class PartiallyDirectedGraph:
         ``table[u]``, sorted: bits come out in node order, which is name
         order."""
         nodes = self.nodes
-        return [
-            (nodes[u], nodes[v]) for u, row in enumerate(table) for v in _bit_indices(row)
-        ]
+        return [(nodes[u], nodes[v]) for u, v in _index_pairs(table)]
 
     @cached_property
     def directed(self) -> frozenset[tuple[str, str]]:
@@ -510,10 +521,11 @@ def _proper_paths(
     ``u, v`` to one of ``step(u, v)``; it never takes a node twice, a start
     after the first node, or a node ``w`` with ``back[w]`` on the path, and it
     stops growing once every target is on it, as no extension can end in a
-    new one.  Starts and steps are taken in node order, so among paths of one
-    length the first yielded is the smallest.  Iterative, with one mask of
-    untried extensions per path node.  Sending a node count into the
-    generator bounds the paths that are still to come to that many nodes.
+    new one.  Starts and steps are taken in node order and a path comes
+    before its extensions, so the paths of one length come out in node
+    sequence order.  Iterative, with one mask of untried extensions per path
+    node.  Sending a node count into the generator bounds the paths that are
+    still to come to that many nodes.
     """
     limit = len(first)
     for a in _bit_indices(starts):
@@ -635,8 +647,22 @@ def proper_possibly_causal_paths(
     """
     starts, targets = _checked_sets(g, treatments, outcomes)
     walk = _possibly_causal_walk(g, starts, targets, start_undirected_only)
-    found = sorted((tuple(seq) for seq in walk), key=lambda seq: (len(seq), seq))
-    return [_node_path(g, seq) for seq in found]
+    # the walk gives each length in node sequence order, which a stable sort
+    # by length keeps
+    found = sorted((tuple(seq) for seq in walk), key=len)
+    masks, nodes = g._masks, g.nodes
+    # marks[u][v]: the mark between adjacent nodes u and v, seen from u
+    marks = [
+        {v: masks.mark(u, v) for v in _bit_indices(row)}
+        for u, row in enumerate(masks.neighbours)
+    ]
+    return [
+        NodePath(
+            tuple([nodes[i] for i in seq]),
+            tuple([marks[u][v] for u, v in zip(seq, seq[1:])]),
+        )
+        for seq in found
+    ]
 
 
 def _reach(starts: int, first: Sequence[int], step: Callable[[int, int], int]) -> int:

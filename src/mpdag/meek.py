@@ -69,6 +69,7 @@ from .graphs import (
     _AdjacencyMasks,
     _bit_indices,
     _directed_cycle,
+    _index_pairs,
 )
 
 
@@ -93,9 +94,13 @@ class Mpdag:
         return self.graph.nodes
 
     def key(self) -> tuple:
-        """Canonical sort/equality key."""
-        g = self.graph
-        return g.nodes, tuple(g.sorted_directed()), tuple(g.sorted_undirected())
+        """Canonical sort/equality key: the nodes, then the directed and the
+        undirected edges as sorted pairs of node indices, an undirected pair
+        smaller index first.  Index order is name order, so keys on one node
+        tuple sort as the sorted lists of named edges do."""
+        masks = self.graph._masks
+        upper = [row >> u + 1 << u + 1 for u, row in enumerate(masks.undirected)]
+        return self.nodes, tuple(_index_pairs(masks.children)), tuple(_index_pairs(upper))
 
 
 _SOUND = "_meek_sound"  # true on closed graphs that represent a DAG
@@ -203,8 +208,13 @@ class _Builder:
         are ``shared``: two of them are nonadjacent."""
         if not shared & (shared - 1):  # fewer than two
             return False
-        adj = self.adj
-        return any(shared & ~(adj[w] | 1 << w) for w in _bit_indices(shared))
+        adj, rest = self.adj, shared
+        while rest:
+            low = rest & -rest
+            if shared & ~(adj[low.bit_length() - 1] | low):
+                return True
+            rest ^= low
+        return False
 
     def _r4(self, und_tail: int, shared: int, head: int) -> bool:
         """R4: some ``b`` in ``shared`` has a parent ``a`` that is an
@@ -212,14 +222,22 @@ class _Builder:
         # the head is undirected at the tail but never a parent of b; leaving
         # it out lets the test below end early
         candidates = und_tail & ~(self.adj[head] | 1 << head)
-        if not (shared and candidates):
+        if not candidates:
             return False
         parents = self.parents
-        return any(candidates & parents[b] for b in _bit_indices(shared))
+        while shared:
+            low = shared & -shared
+            if candidates & parents[low.bit_length() - 1]:
+                return True
+            shared ^= low
+        return False
 
     def _update(self, u: int, v: int) -> None:
-        """Re-check the undirected edge ``u -- v``, ``u < v``: record its
-        first firing, trying R1..R4 in turn, ``u -> v`` before ``v -> u``."""
+        """Re-check the undirected edge ``u -- v``, given in either order:
+        record its first firing, trying R1..R4 in turn, the smaller endpoint
+        as tail first."""
+        if u > v:
+            u, v = v, u
         parents, children, und, adj = self.parents, self.children, self.und, self.adj
         pu, pv = parents[u], parents[v]
         # R3 and R4 look at the tail's undirected neighbours among the head's
@@ -250,16 +268,26 @@ class _Builder:
         """Re-check every edge whose rules read a mask that ``tail -> head``
         changed: the edges at ``tail`` or ``head``, and for R4 (with ``b =
         head``) those joining an undirected neighbour of ``head`` to a child
-        of ``head``.  All of them have an endpoint in N[head]."""
-        und, children = self.und, self.children[head]
-        pairs = [(x, y) for x in (tail, head) for y in _bit_indices(und[x])]
-        pairs += [
-            (u, v)
-            for u in _bit_indices(und[head])
-            for v in _bit_indices(und[u] & children)
-        ]
-        for u, v in {(x, y) if x < y else (y, x) for x, y in pairs}:
-            self._update(u, v)
+        of ``head``.  All of them have an endpoint in N[head].  No edge is
+        met twice (``tail -- head`` is gone, and a child of ``head`` is not
+        an undirected neighbour of it), so each is re-checked as it is met."""
+        und, update = self.und, self._update
+        for x in (tail, head):
+            rest = und[x]
+            while rest:
+                low = rest & -rest
+                update(x, low.bit_length() - 1)
+                rest ^= low
+        children, rest = self.children[head], und[head]
+        while rest:
+            low = rest & -rest
+            u = low.bit_length() - 1
+            ends = und[u] & children
+            while ends:
+                last = ends & -ends
+                update(u, last.bit_length() - 1)
+                ends ^= last
+            rest ^= low
 
     def close(self) -> None:
         """Apply R1-R4 until no rule fires anywhere, each step taking the

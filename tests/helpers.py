@@ -221,6 +221,33 @@ def random_dag(rng: np.random.Generator, p: int, edge_prob: float) -> M.Partiall
     return M.PartiallyDirectedGraph(names, edges, ())
 
 
+def random_chordal_query(
+    rng: np.random.Generator, p: int = 10, edge_prob: float = 0.3
+) -> tuple[M.Mpdag, str, str]:
+    """A fully undirected chordal graph on ``v0`` .. ``v{p-1}`` and two
+    distinct nodes, drawn as the dense benchmark draws its queries: an ER
+    skeleton triangulated along a random elimination order, then a random
+    treatment and outcome (not necessarily joined by a path)."""
+    adj: list[set[int]] = [set() for _ in range(p)]
+    for i in range(p):
+        for j in range(i + 1, p):
+            if rng.random() < edge_prob:
+                adj[i].add(j)
+                adj[j].add(i)
+    eliminated: set[int] = set()
+    for v in rng.permutation(p):
+        left = sorted(w for w in adj[v] if w not in eliminated)
+        for u, w in itertools.combinations(left, 2):
+            adj[u].add(w)
+            adj[w].add(u)
+        eliminated.add(int(v))
+    a, y = (int(v) for v in rng.choice(p, size=2, replace=False))
+    names = [f"v{i}" for i in range(p)]
+    und = [(names[u], names[w]) for u in range(p) for w in adj[u] if u < w]
+    h = M.meek_closure(M.PartiallyDirectedGraph(names, (), und))
+    return h, names[a], names[y]
+
+
 def random_scm(rng: np.random.Generator, dag: M.PartiallyDirectedGraph) -> M.LinearScm:
     coefs = {}
     for edge in sorted(dag.directed):

@@ -94,6 +94,17 @@ def test_orient_success_and_failure(capsys, tmp_path):
     assert payload["request"] == ["Y", "A"]
 
 
+def test_orient_failure_under_dot_goes_to_stderr(capsys, tmp_path):
+    # a FAIL is a reported result (exit 0) but no graph: under dot, stdout
+    # stays empty and the FAIL line goes to stderr
+    bad = tmp_path / "bad.txt"
+    bad.write_text("Y -> A\n")
+    code, out, err = run(capsys, "orient", FIXTURES / "four_node_mpdag.txt",
+                         "--bg", bad, "--format", "dot")
+    assert (code, out) == (0, "")
+    assert err == "FAIL: cannot orient Y -> A (graph has A -> Y)\n"
+
+
 @pytest.mark.parametrize("request_", [("Z", "A"), ("A", "Z")])
 def test_orient_unknown_node_fails(capsys, tmp_path, request_):
     bg = tmp_path / "bg.txt"

@@ -1,13 +1,21 @@
+import hashlib
 import itertools
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mpdag as M
-from helpers import PathKind, classify_path, lines, unshielded_subsequence
+from helpers import (
+    PathKind,
+    classify_path,
+    lines,
+    random_chordal_query,
+    unshielded_subsequence,
+)
 
 
 def chain(*edges):
@@ -188,6 +196,37 @@ class TestProperPossiblyCausalPaths:
         sizes = [len(p.nodes) for p in paths]
         assert sizes == sorted(sizes)
         assert [p.nodes for p in paths[:2]] == [("A1", "Y"), ("A2", "Y")]
+
+    # sha256 of the listings below, each path's nodes and marks in order,
+    # recorded before the listing built its paths off one mark table
+    DENSE_LISTING_SHA256 = (
+        "b03f48d4736e9f444983d8540e8108726ced6d4c9f756e115cf11ae0b05e567c"
+    )
+
+    def test_listing_digest_on_dense_graphs(self):
+        # K7 and five chordal graphs drawn as the dense benchmark draws them:
+        # the violating and the proper possibly causal paths of each, and
+        # the proper possibly causal paths of each id_graphs member, whose
+        # directed edges give the listing marks other than "--"
+        names = [f"v{i}" for i in range(7)]
+        k7 = M.meek_closure(
+            M.PartiallyDirectedGraph(names, (), itertools.combinations(names, 2))
+        )
+        queries = [(k7, "v0", "v1")]
+        queries += [random_chordal_query(np.random.default_rng(s)) for s in range(5)]
+        digest = hashlib.sha256()
+        for h, a, y in queries:
+            listings = [
+                M.violating_paths(h, [a], [y]),
+                M.proper_possibly_causal_paths(h.graph, [a], [y]),
+            ]
+            assert listings[0]  # every query is unidentified
+            for member in M.id_graphs(h, [a], [y]).graphs:
+                listings.append(M.proper_possibly_causal_paths(member.graph, [a], [y]))
+            for paths in listings:
+                digest.update("".join(f"{p}\n" for p in paths).encode())
+                digest.update(b"\n")
+        assert digest.hexdigest() == self.DENSE_LISTING_SHA256
 
 
 class TestAncestralSets:

@@ -3,6 +3,7 @@
 import itertools
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import mpdag as M
@@ -37,6 +38,7 @@ from helpers import (
     names_directed_cycle,
     partial_correlation,
     possibly_causal_walk,
+    random_chordal_query,
     random_dag,
     random_scm,
     regression_coefficient_matrix,
@@ -260,6 +262,46 @@ def test_closure_matches_rescanning_oracle(case):
             _assert_trusted_snapshot(outcome[1])
     if closed[0] == "ok":
         assert not getattr(closed[1], _SOUND, False)
+
+
+def _random_member(rng: np.random.Generator, h: M.Mpdag) -> M.PartiallyDirectedGraph:
+    """A DAG of the class of ``h``: orient a random undirected edge a random
+    way and re-close, until no undirected edge is left."""
+    while h.graph.undirected:
+        undirected = sorted(h.graph.undirected)
+        u, v = undirected[rng.integers(len(undirected))]
+        h = M.construct_mpdag(h, [(u, v) if rng.random() < 0.5 else (v, u)])
+    return h.graph
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_dense_orientation_matches_rescanning_oracle(seed):
+    # chordal graphs of 10-12 nodes, above the drawn cases' sizes: there the
+    # R4 re-check of an orientation t -> h (the edges joining an undirected
+    # neighbour of h to a child of h) covers many edges, and R4 fires often
+    rng = np.random.default_rng([seed, 0x4D])
+    h, a, y = random_chordal_query(rng, p=10 + seed % 3)
+    dag = _random_member(rng, h)
+    requests = [e for e in sorted(dag.directed) if rng.random() < 0.15]
+    rng.shuffle(requests)
+    # the chordal graph is the CPDAG of every DAG of its class, and as such
+    # known sound: its builder starts with no scan and searches no snapshot
+    # for a cycle, while one on the closure h scans every edge first
+    cpdag = M.cpdag_of_dag(dag)
+    assert cpdag.graph == h.graph
+    expected = rescanning_construct_mpdag(h.graph, requests)
+    # one more request, a reversed edge of the DAG: a FAIL where the requests
+    # have oriented that edge already
+    conflict = requests + [sorted(dag.directed)[rng.integers(len(dag.directed))][::-1]]
+    failed = _outcome(lambda: rescanning_construct_mpdag(h.graph, conflict))
+    for root in (h, cpdag):
+        oriented = M.construct_mpdag(root, requests)
+        assert oriented.graph == expected
+        assert _outcome(lambda: M.construct_mpdag(root, conflict).graph) == failed
+        result = M.id_graphs(oriented, [a], [y])
+        stacked = stacked_id_graphs(oriented, [a], [y])
+        assert [g.key() for g in result.graphs] == [g.key() for g in stacked.graphs]
+        assert result.audit == stacked.audit and result.m == stacked.m
 
 
 @settings(max_examples=200)
