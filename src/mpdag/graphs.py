@@ -26,34 +26,39 @@ search over edge states ``(u, v)``: it visits each state once and steps on by
 a local rule, in O(|E|·Δ) whatever the number of paths.  In an MPDAG every
 possibly causal path has an unshielded possibly causal subsequence (Perković,
 Kalisch & Maathuis, UAI 2017), and d-connection is a rule on consecutive
-triples (Bayes-ball, Shachter 1998).
+triples (Bayes-ball, Shachter 1998).  :mod:`mpdag.identify` decides
+identification, the forbidden set of an identified effect and adjustment
+validity by searches of the same kind.
 
 Paths from a start set to a target set come from one walk,
 :func:`_proper_paths`: a depth-first search over per-node bitmasks on an
 explicit stack (a long chain cannot exhaust the interpreter stack), set by
 its first step, its step rule and a table of the nodes it may not append.
-One walk, four uses: list, count, shortest, adjustment witness.
+It runs only where paths are the answer, or where no search over edge
+states is known to give it: listing, counting, the shortest violating path,
+the on-path nodes of an unidentified effect and the invalid-set witness.
 
 * The proper possibly causal paths (:func:`_possibly_causal_walk`) step to
   any neighbour and never append a node with a child already on the path,
   since a "possibly causal" verdict checks *all* ordered node pairs for a
   backward edge.  Listing them (:func:`proper_possibly_causal_paths`),
   collecting the nodes on them (:func:`_nodes_on_paths`, for the forbidden
-  set and method 3) and counting the violating ones (the diagnostic m at the
-  root, and the per-branch counts of the minimal enumeration when read)
-  visit every path.  The walk gives the paths of each length in node
-  sequence order, so the listing sorts by length alone, and it reads every
-  path's marks off one table of mark rows built per call.
-* The first shortest violating path (the identifiability witness, and the
-  branch-edge rule of the minimal enumeration on :mod:`mpdag.meek`'s one
-  branch walk) bounds the rest of the search to shorter paths at each hit: a
-  short witness ends the search early, while an identified effect still
-  costs a full search.
-* The adjustment witness steps by the definite-status rule of d-separation
-  (:func:`_open_step`), so it visits only the paths a candidate set leaves
-  open, and keeps the first shortest non-causal one.
+  set of an unidentified effect) and counting the violating ones (the
+  diagnostic m at the root, and the per-branch counts of the minimal
+  enumeration when read) visit every path.  The walk gives the paths of each
+  length in node sequence order, so the listing sorts by length alone, and
+  it reads every path's marks off one table of mark rows built per call.
+* The first shortest violating path (the witness of an unidentified effect,
+  and the branch-edge rule of the minimal enumeration on
+  :mod:`mpdag.meek`'s one branch walk) bounds the rest of the search to
+  shorter paths at each hit: a short witness ends the search early, while a
+  graph with no violating path, such as a leaf of the minimal enumeration,
+  still costs a full search.
+* The witness of an invalid adjustment set steps by the definite-status
+  rule of d-separation (:func:`_open_step`), so it visits only the paths the
+  set leaves open, and keeps the first shortest non-causal one.
 
-Listing and counting paths, proving an effect identified and the adjustment
+Listing and counting paths, the shortest violating path and the invalid-set
 witness are exponential in the worst case and meant for desk-scale graphs
 (roughly p <= 15); there is no silent truncation.
 """
@@ -231,7 +236,10 @@ class _AdjacencyMasks:
 
     def bits(self, names: Iterable[str]) -> int:
         """The mask of the named nodes."""
-        return sum(1 << self.index[n] for n in set(names))
+        index, out = self.index, 0
+        for n in names:
+            out |= 1 << index[n]
+        return out
 
     def mark(self, i: int, j: int) -> Optional[str]:
         """The edge mark between nodes ``i`` and ``j`` seen from ``i``, or
@@ -326,8 +334,12 @@ class PartiallyDirectedGraph:
 
     def _names(self, mask: int) -> frozenset[str]:
         """The nodes whose bits are set in ``mask``."""
-        nodes = self.nodes
-        return frozenset(nodes[i] for i in _bit_indices(mask))
+        nodes, out = self.nodes, []
+        while mask:
+            low = mask & -mask
+            out.append(nodes[low.bit_length() - 1])
+            mask ^= low
+        return frozenset(out)
 
     def parents(self, v: str) -> frozenset[str]:
         return self._names(self._masks.parents[self._masks.index[v]])
@@ -670,16 +682,28 @@ def _reach(starts: int, first: Sequence[int], step: Callable[[int, int], int]) -
     by a search that visits each edge state ``(u, v)``, "at ``v`` from
     ``u``", once: from a start ``s`` it moves to the nodes of the mask
     ``first[s]``, and from ``(u, v)`` to those of ``step(u, v)``."""
-    reached = starts
+    reached = rest = starts
     # taken[v]: the w of the states (v, w) already stacked
-    taken = [first[v] if reached >> v & 1 else 0 for v in range(len(first))]
-    stack = [(s, w) for s in _bit_indices(reached) for w in _bit_indices(first[s])]
+    taken = [0] * len(first)
+    stack = []
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        s = low.bit_length() - 1
+        taken[s] = new = first[s]
+        while new:
+            bit = new & -new
+            stack.append((s, bit.bit_length() - 1))
+            new ^= bit
     while stack:
         u, v = stack.pop()
         reached |= 1 << v
         new = step(u, v) & ~taken[v]
         taken[v] |= new
-        stack += ((v, w) for w in _bit_indices(new))
+        while new:
+            bit = new & -new
+            stack.append((v, bit.bit_length() - 1))
+            new ^= bit
     return reached
 
 
@@ -690,8 +714,10 @@ def _closure(starts: int, table: Sequence[int]) -> int:
     reached = frontier = starts
     while frontier:
         after = 0
-        for v in _bit_indices(frontier):
-            after |= table[v]
+        while frontier:
+            low = frontier & -frontier
+            after |= table[low.bit_length() - 1]
+            frontier ^= low
         frontier = after & ~reached
         reached |= frontier
     return reached

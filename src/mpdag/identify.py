@@ -6,6 +6,17 @@ bucket factorisation of the interventional density for identified effects,
 the forbidden set, and the generalized adjustment criterion.  An adjustment
 set exists exactly when the canonical one does (Perkovic, Textor, Kalisch &
 Maathuis, JMLR 2018), so that set is the only candidate tried.
+
+The decisions rest on one polynomial search, :func:`_first_edges`: the set
+V1 of the second nodes of the proper possibly causal paths from the
+treatments to the outcomes, and whether some such path starts with an
+undirected edge.  The effect is identified exactly when none does.  On an
+identified effect the forbidden set is the possible descendants of V1, and
+a set that avoids it is an adjustment set exactly when it d-separates the
+treatments from the outcomes once the edges ``a -> v``, ``v`` in V1, are
+removed (the proper back-door graph; Perkovic et al. 2018).  Paths are
+walked only where one is returned: the shortest violating path of an
+unidentified effect, and the open path that shows a set invalid.
 """
 
 from __future__ import annotations
@@ -18,6 +29,8 @@ from .graphs import (
     InternalInconsistencyError,
     NodePath,
     PartiallyDirectedGraph,
+    _AdjacencyMasks,
+    _bit_indices,
     _check_known,
     _checked_sets,
     _closure,
@@ -28,6 +41,7 @@ from .graphs import (
     _possibly_causal_reach,
     _possibly_causal_walk,
     _proper_paths,
+    _reach,
     bucket_decomposition,
     parents_of_set,
     proper_possibly_causal_paths,
@@ -68,6 +82,63 @@ def _shortest_violating(
     return None if best is None else _node_path(g, best)
 
 
+def _first_edges(g: PartiallyDirectedGraph, a: int, y: int) -> tuple[int, bool]:
+    """V1, the mask of the nodes ``v`` outside the treatment mask ``a`` with
+    a proper possibly causal path ``t, v, ...`` from a treatment ``t`` to the
+    outcome mask ``y``, and whether the effect is identified: no such path
+    starts with an undirected edge ``t -- v``.
+
+    One backward search over edge states ``(u, x)``, "at ``x`` from ``u``",
+    none of them at a treatment, marks those from which an outcome is
+    reached: ``(u, x)`` with ``x`` an outcome, and ``(u, x)`` with a marked
+    ``(x, w)`` for a ``w`` nonadjacent to ``u``, since a possibly causal path
+    of an MPDAG has an unshielded possibly causal subsequence (Perković,
+    Kalisch & Maathuis, UAI 2017).  A first edge ``t -> v`` or ``t -- v`` then
+    leads to an outcome when ``v`` is one, or when some marked ``(v, w)`` has
+    ``w`` outside the parents of ``t``: the triple ``t, v, w`` may be
+    shielded, as long as the path keeps ``v`` as its second node.
+    """
+    masks = g._masks
+    children, undirected = masks.children, masks.undirected
+    parents, neighbours = masks.parents, masks.neighbours
+    # ahead[u]: the x of the marked states (u, x)
+    ahead = [0] * len(g.nodes)
+    stack = []
+    for x in _bit_indices(y):
+        for u in _bit_indices((parents[x] | undirected[x]) & ~a):
+            ahead[u] |= 1 << x
+            stack.append((u, x))
+    while stack:
+        u, x = stack.pop()
+        # the states (w, u) that step on to x
+        into = (parents[u] | undirected[u]) & ~(neighbours[x] | 1 << x | a)
+        bit_u = 1 << u
+        while into:
+            bit = into & -into
+            into ^= bit
+            w = bit.bit_length() - 1
+            if not ahead[w] & bit_u:
+                ahead[w] |= bit_u
+                stack.append((w, u))
+    v1, identified = 0, True
+    for t in _bit_indices(a):
+        for v in _bit_indices((children[t] | undirected[t]) & ~a):
+            if y >> v & 1 or ahead[v] & ~parents[t]:
+                v1 |= 1 << v
+                if undirected[t] >> v & 1:
+                    identified = False
+    return v1, identified
+
+
+def _violating_witness(g: PartiallyDirectedGraph, a: int, y: int) -> NodePath:
+    """The shortest violating path of an effect that :func:`_first_edges`
+    found unidentified."""
+    witness = _shortest_violating(g, a, y)
+    if witness is None:
+        raise InternalInconsistencyError("unidentified effect without a violating path")
+    return witness
+
+
 def _count_violating(g: PartiallyDirectedGraph, starts: int, targets: int) -> int:
     """The number of violating paths, as for :func:`_shortest_violating`."""
     return sum(1 for _ in _possibly_causal_walk(g, starts, targets, True))
@@ -87,20 +158,22 @@ def is_identified(
     h: Mpdag, treatments: Iterable[str], outcomes: Iterable[str]
 ) -> Identifiability:
     """Graphical identifiability of the total effect, with a shortest witness
-    path when the answer is no."""
+    path when the answer is no.  Only a no-answer walks paths."""
     g = h.graph
-    witness = _shortest_violating(g, *_checked_sets(g, treatments, outcomes))
-    if witness is not None:
-        return Identifiability(False, witness)
-    return Identifiability(True)
+    a, y = _checked_sets(g, treatments, outcomes)
+    if _first_edges(g, a, y)[1]:
+        return Identifiability(True)
+    return Identifiability(False, _violating_witness(g, a, y))
 
 
-def _require_identified(g: PartiallyDirectedGraph, a: int, y: int) -> None:
-    """Raise :class:`NotIdentifiedError` unless the effect of the treatment
-    mask ``a`` on the outcome mask ``y`` is identified."""
-    witness = _shortest_violating(g, a, y)
-    if witness is not None:
-        raise NotIdentifiedError(witness)
+def _require_identified(g: PartiallyDirectedGraph, a: int, y: int) -> int:
+    """V1 of the treatment mask ``a`` and the outcome mask ``y``
+    (:func:`_first_edges`); raise :class:`NotIdentifiedError` unless the
+    effect is identified."""
+    v1, identified = _first_edges(g, a, y)
+    if not identified:
+        raise NotIdentifiedError(_violating_witness(g, a, y))
+    return v1
 
 
 @dataclass(frozen=True)
@@ -175,14 +248,17 @@ def forbidden_set(
     h: Mpdag, treatments: Iterable[str], outcomes: Iterable[str]
 ) -> frozenset[str]:
     """Possible descendants of every non-treatment node lying on some proper
-    possibly causal path from the treatments to the outcomes."""
+    possibly causal path from the treatments to the outcomes.
+
+    On an identified effect these are the possible descendants of V1
+    (:func:`_first_edges`).  On an unidentified one that set can be smaller,
+    so the nodes on the paths are collected by walking every path."""
     g = h.graph
-    return g._names(_forbidden(g, *_checked_sets(g, treatments, outcomes)))
-
-
-def _forbidden(g: PartiallyDirectedGraph, a: int, y: int) -> int:
-    """The mask of the forbidden set for the checked masks ``a`` and ``y``."""
-    return _possibly_causal_reach(g._masks, _nodes_on_paths(g, a, y))
+    a, y = _checked_sets(g, treatments, outcomes)
+    v1, identified = _first_edges(g, a, y)
+    return g._names(_possibly_causal_reach(
+        g._masks, v1 if identified else _nodes_on_paths(g, a, y)
+    ))
 
 
 @dataclass(frozen=True)
@@ -196,15 +272,36 @@ class AdjustmentVerdict:
         return self.valid
 
 
-def _adjustment_verdict(
-    g: PartiallyDirectedGraph, a: int, y: int, z: int, forb: int
-) -> AdjustmentVerdict:
-    """:func:`is_adjustment_set` for an identified effect, on masks: the
-    treatments ``a``, the outcomes ``y``, the candidate ``z`` and the
-    forbidden set ``forb``."""
-    hit = z & forb
-    if hit:
-        return AdjustmentVerdict(False, "forbidden", witness_node=min(g._names(hit)))
+def _back_door_separated(
+    masks: _AdjacencyMasks, a: int, y: int, z: int, v1: int
+) -> bool:
+    """Whether the node mask ``z`` d-separates the treatments ``a`` from the
+    outcomes ``y`` once the first edges ``t -> v``, ``t`` in ``a`` and ``v``
+    in ``v1``, of the proper possibly causal paths are removed: one
+    edge-state search by the definite-status rule (:func:`_open_step`).
+    For an identified effect and a ``z`` outside the forbidden set, that is
+    the generalized adjustment criterion (Perkovic et al. 2018)."""
+    children, parents = list(masks.children), list(masks.parents)
+    neighbours = list(masks.neighbours)
+    for t in _bit_indices(a):
+        cut = children[t] & v1
+        children[t] ^= cut
+        neighbours[t] ^= cut
+        for v in _bit_indices(cut):
+            parents[v] ^= 1 << t
+            neighbours[v] ^= 1 << t
+    back_door = _AdjacencyMasks(
+        masks.index, tuple(neighbours), tuple(children), masks.undirected, tuple(parents)
+    )
+    return not _reach(a, back_door.neighbours, _open_step(back_door, z)) & y
+
+
+def _adjustment_witness(
+    g: PartiallyDirectedGraph, a: int, y: int, z: int
+) -> Optional[NodePath]:
+    """The first open non-causal definite-status path from the treatments
+    ``a`` to the outcomes ``y`` given ``z``, by length, then node sequence;
+    or None.  A walk over every path that ``z`` leaves open."""
     masks = g._masks
     children = masks.children
 
@@ -221,9 +318,7 @@ def _adjustment_verdict(
     no_back = [0] * len(g.nodes)
     walk = _proper_paths(a, y, masks.neighbours, _open_step(masks, z), no_back)
     best = _last_hit(walk, non_causal)
-    if best is None:
-        return AdjustmentVerdict(True)
-    return AdjustmentVerdict(False, "open_path", witness_path=_node_path(g, best))
+    return None if best is None else _node_path(g, best)
 
 
 def is_adjustment_set(
@@ -239,10 +334,11 @@ def is_adjustment_set(
     outcomes.  Stated only under the identifiability premise, so an
     unidentified effect raises :class:`NotIdentifiedError`.
 
-    One search walks the proper definite-status paths that the candidate
-    leaves open (the d-separation walk: a non-collider in the set or a
-    collider without a descendant in it ends the path).  The witness of an
-    invalid set is the smallest open non-causal path by length, then node
+    A candidate outside the forbidden set is decided by one d-separation
+    search in the proper back-door graph.  Only an invalid one walks the
+    proper definite-status paths that it leaves open (a non-collider in the
+    set or a collider without a descendant in it ends the path), for its
+    witness: the smallest open non-causal path by length, then node
     sequence.
     """
     g = h.graph
@@ -251,8 +347,16 @@ def is_adjustment_set(
     overlap = z & (a | y)
     if overlap:
         raise GraphError(f"adjustment set overlaps A or Y: {sorted(g._names(overlap))}")
-    _require_identified(g, a, y)
-    return _adjustment_verdict(g, a, y, z, _forbidden(g, a, y))
+    v1 = _require_identified(g, a, y)
+    hit = z & _possibly_causal_reach(g._masks, v1)
+    if hit:
+        return AdjustmentVerdict(False, "forbidden", witness_node=min(g._names(hit)))
+    if _back_door_separated(g._masks, a, y, z, v1):
+        return AdjustmentVerdict(True)
+    witness = _adjustment_witness(g, a, y, z)
+    if witness is None:
+        raise InternalInconsistencyError("invalid adjustment set without an open path")
+    return AdjustmentVerdict(False, "open_path", witness_path=witness)
 
 
 def find_adjustment_set(
@@ -274,15 +378,14 @@ def find_adjustment_set(
     """
     g = h.graph
     a, y = _checked_sets(g, treatments, outcomes)
-    _require_identified(g, a, y)
+    v1 = _require_identified(g, a, y)
     masks = g._masks
-    forb = _forbidden(g, a, y)
+    forb = _possibly_causal_reach(masks, v1)
     candidate = _possibly_causal_reach(masks, a | y, forward=False) & ~(forb | a | y)
-    if _adjustment_verdict(g, a, y, candidate, forb):
+    if _back_door_separated(masks, a, y, candidate, v1):
         return g._names(candidate)
-    # for one treatment a and one outcome y, a proper possibly causal path
-    # from a to y exists exactly when y is a possible descendant of a
-    if a.bit_count() == y.bit_count() == 1 and _possibly_causal_reach(masks, a) & y:
+    # some proper possibly causal path exists exactly when V1 is nonempty
+    if a.bit_count() == y.bit_count() == 1 and v1:
         raise InternalInconsistencyError(
             "no adjustment set found for singleton treatment and outcome"
         )

@@ -32,9 +32,9 @@ from functools import cached_property
 from typing import Iterable, Optional
 
 from .graphs import GraphError, InternalInconsistencyError
-from .graphs import _checked_sets, _nodes_on_paths
+from .graphs import _checked_sets
 from .identify import GFormula, g_formula, is_identified
-from .identify import _count_violating, _shortest_violating
+from .identify import _count_violating, _first_edges, _shortest_violating
 from .meek import Mpdag, _branch_walk, _Builder, enumerate_dags
 
 
@@ -127,6 +127,9 @@ def id_graphs(
     depth-first order: a branch, then everything below its ``a1 -> v1``
     child, then everything below its ``v1 -> a1`` child.  No violating path
     is enumerated in full until ``m`` or a record's ``violating`` is read.
+    An unidentified root that is closed but not known to represent a DAG is
+    shown to represent one once, by one DAG of its class, so that no
+    snapshot below it is searched for a directed cycle.
     """
     # every builder shares h's node order, so the masks hold at every node
     a, y = _checked_sets(h.graph, treatments, outcomes)
@@ -140,6 +143,10 @@ def id_graphs(
         if shortest is None:
             leaves[current.key()] = current
             return None
+        if not audit:
+            # one DAG of a closed root's class spares every snapshot below
+            # it a cycle search
+            builder.prove_sound()
         a1, v1 = shortest.nodes[0], shortest.nodes[1]
         audit.append(
             BranchRecord(
@@ -190,9 +197,14 @@ def method3_graphs(
     Every treatment edge into a node off all such paths is left undirected, so
     the output is a coarsening of method 2's: the classes of represented DAGs
     still partition the input class and the effect is identified in each.
+    The far endpoints are taken from V1 (:func:`mpdag.identify._first_edges`):
+    the second nodes of those paths, from any treatment and over a directed
+    or an undirected first edge.  On the treatment edges these are the nodes
+    on the paths, as the property tests check against a walk over every
+    path, and no path is walked to find them.
     """
     a, y = _checked_sets(h.graph, treatments, outcomes)
-    return _treatment_edge_combos(h, a, _nodes_on_paths(h.graph, a, y))
+    return _treatment_edge_combos(h, a, _first_edges(h.graph, a, y)[0])
 
 
 @dataclass(frozen=True)

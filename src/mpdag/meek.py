@@ -41,13 +41,16 @@ the CPDAG of a DAG (its class holds that DAG), and every closed graph that a
 builder with a sound root returns, since orienting an undirected edge of a
 class-nonempty MPDAG and closing keeps exactly the DAGs of its class that
 have that edge, and there is one (Meek 1995).  The flag is never set on the
-closure of a user graph, on anything below a plain ``Mpdag(g)`` or on a
-graph the validating constructor builds: a closed, acyclic PDAG can still
-represent no DAG (an undirected 4-cycle).  A builder on a sound graph starts
-with an empty firing table and never searches for a cycle; any other builder
-scans every edge once when it is made, and searches its masks for a cycle at
-every snapshot, so a class-empty input reports the directed-cycle witness
-the constructor would report for the same edges.
+closure of a user graph or on a graph the validating constructor builds: a
+closed, acyclic PDAG can still represent no DAG (an undirected 4-cycle).
+Below a plain ``Mpdag(g)`` it is set only under a builder that proved its
+class nonempty with one DAG of it (:meth:`_Builder.prove_sound`), as the
+minimal enumeration does once at an unidentified, closed root.  A builder
+on a sound graph starts with an empty firing table and never searches for a
+cycle; any other builder scans every edge once when it is made, and
+searches its masks for a cycle at every snapshot, so a class-empty input
+reports the directed-cycle witness the constructor would report for the
+same edges.
 
 A builder's masks are a graph's mask table, so a graph is built only where
 one is returned or searched, from the node tuple and a frozen copy of the
@@ -174,6 +177,28 @@ class _Builder:
             if later:
                 return u, u + (later & -later).bit_length()
         return None
+
+    def prove_sound(self) -> None:
+        """Flag a closed builder sound if its class is nonempty, which one DAG
+        of the class proves: the first leaf of the branch walk on the first
+        undirected edge, on a copy, when it has no directed cycle and no
+        unshielded collider the builder lacks.  A builder that is not closed,
+        or whose class this leaf does not show nonempty, is left as it is."""
+        if self.sound or self._firing:
+            return
+        leaf = next(_branch_walk(self.copy(), _Builder.first_undirected))
+        if _directed_cycle(self.nodes, leaf.children) is not None:
+            return
+        adj = self.adj
+        for row, before in zip(leaf.parents, self.parents):
+            # a new parent nonadjacent to another parent is a new collider
+            new = row & ~before
+            while new:
+                low = new & -new
+                if row & ~(adj[low.bit_length() - 1] | low):
+                    return
+                new ^= low
+        self.sound = True
 
     def orient(self, tail: int, head: int) -> None:
         self.und[tail] &= ~(1 << head)

@@ -125,6 +125,27 @@ class TestForbiddenSet:
         assert M.forbidden_set(h, [names[0]], [names[1]]) == set(names)
         assert M.forbidden_set(h, [names[0]], [names[-1]]) == set(names)
 
+    def test_unidentified_keeps_descendants_of_every_on_path_node(self):
+        # n6 lies on n7 -- n4 -- n6 -> n5 and n2 is a possible descendant of
+        # n6 (n6 -- n2), but not one of the second nodes n0, n1, n3, n4 of
+        # the paths, as n2 -> n4: the unidentified query's forbidden set is
+        # taken from every on-path node
+        text = (
+            "n0 -> n3\nn1 -> n5\nn2 -> n0\nn2 -> n3\nn2 -> n4\nn2 -> n5\n"
+            "n2 -> n7\nn4 -> n1\nn4 -> n3\nn4 -> n5\nn5 -> n3\nn6 -> n0\n"
+            "n6 -> n1\nn6 -> n5\nn7 -> n0\nn7 -> n1\nn7 -> n3\nn8 -> n3\n"
+            "n2 -- n6\nn2 -- n8\nn4 -- n6\nn4 -- n7\nn6 -- n8\n"
+        )
+        h = M.meek_closure(M.parse_graph(text))
+        assert len(M.enumerate_dags(h)) == 8
+        a, y = ["n7"], ["n3", "n5"]
+        assert not M.is_identified(h, a, y)
+        second = {p.nodes[1] for p in M.proper_possibly_causal_paths(h.graph, a, y)}
+        assert second == {"n0", "n1", "n3", "n4"}
+        reach = set().union(*(M.possible_descendants(h.graph, v) for v in second))
+        assert "n2" not in reach
+        assert "n2" in M.forbidden_set(h, a, y)
+
     def test_direct_from_definition(self, parent_of_both):
         g = parent_of_both.graph
         on_paths = set()
@@ -307,3 +328,54 @@ def test_id_graphs_checks_its_sets_once_for_all_branches(monkeypatch):
     assert (len(result.audit), result.n) == (64, 65)
     assert result.audit[1].violating == 1956  # a branch count, read on demand
     assert len(calls) == 1
+
+
+def refuse_path_walks(monkeypatch) -> None:
+    """Make ``graphs._proper_paths``, the exhaustive path walk, raise in
+    every package module that holds it."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the exhaustive path walk was entered")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "mpdag" and hasattr(module, "_proper_paths"):
+            monkeypatch.setattr(module, "_proper_paths", refuse)
+
+
+def unreachable_outcome() -> M.Mpdag:
+    """a -- v00 with v00 in an undirected K30, and an isolated outcome y:
+    every path from a is possibly causal, and none reaches y."""
+    clique = [f"v{i:02d}" for i in range(30)]
+    edges = [("a", "v00"), *itertools.combinations(clique, 2)]
+    return M.meek_closure(M.PartiallyDirectedGraph(["a", "y", *clique], (), edges))
+
+
+def complete_dag() -> M.Mpdag:
+    """The complete DAG on 40 nodes, every edge pointing to the later name."""
+    names = [f"v{i:02d}" for i in range(40)]
+    return M.Mpdag(M.PartiallyDirectedGraph(names, itertools.combinations(names, 2)))
+
+
+class TestDecisionsWalkNoPath:
+    # on either family the number of paths grows factorially with the size,
+    # while each answer is one search over edge states
+    def test_unreachable_outcome(self, monkeypatch):
+        h = unreachable_outcome()
+        clique = set(h.nodes) - {"a", "y"}
+        refuse_path_walks(monkeypatch)
+        assert M.is_identified(h, ["a"], ["y"])
+        assert M.forbidden_set(h, ["a"], ["y"]) == frozenset()
+        assert M.find_adjustment_set(h, ["a"], ["y"]) == clique
+        assert M.is_adjustment_set(h, ["a"], ["y"], [])
+        assert M.is_adjustment_set(h, ["a"], ["y"], clique)
+        assert str(M.g_formula(h, ["a"], ["y"])) == "f(y)"
+
+    def test_complete_dag(self, monkeypatch):
+        h = complete_dag()
+        a, y = [h.nodes[0]], [h.nodes[-1]]
+        refuse_path_walks(monkeypatch)
+        assert M.is_identified(h, a, y)
+        assert M.forbidden_set(h, a, y) == set(h.nodes[1:])
+        assert M.find_adjustment_set(h, a, y) == frozenset()
+        assert M.is_adjustment_set(h, a, y, [])
+        assert len(M.method3_graphs(h, a, y)) == 1

@@ -218,6 +218,24 @@ class TestBaselineEnumerations:
             )
         assert len(M.method3_graphs(complete4, ["A1", "A2"], ["Y"])) == len(combos)
 
+    def test_method3_far_end_reached_over_another_treatments_first_edge(self):
+        # x5 is the second node of a proper possibly causal path only as
+        # x6 -> x5 -- x4: from x2, the step x5 -- x4 is barred by x4 -> x2.
+        # Still x5 lies on that path, so method 3 orients x2 -- x5
+        text = (
+            "x2 -> x1\nx3 -> x1\nx3 -> x2\nx3 -> x4\nx3 -> x5\nx3 -> x7\n"
+            "x4 -> x1\nx4 -> x2\nx5 -> x1\nx6 -> x1\nx6 -> x2\nx6 -> x4\n"
+            "x6 -> x5\nx6 -> x7\nx7 -> x1\nx7 -> x2\nx7 -> x4\nx7 -> x5\n"
+            "x2 -- x5\nx4 -- x5\n"
+        )
+        h = M.meek_closure(M.parse_graph(text))
+        a, y = ["x2", "x6"], ["x4"]
+        assert M.is_identified(h, a, y)
+        graphs = M.method3_graphs(h, a, y)
+        assert len(graphs) == 2
+        assert {g.graph.mark("x2", "x5") for g in graphs} == {"->", "<-"}
+        assert M.method2_graphs(h, a, y) == graphs
+
     def test_no_undirected_treatment_edges_returns_input(self, four_dag):
         h = M.Mpdag(four_dag)
         assert M.method2_graphs(h, ["A"], ["Y"]) == [h]

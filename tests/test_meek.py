@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import mpdag as M
+from mpdag.meek import _Builder
 from helpers import (
     FOUR_NODE_DAGS,
     brute_force_class,
@@ -381,10 +382,32 @@ class TestSoundness:
             result = M.id_graphs(h, a, y)
             assert searches == []
             assert M.id_graphs(plain, a, y).graphs == result.graphs
-            # an identified root is returned as it is, with no graph built
-            assert bool(searches) == bool(result.audit)
+            # an identified root is returned as it is, with no graph built;
+            # an unidentified one is proved class-nonempty by one DAG of its
+            # class, and no snapshot below it is searched
+            assert len(searches) == bool(result.audit)
             unidentified += bool(result.audit)
             searches.clear()
             M.meek_closure(plain.graph)
             assert len(searches) == 1
         assert unidentified >= 5
+
+    def test_a_class_empty_root_is_not_proved_sound(self, monkeypatch):
+        # closed, and its first DAG-shaped leaf is acyclic, but that leaf has
+        # unshielded colliders the root lacks (the chordless cycle n1 n5 n4
+        # n6): no DAG is proved, so every snapshot is searched and a cyclic
+        # branch reports its cycle
+        h = M.meek_closure(M.parse_graph(
+            "n0 -- n5\nn1 -- n5\nn1 -- n6\nn4 -- n5\nn4 -- n6\n"
+        ))
+        builder = _Builder(h.graph)
+        builder.prove_sound()
+        assert not builder.sound
+        searches = count_cycle_searches(monkeypatch)
+        with pytest.raises(M.InternalInconsistencyError) as err:
+            M.id_graphs(h, ["n1"], ["n4"])
+        assert str(err.value) == (
+            "orientation produced an invalid graph: "
+            "directed cycle: ('n1', 'n5', 'n4', 'n6', 'n1')"
+        )
+        assert len(searches) > 1

@@ -15,7 +15,12 @@ from mpdag.graphs import (
     _nodes_on_paths,
     _possibly_causal_walk,
 )
-from mpdag.identify import _adjustment_verdict, _count_violating, _shortest_violating
+from mpdag.identify import (
+    _adjustment_witness,
+    _count_violating,
+    _first_edges,
+    _shortest_violating,
+)
 from mpdag.linear import _regression_effects, _total_effect_from_matrix
 from mpdag.meek import _SOUND, _Builder
 from helpers import (
@@ -264,6 +269,36 @@ def test_closure_matches_rescanning_oracle(case):
         assert not getattr(closed[1], _SOUND, False)
 
 
+@settings(max_examples=300)
+@given(orientation_cases(), st.booleans())
+def test_soundness_proof_matches_the_class_definition(case, skeleton_only):
+    # a closed graph is proved sound exactly when some orientation of its
+    # undirected edges is a DAG of its class; the closure of a user graph
+    # can be acyclic and still represent none, as an undirected skeleton
+    # with a chordless cycle does
+    g = case[0]
+    if skeleton_only:
+        g = M.PartiallyDirectedGraph(g.nodes, (), g.skeleton)
+    closed = _outcome(lambda: M.meek_closure(g))
+    if closed[0] != "ok" or len(closed[1].graph.undirected) > 10:
+        return
+    h = closed[1]
+    builder = _Builder(h.graph)
+    builder.prove_sound()
+    undirected = sorted(h.graph.undirected)
+    nonempty = False
+    for flips in itertools.product((False, True), repeat=len(undirected)):
+        oriented = {(v, u) if flip else (u, v) for (u, v), flip in zip(undirected, flips)}
+        try:
+            dag = M.PartiallyDirectedGraph(h.nodes, h.graph.directed | oriented, ())
+        except M.GraphError:  # a directed cycle
+            continue
+        if M.is_represented(dag, h):
+            nonempty = True
+            break
+    assert builder.sound == nonempty
+
+
 def _random_member(rng: np.random.Generator, h: M.Mpdag) -> M.PartiallyDirectedGraph:
     """A DAG of the class of ``h``: orient a random undirected edge a random
     way and re-close, until no undirected edge is left."""
@@ -323,6 +358,26 @@ def test_path_search_matches_exhaustive_oracle(query, start_undirected_only):
         assert verdict.witness == first
 
 
+@settings(max_examples=300)
+@given(mpdag_queries(max_nodes=8))
+def test_first_edge_search_matches_exhaustive_oracle(query):
+    # V1, the second nodes of the proper possibly causal paths, and the
+    # verdict (no such path starts undirected) against listing every path;
+    # on an identified effect the forbidden set is the possible descendants
+    # of V1
+    h, a, y = query
+    g = h.graph
+    paths = exhaustive_possibly_causal_paths(g, a, y)
+    v1, identified = _first_edges(g, *_checked_sets(g, a, y))
+    assert g._names(v1) == {p.nodes[1] for p in paths}
+    assert identified == all(p.marks[0] != "--" for p in paths)
+    assert bool(M.is_identified(h, a, y)) == identified
+    forbidden = M.forbidden_set(h, a, y)
+    assert forbidden == exhaustive_forbidden_set(h, a, y)
+    if identified:
+        assert forbidden == exhaustive_possible_descendants(g, g._names(v1))
+
+
 @settings(max_examples=200)
 @given(mpdag_queries(), st.integers(0, 2**31 - 1))
 def test_shared_path_walk_matches_its_two_oracles(query, seed):
@@ -360,11 +415,11 @@ def test_shared_path_walk_matches_its_two_oracles(query, seed):
     for _ in range(3):
         z = [v for v in rest if rng.random() < 0.5]
         best = _last_hit(definite_status_walk(g, a, z), non_causal)
-        # an empty forbidden set, so the verdict is the witness walk's
-        verdict = _adjustment_verdict(g, starts, targets, g._masks.bits(z), 0)
-        assert verdict.valid == (best is None)
-        if best is not None:
-            assert verdict.witness_path.nodes == tuple(g.nodes[i] for i in best)
+        witness = _adjustment_witness(g, starts, targets, g._masks.bits(z))
+        if best is None:
+            assert witness is None
+        else:
+            assert witness.nodes == tuple(g.nodes[i] for i in best)
 
 
 @settings(max_examples=200)
