@@ -317,8 +317,9 @@ class PartiallyDirectedGraph:
 
         A mask table makes known endpoints, no self loop and at most one edge
         per adjacent pair moot; acyclicity is the caller's to guarantee.  The
-        callers are :mod:`mpdag.meek`'s: a builder whose class is known to be
-        nonempty, any other builder after its own cycle search, and the
+        callers are :mod:`mpdag.meek`'s: a builder flagged sound (the CPDAG
+        of a DAG, or a closure that proved its class nonempty, and all
+        below them), any other builder after its own cycle search, and the
         pattern of a DAG, a subgraph of that DAG.
         """
         g = object.__new__(cls)

@@ -127,9 +127,9 @@ def id_graphs(
     depth-first order: a branch, then everything below its ``a1 -> v1``
     child, then everything below its ``v1 -> a1`` child.  No violating path
     is enumerated in full until ``m`` or a record's ``violating`` is read.
-    An unidentified root that is closed but not known to represent a DAG is
-    shown to represent one once, by one DAG of its class, so that no
-    snapshot below it is searched for a directed cycle.
+    Below a root not flagged sound, the first branch closure proves its
+    class nonempty where it ends (:mod:`mpdag.meek`), so a snapshot is
+    searched for a directed cycle only below a class-empty root.
     """
     # every builder shares h's node order, so the masks hold at every node
     a, y = _checked_sets(h.graph, treatments, outcomes)
@@ -143,10 +143,6 @@ def id_graphs(
         if shortest is None:
             leaves[current.key()] = current
             return None
-        if not audit:
-            # one DAG of a closed root's class spares every snapshot below
-            # it a cycle search
-            builder.prove_sound()
         a1, v1 = shortest.nodes[0], shortest.nodes[1]
         audit.append(
             BranchRecord(

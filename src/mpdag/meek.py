@@ -35,22 +35,24 @@ orientations is closed once.  DAG enumeration and the consistent extension
 first treatment edge, and the minimal enumeration on the first edge of a
 shortest violating path.
 
-What is trusted follows provenance, and this module alone decides it.  A
-graph is flagged *sound* when it is closed and represents at least one DAG:
-the CPDAG of a DAG (its class holds that DAG), and every closed graph that a
-builder with a sound root returns, since orienting an undirected edge of a
-class-nonempty MPDAG and closing keeps exactly the DAGs of its class that
-have that edge, and there is one (Meek 1995).  The flag is never set on the
-closure of a user graph or on a graph the validating constructor builds: a
-closed, acyclic PDAG can still represent no DAG (an undirected 4-cycle).
-Below a plain ``Mpdag(g)`` it is set only under a builder that proved its
-class nonempty with one DAG of it (:meth:`_Builder.prove_sound`), as the
-minimal enumeration does once at an unidentified, closed root.  A builder
-on a sound graph starts with an empty firing table and never searches for a
-cycle; any other builder scans every edge once when it is made, and
-searches its masks for a cycle at every snapshot, so a class-empty input
-reports the directed-cycle witness the constructor would report for the
-same edges.
+This module alone decides what is trusted.  A graph is flagged *sound* when
+it is closed and represents at least one DAG.  A closure proves it where it
+ends, unless its builder is sound already, by the elimination of Dor &
+Tarsi (1992), :func:`_extendable`, which is valid on any PDAG.  One proof
+covers everything below: orienting an undirected edge of a class-nonempty
+MPDAG and closing keeps exactly the DAGs of its class that have that edge,
+and there is one (Meek 1995).  The CPDAG of a DAG is flagged without a
+proof, as its class holds that DAG.  So every graph a closure ends in is
+flagged exactly when its class is nonempty; the validating constructor
+flags nothing, as a closed, acyclic PDAG can still represent no DAG (an
+undirected 4-cycle).  A builder on a sound graph starts with an empty firing
+table and never searches for a cycle; any other builder scans every edge
+once when it is made, and searches its masks for a cycle at every snapshot
+until a closure proves it sound.  So a snapshot is searched only where no
+proof holds, below a class-empty graph or at an unflagged root returned
+with no closure, and as a graph with a directed cycle is never proved, a
+class-empty input reports the directed-cycle witness the constructor would
+report for the same edges.
 
 A builder's masks are a graph's mask table, so a graph is built only where
 one is returned or searched, from the node tuple and a frozen copy of the
@@ -117,10 +119,10 @@ class _Builder:
     ``_firing`` maps each undirected edge ``(i, j)``, ``i < j``, on which a
     rule fires to its first firing ``(rule, i, j, direction)``, direction 0
     meaning ``i -> j``; each orientation keeps it up to date.  ``sound``
-    says that the builder's root represents a DAG, so no orientation and
-    closure below it can make a directed cycle.  It is read off a graph
-    flagged sound, on which no rule fires; any other graph is scanned in
-    full here.
+    says that the builder's root or one of its closures represents a DAG,
+    so no orientation and closure below it can make a directed cycle.  It
+    is read off a graph flagged sound, on which no rule fires, or proved
+    where a closure ends; any other graph is scanned in full here.
     """
 
     def __init__(self, g: PartiallyDirectedGraph) -> None:
@@ -177,28 +179,6 @@ class _Builder:
             if later:
                 return u, u + (later & -later).bit_length()
         return None
-
-    def prove_sound(self) -> None:
-        """Flag a closed builder sound if its class is nonempty, which one DAG
-        of the class proves: the first leaf of the branch walk on the first
-        undirected edge, on a copy, when it has no directed cycle and no
-        unshielded collider the builder lacks.  A builder that is not closed,
-        or whose class this leaf does not show nonempty, is left as it is."""
-        if self.sound or self._firing:
-            return
-        leaf = next(_branch_walk(self.copy(), _Builder.first_undirected))
-        if _directed_cycle(self.nodes, leaf.children) is not None:
-            return
-        adj = self.adj
-        for row, before in zip(leaf.parents, self.parents):
-            # a new parent nonadjacent to another parent is a new collider
-            new = row & ~before
-            while new:
-                low = new & -new
-                if row & ~(adj[low.bit_length() - 1] | low):
-                    return
-                new ^= low
-        self.sound = True
 
     def orient(self, tail: int, head: int) -> None:
         self.und[tail] &= ~(1 << head)
@@ -316,10 +296,35 @@ class _Builder:
 
     def close(self) -> None:
         """Apply R1-R4 until no rule fires anywhere, each step taking the
-        first firing (rule, edge, direction)."""
+        first firing (rule, edge, direction); then, on a builder not yet
+        sound, set ``sound`` if the closed graph's class is nonempty."""
         while self._firing:
             _, u, v, direction = min(self._firing.values())
             self.orient(*((v, u) if direction else (u, v)))
+        if not self.sound:
+            self.sound = _extendable(self.children, self.und, self.adj)
+
+
+def _extendable(children: Sequence[int], und: Sequence[int], adj: Sequence[int]) -> bool:
+    """Has the PDAG of these masks a consistent extension, that is a DAG
+    with its skeleton and unshielded colliders and its directed edges?  By
+    Dor & Tarsi (1992), iff its nodes can be removed one by one, each with
+    no child left and each of its undirected neighbours left adjacent to
+    all its other neighbours left.  Any node that qualifies may go first,
+    and removing nodes disqualifies none, so each sweep in node order
+    removes every node that qualifies when it is met."""
+    left = (1 << len(adj)) - 1
+    while left:
+        before = left
+        for x in _bit_indices(left):
+            near = adj[x] & left
+            if not children[x] & left and all(
+                not near & ~(adj[y] | 1 << y) for y in _bit_indices(und[x] & left)
+            ):
+                left ^= 1 << x
+        if left == before:
+            return False
+    return True
 
 
 def meek_closure(g: PartiallyDirectedGraph) -> Mpdag:
@@ -328,7 +333,7 @@ def meek_closure(g: PartiallyDirectedGraph) -> Mpdag:
     Idempotent and monotone: the skeleton is unchanged and the directed edge
     set only grows.  A directed cycle appears only on a class-empty input,
     and raises an internal-inconsistency error.  The result is flagged sound
-    only if ``g`` was.
+    exactly when its class is nonempty.
     """
     builder = _Builder(g)
     builder.close()
@@ -442,9 +447,15 @@ def consistent_extension(h: Mpdag) -> PartiallyDirectedGraph:
 
     Only that leaf's path is closed: the smallest undirected edge ``u -- v``
     is oriented ``u -> v`` and the graph re-closed until no undirected edge
-    is left.  Orienting an undirected edge of a closed graph always succeeds;
-    only a class-empty input can end in a directed cycle, which raises
-    :class:`InternalInconsistencyError`.
+    is left.  Orienting an undirected edge of a closed graph always succeeds.
+    A class-empty input raises :class:`InternalInconsistencyError`, naming
+    the directed cycle if that leaf has one; only a root not flagged sound
+    is checked (:func:`_extendable`).
     """
-    leaf = next(_branch_walk(_Builder(h.graph), _Builder.first_undirected))
-    return leaf.mpdag("MPDAG admits no consistent extension").graph
+    root = _Builder(h.graph)
+    extendable = root.sound or _extendable(root.children, root.und, root.adj)
+    leaf = next(_branch_walk(root, _Builder.first_undirected))
+    dag = leaf.mpdag("MPDAG admits no consistent extension").graph
+    if not extendable:
+        raise InternalInconsistencyError("MPDAG admits no consistent extension")
+    return dag

@@ -208,6 +208,31 @@ def brute_force_class(dag: M.PartiallyDirectedGraph) -> list[M.PartiallyDirected
     return sorted(out, key=lines)
 
 
+def exhaustive_class_nonempty(g: M.PartiallyDirectedGraph) -> bool:
+    """Does some orientation of the undirected edges of ``g`` give a DAG that
+    :func:`is_represented` puts in the class of ``g``?  From the definition,
+    by a depth-first search over the undirected edges in sorted order, each
+    oriented both ways, which drops a partial orientation as soon as it has
+    a directed cycle or an unshielded collider ``g`` lacks: orienting more
+    edges removes neither."""
+    colliders = g.unshielded_colliders()
+    undirected = sorted(g.undirected)
+
+    def extend(directed: frozenset, k: int) -> bool:
+        try:
+            partial = M.PartiallyDirectedGraph(g.nodes, directed, undirected[k:])
+        except M.GraphError:  # a directed cycle
+            return False
+        if not partial.unshielded_colliders() <= colliders:
+            return False
+        if k == len(undirected):
+            return M.is_represented(partial, M.Mpdag(g))
+        u, v = undirected[k]
+        return extend(directed | {(u, v)}, k + 1) or extend(directed | {(v, u)}, k + 1)
+
+    return extend(frozenset(g.directed), 0)
+
+
 def random_dag(rng: np.random.Generator, p: int, edge_prob: float) -> M.PartiallyDirectedGraph:
     names = [f"n{i}" for i in range(p)]
     order = list(rng.permutation(p))

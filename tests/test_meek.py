@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import mpdag as M
-from mpdag.meek import _Builder
+from mpdag.meek import _SOUND, _extendable
 from helpers import (
     FOUR_NODE_DAGS,
     brute_force_class,
@@ -345,12 +345,26 @@ class TestConsistentExtension:
                 f"MPDAG admits no consistent extension: directed cycle: {cycle}"
             )
 
+    def test_closed_class_empty_input_with_an_acyclic_first_leaf(self):
+        # the chordless cycle n1 n5 n4 n6 is closed and represents no DAG;
+        # orienting from smaller tails reaches the acyclic leaf n0 -> n5,
+        # n1 -> n6, n4 -> n6, n5 -> n1, n5 -> n4, whose collider
+        # n1 -> n6 <- n4 the input lacks, so no DAG is returned
+        h = M.meek_closure(M.parse_graph(
+            "n0 -- n5\nn1 -- n5\nn1 -- n6\nn4 -- n5\nn4 -- n6\n"
+        ))
+        with pytest.raises(M.InternalInconsistencyError) as err:
+            M.consistent_extension(h)
+        assert str(err.value) == "MPDAG admits no consistent extension"
+
 
 class TestSoundness:
     def test_only_graphs_not_known_sound_are_searched_for_cycles(self, monkeypatch):
         # below the CPDAG of a DAG no orientation engine call searches for a
         # directed cycle; below a graph with the same edges, built by the
-        # validating constructor, every call that builds a graph does
+        # validating constructor, the first closure proves the class
+        # nonempty, so a call searches once exactly when it returns that
+        # root as it is, with no closure
         searches = count_cycle_searches(monkeypatch)
         rng = np.random.default_rng(23)
         unidentified = 0
@@ -365,44 +379,47 @@ class TestSoundness:
             plain = M.Mpdag(M.PartiallyDirectedGraph(g.nodes, g.directed, g.undirected))
             # requests from the true DAG, on undirected and directed edges
             known = [e for e in sorted(dag.directed) if rng.random() < 0.4]
+            # per call, whether it returns the root unclosed: a walk that
+            # does not branch, or requests that orient no undirected edge
             calls = [
-                M.enumerate_dags,
-                M.consistent_extension,
-                lambda m: M.method2_graphs(m, a, y),
-                lambda m: M.method3_graphs(m, a, y),
-                lambda m: M.construct_mpdag(m, known),
+                (M.enumerate_dags, lambda out: len(out) == 1),
+                (M.consistent_extension, lambda out: not g.undirected),
+                (lambda m: M.method2_graphs(m, a, y), lambda out: len(out) == 1),
+                (lambda m: M.method3_graphs(m, a, y), lambda out: len(out) == 1),
+                (lambda m: M.construct_mpdag(m, known), lambda out: out.graph == g),
             ]
-            for call in calls:
+            for call, unclosed in calls:
                 searches.clear()
                 sound = call(h)
                 assert searches == []
                 assert call(plain) == sound
-                assert searches
+                assert len(searches) == unclosed(sound)
             searches.clear()
             result = M.id_graphs(h, a, y)
             assert searches == []
-            assert M.id_graphs(plain, a, y).graphs == result.graphs
             # an identified root is returned as it is, with no graph built;
-            # an unidentified one is proved class-nonempty by one DAG of its
-            # class, and no snapshot below it is searched
-            assert len(searches) == bool(result.audit)
+            # below an unidentified one every branch is closed and proved
+            assert M.id_graphs(plain, a, y).graphs == result.graphs
+            assert searches == []
             unidentified += bool(result.audit)
-            searches.clear()
-            M.meek_closure(plain.graph)
-            assert len(searches) == 1
+            closed = M.meek_closure(plain.graph)
+            assert searches == []
+            assert getattr(closed.graph, _SOUND)
         assert unidentified >= 5
 
     def test_a_class_empty_root_is_not_proved_sound(self, monkeypatch):
         # closed, and its first DAG-shaped leaf is acyclic, but that leaf has
         # unshielded colliders the root lacks (the chordless cycle n1 n5 n4
-        # n6): no DAG is proved, so every snapshot is searched and a cyclic
-        # branch reports its cycle
+        # n6): the elimination finds no DAG, so the root is not flagged.  The
+        # first branch, n1 -> n5, closes into a directed cycle, which no
+        # elimination proves either: its snapshot is the one searched, and
+        # it reports the cycle
         h = M.meek_closure(M.parse_graph(
             "n0 -- n5\nn1 -- n5\nn1 -- n6\nn4 -- n5\nn4 -- n6\n"
         ))
-        builder = _Builder(h.graph)
-        builder.prove_sound()
-        assert not builder.sound
+        masks = h.graph._masks
+        assert not _extendable(masks.children, masks.undirected, masks.neighbours)
+        assert not getattr(h.graph, _SOUND)
         searches = count_cycle_searches(monkeypatch)
         with pytest.raises(M.InternalInconsistencyError) as err:
             M.id_graphs(h, ["n1"], ["n4"])
@@ -410,4 +427,4 @@ class TestSoundness:
             "orientation produced an invalid graph: "
             "directed cycle: ('n1', 'n5', 'n4', 'n6', 'n1')"
         )
-        assert len(searches) > 1
+        assert searches == [h.nodes]

@@ -22,7 +22,7 @@ from mpdag.identify import (
     _shortest_violating,
 )
 from mpdag.linear import _regression_effects, _total_effect_from_matrix
-from mpdag.meek import _SOUND, _Builder
+from mpdag.meek import _SOUND, _Builder, _extendable
 from helpers import (
     NameAdjacency,
     PathKind,
@@ -31,6 +31,7 @@ from helpers import (
     chained_enumerate_dags,
     classify_path,
     definite_status_walk,
+    exhaustive_class_nonempty,
     exhaustive_d_separated,
     exhaustive_find_adjustment_set,
     exhaustive_forbidden_set,
@@ -254,8 +255,8 @@ def test_closure_matches_rescanning_oracle(case):
     closed = _outcome(lambda: M.meek_closure(g).graph)
     assert closed == _outcome(lambda: rescanning_meek_closure(g))
     outcomes = [closed]
-    # neither a user graph nor its closure is sound: each is scanned in full,
-    # and every snapshot searched for a cycle
+    # a user graph is not sound: it is scanned in full, and every snapshot
+    # is searched for a cycle until a closure proves its class nonempty
     inputs = [M.Mpdag(g)] + ([M.Mpdag(closed[1])] if closed[0] == "ok" else [])
     for h in inputs:
         oriented = _outcome(lambda: M.construct_mpdag(h, requests).graph)
@@ -266,37 +267,48 @@ def test_closure_matches_rescanning_oracle(case):
         if outcome[0] == "ok":
             _assert_trusted_snapshot(outcome[1])
     if closed[0] == "ok":
-        assert not getattr(closed[1], _SOUND, False)
+        # the closure is flagged exactly when its class is nonempty
+        assert getattr(closed[1], _SOUND, False) == exhaustive_class_nonempty(closed[1])
 
 
 @settings(max_examples=300)
 @given(orientation_cases(), st.booleans())
 def test_soundness_proof_matches_the_class_definition(case, skeleton_only):
-    # a closed graph is proved sound exactly when some orientation of its
-    # undirected edges is a DAG of its class; the closure of a user graph
-    # can be acyclic and still represent none, as an undirected skeleton
-    # with a chordless cycle does
+    # the Dor-Tarsi elimination succeeds exactly when some orientation of
+    # the undirected edges is a DAG of the class, on a PDAG, closed or not,
+    # and on its closure: a closed, acyclic PDAG can still represent no DAG,
+    # as an undirected skeleton with a chordless cycle does.  Each graph is
+    # its own reference, because a closure can add an unshielded collider
+    # and so have DAGs where a class-empty input had none
     g = case[0]
     if skeleton_only:
         g = M.PartiallyDirectedGraph(g.nodes, (), g.skeleton)
-    closed = _outcome(lambda: M.meek_closure(g))
-    if closed[0] != "ok" or len(closed[1].graph.undirected) > 10:
-        return
-    h = closed[1]
-    builder = _Builder(h.graph)
-    builder.prove_sound()
-    undirected = sorted(h.graph.undirected)
-    nonempty = False
-    for flips in itertools.product((False, True), repeat=len(undirected)):
-        oriented = {(v, u) if flip else (u, v) for (u, v), flip in zip(undirected, flips)}
-        try:
-            dag = M.PartiallyDirectedGraph(h.nodes, h.graph.directed | oriented, ())
-        except M.GraphError:  # a directed cycle
+    closed = _outcome(lambda: M.meek_closure(g).graph)
+    for pdag in [g] + ([closed[1]] if closed[0] == "ok" else []):
+        masks = pdag._masks
+        proved = _extendable(masks.children, masks.undirected, masks.neighbours)
+        assert proved == exhaustive_class_nonempty(pdag)
+        if len(pdag.undirected) > 10:
             continue
-        if M.is_represented(dag, h):
-            nonempty = True
-            break
-    assert builder.sound == nonempty
+        undirected = sorted(pdag.undirected)
+        nonempty = False
+        for flips in itertools.product((False, True), repeat=len(undirected)):
+            oriented = {
+                (v, u) if flip else (u, v) for (u, v), flip in zip(undirected, flips)
+            }
+            try:
+                dag = M.PartiallyDirectedGraph(pdag.nodes, pdag.directed | oriented, ())
+            except M.GraphError:  # a directed cycle
+                continue
+            if M.is_represented(dag, M.Mpdag(pdag)):
+                nonempty = True
+                break
+        assert proved == nonempty
+    if closed[0] == "ok":
+        assert getattr(closed[1], _SOUND, False) == proved
+    else:
+        # a closure that meets a directed cycle had a class-empty input
+        assert not proved
 
 
 def _random_member(rng: np.random.Generator, h: M.Mpdag) -> M.PartiallyDirectedGraph:
@@ -869,21 +881,37 @@ def test_branch_walk_matches_the_rebuilding_oracles(case):
     chained = _outcome(lambda: chained_consistent_extension(h))
     if dags[0] == "ok":
         assert dags == expected
-        assert extension == chained
-        assert extension[1] in dags[1]
-        # the leaves below a sound root are sound, and no others
-        sound = getattr(g, _SOUND, False)
-        for dag in dags[1] + [extension[1]]:
-            assert getattr(dag, _SOUND, False) == sound
+        # the walk closes every leaf but an unbranched root, and a closure
+        # that ends in a DAG proves it sound, so only a root not flagged
+        # sound and returned as it is goes unflagged
+        flagged = getattr(g, _SOUND, False) or bool(g.undirected)
+        for dag in dags[1] + ([extension[1]] if extension[0] == "ok" else []):
+            assert getattr(dag, _SOUND, False) == flagged
             _assert_trusted_snapshot(dag)
     else:
-        # a class-empty wrapper: the walk meets a directed cycle at a leaf,
-        # the stack of MPDAGs at the first cyclic tree node it builds, so
-        # the verdict agrees and the cycle named may not
+        # the walk meets a directed cycle at a leaf, the stack of MPDAGs at
+        # the first cyclic tree node it builds, so the verdict agrees and
+        # the cycle named may not; an unclosed wrapper can meet one below a
+        # nonempty class
         assert dags[:2] == expected[:2] == (
             "error", M.InternalInconsistencyError
         )
-        assert extension[:2] == chained[:2] == dags[:2]
+    # the extension is the first leaf, which the chained oracle reaches by
+    # the same orientations, except that a class-empty root is refused even
+    # where that leaf is acyclic
+    if chained[0] != "ok":
+        assert extension[:2] == chained[:2]
+    elif exhaustive_class_nonempty(g):
+        assert extension == chained
+        assert dags[0] != "ok" or extension[1] in dags[1]
+    else:
+        assert extension == (
+            "error",
+            M.InternalInconsistencyError,
+            "MPDAG admits no consistent extension",
+            None,
+            None,
+        )
     edges = sorted(e for e in g.undirected if set(e) & set(a))
     on_path = {
         n for path in exhaustive_possibly_causal_paths(g, a, y) for n in path.nodes
