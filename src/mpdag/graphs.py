@@ -318,9 +318,10 @@ class PartiallyDirectedGraph:
         A mask table makes known endpoints, no self loop and at most one edge
         per adjacent pair moot; acyclicity is the caller's to guarantee.  The
         callers are :mod:`mpdag.meek`'s: a builder flagged sound (the CPDAG
-        of a DAG, or a closure that proved its class nonempty, and all
-        below them), any other builder after its own cycle search, and the
-        pattern of a DAG, a subgraph of that DAG.
+        of a DAG, a closed graph proved when its builder is made, or a
+        closure that proved its class nonempty, and all below them), any
+        other builder after its own cycle search, and the pattern of a DAG,
+        a subgraph of that DAG.
         """
         g = object.__new__(cls)
         object.__setattr__(g, "nodes", nodes)

@@ -127,9 +127,10 @@ def id_graphs(
     depth-first order: a branch, then everything below its ``a1 -> v1``
     child, then everything below its ``v1 -> a1`` child.  No violating path
     is enumerated in full until ``m`` or a record's ``violating`` is read.
-    Below a root not flagged sound, the first branch closure proves its
-    class nonempty where it ends (:mod:`mpdag.meek`), so a snapshot is
-    searched for a directed cycle only below a class-empty root.
+    A root not flagged sound is proved class-nonempty when its builder is
+    made if it is closed, or else where its first branch closure ends
+    (:mod:`mpdag.meek`), so a snapshot is searched for a directed cycle only
+    below a class-empty root.
     """
     # every builder shares h's node order, so the masks hold at every node
     a, y = _checked_sets(h.graph, treatments, outcomes)

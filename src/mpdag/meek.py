@@ -11,20 +11,19 @@ The rules, phrased as "orient u -- v into u -> v when ...":
 
 Applying them to a fixpoint turns a valid PDAG into a maximally oriented one;
 orienting an undirected edge of an MPDAG and re-closing implements the
-background-knowledge construction.  Rule application order is fixed so that
-intermediate traces are reproducible: each step applies the first firing
-(rule, edge, direction) triple, rules in the order R1..R4, undirected edges in
-node order, and ``u -> v`` before ``v -> u`` for an edge ``u -- v`` with
-``u < v``.  The fixpoint itself is order-independent (Meek 1995); the order
-decides which directed cycle a class-empty PDAG reports.
-
-The closure works on per-node bitmasks and keeps a table of the edges on
-which some rule fires.  The skeleton never changes, and a rule for ``u -> v``
-reads only the parents, children and undirected neighbours of ``u``, the
-parents of ``v`` and the parents of the undirected neighbours of ``u``.  So
-orienting ``t -> h`` re-checks only the undirected edges at ``t`` or ``h``
-and those joining an undirected neighbour of ``h`` to a child of ``h``, all
-of them within the closed neighbourhood N[h].
+background-knowledge construction.  The closure works on per-node bitmasks.
+On a graph whose class is nonempty its fixpoint is the same whatever order
+the rules fire in (Meek 1995), so there it propagates: orienting ``t -> h``
+pushes the orientations the rules fire for with ``t -> h`` as a premise,
+found by one mask test per way the arrow can be one, and the closure
+orients what is pushed.  Every rule needs an arrow, the skeleton never
+changes, and an edge never turns back undirected, so on a closed graph
+every firing is pushed when its last arrow is made.  Where no such proof
+holds the order is fixed, as it decides which directed cycle a class-empty
+PDAG reports: each step rescans every undirected edge and applies the first
+firing (rule, edge, direction) triple, rules in the order R1..R4, undirected
+edges in node order, and ``u -> v`` before ``v -> u`` for an edge ``u -- v``
+with ``u < v``.
 
 Every branching search runs on one engine, :func:`_branch_walk`, a
 depth-first walk over builders whose one parameter is its branch-edge rule:
@@ -45,11 +44,12 @@ and there is one (Meek 1995).  The CPDAG of a DAG is flagged without a
 proof, as its class holds that DAG.  So every graph a closure ends in is
 flagged exactly when its class is nonempty; the validating constructor
 flags nothing, as a closed, acyclic PDAG can still represent no DAG (an
-undirected 4-cycle).  A builder on a sound graph starts with an empty firing
-table and never searches for a cycle; any other builder scans every edge
-once when it is made, and searches its masks for a cycle at every snapshot
-until a closure proves it sound.  So a snapshot is searched only where no
-proof holds, below a class-empty graph or at an unflagged root returned
+undirected 4-cycle).  A builder on a sound graph closes by propagation and
+never searches for a cycle.  Any other builder scans every edge once when it
+is made; if no rule fires there, its graph is closed, and the elimination
+proves it then.  Until a proof, it closes by rescanning and searches its
+masks for a cycle at every snapshot.  So a snapshot is searched only where
+no proof holds, below a class-empty graph or at an unclosed root returned
 with no closure, and as a graph with a directed cycle is never proved, a
 class-empty input reports the directed-cycle witness the constructor would
 report for the same edges.
@@ -116,13 +116,16 @@ class _Builder:
 
     Bit ``i`` of a mask stands for ``nodes[i]``; node index order is name
     order.  ``adj`` is the skeleton, which the rules never change.
-    ``_firing`` maps each undirected edge ``(i, j)``, ``i < j``, on which a
-    rule fires to its first firing ``(rule, i, j, direction)``, direction 0
-    meaning ``i -> j``; each orientation keeps it up to date.  ``sound``
-    says that the builder's root or one of its closures represents a DAG,
-    so no orientation and closure below it can make a directed cycle.  It
-    is read off a graph flagged sound, on which no rule fires, or proved
-    where a closure ends; any other graph is scanned in full here.
+    ``sound`` says that the builder's root or one of its closures represents
+    a DAG, so no orientation and closure below it can make a directed cycle.
+    It is read off a graph flagged sound, or proved where a closure ends; an
+    unflagged graph is scanned once here, and proved here if no rule fires
+    on it.  A sound builder closes by propagation: ``_pending`` holds the
+    orientations ``(tail, head)`` that rules fired for since its last
+    closure, pushed as each arrow is made.  The scan leaves the firings of
+    an unflagged graph pending too, for a caller that knows its class is
+    nonempty and sets ``sound`` (:func:`cpdag_of_dag`); a closure that is
+    not sound drops them.
     """
 
     def __init__(self, g: PartiallyDirectedGraph) -> None:
@@ -133,16 +136,15 @@ class _Builder:
         self.children = list(masks.children)
         self.und = list(masks.undirected)
         self.parents = list(masks.parents)
-        self._firing: dict[tuple[int, int], tuple[int, int, int, int]] = {}
         self.sound = getattr(g, _SOUND, False)
+        self._pending: list[tuple[int, int]] = []
         if not self.sound:
-            for u, mask in enumerate(self.und):
-                for v in _bit_indices(mask >> (u + 1) << (u + 1)):
-                    self._update(u, v)
+            self._pending = [(v, u) if d else (u, v) for _, u, v, d in self._firings()]
+            self.sound = not self._pending and _extendable(self.children, self.und, self.adj)
 
     def copy(self) -> "_Builder":
         """An independent builder in the same state: the masks and the
-        firing table are copied; the skeleton, the node tuple and the index
+        pending list are copied; the skeleton, the node tuple and the index
         are shared, and nothing mutates them."""
         # attribute by attribute: going through ``vars()`` would give both
         # builders a materialised ``__dict__``, which CPython reads more
@@ -151,7 +153,7 @@ class _Builder:
         new.nodes, new.index, new.adj = self.nodes, self.index, self.adj
         new.children, new.und = self.children[:], self.und[:]
         new.parents = self.parents[:]
-        new._firing, new.sound = dict(self._firing), self.sound
+        new._pending, new.sound = self._pending[:], self.sound
         return new
 
     def request(self, tail: str, head: str) -> None:
@@ -181,16 +183,49 @@ class _Builder:
         return None
 
     def orient(self, tail: int, head: int) -> None:
-        self.und[tail] &= ~(1 << head)
-        self.und[head] &= ~(1 << tail)
-        self.children[tail] |= 1 << head
-        self.parents[head] |= 1 << tail
-        self._firing.pop((min(tail, head), max(tail, head)), None)
-        self._recheck_around(tail, head)
+        """Orient the undirected edge ``tail -- head`` as ``tail -> head``;
+        on a sound builder, push every orientation a rule fires for with the
+        new arrow as a premise, found by one mask test per way it can be
+        one."""
+        und, children, parents, adj = self.und, self.children, self.parents, self.adj
+        t_bit, h_bit = 1 << tail, 1 << head
+        und[tail] &= ~h_bit
+        und[head] &= ~t_bit
+        children[tail] |= h_bit
+        parents[head] |= t_bit
+        if not self.sound:
+            return
+        push = self._pending.append
+        und_t, und_h = und[tail], und[head]
+        # R1, the arrow as w -> u: head -> v for v nonadjacent to tail
+        for v in _bit_indices(und_h & ~adj[tail]):
+            push((head, v))
+        # R2, the arrow as u -> w: tail -> v for a child v of head; as
+        # w -> v: u -> head for a parent u of tail
+        for v in _bit_indices(und_t & children[head]):
+            push((tail, v))
+        for u in _bit_indices(und_h & parents[tail]):
+            push((u, head))
+        common = und_t & und_h
+        if not common:
+            return
+        # u -> head for u -- tail, u -- head, and u undirected at another
+        # parent of head nonadjacent to tail (R3), or at a parent a of tail
+        # nonadjacent to head (R4, the arrow as b -> v)
+        others = parents[head] & ~(adj[tail] | t_bit) | parents[tail] & ~(adj[head] | h_bit)
+        if others:
+            for u in _bit_indices(common):
+                if und[u] & others:
+                    push((u, head))
+        # R4, the arrow as a -> b: u -> v for a child v of head nonadjacent
+        # to tail and u undirected at tail, head and v
+        for v in _bit_indices(children[head] & ~(adj[tail] | t_bit)):
+            for u in _bit_indices(common & und[v]):
+                push((u, v))
 
     def mpdag(self, context: str = "orientation produced an invalid graph") -> Mpdag:
         """The current graph, its mask table the builder's masks, frozen;
-        flagged sound if the builder is sound and no rule fires.
+        flagged sound if the builder is sound and nothing is pending.
 
         Only a builder that is not sound searches its masks for a directed
         cycle.  A class-empty PDAG (one representing no DAG at all) can drive
@@ -203,10 +238,10 @@ class _Builder:
             if cycle is not None:
                 raise InternalInconsistencyError(f"{context}: directed cycle: {cycle}")
         g = PartiallyDirectedGraph._trusted(self.nodes, masks)
-        object.__setattr__(g, _SOUND, self.sound and not self._firing)
+        object.__setattr__(g, _SOUND, self.sound and not self._pending)
         return Mpdag(g)
 
-    # -- the table of firing edges -------------------------------------------
+    # -- the rules, one edge at a time ---------------------------------------
 
     def _r3(self, shared: int) -> bool:
         """R3 for a tail whose undirected neighbours among the head's parents
@@ -237,72 +272,67 @@ class _Builder:
             shared ^= low
         return False
 
-    def _update(self, u: int, v: int) -> None:
-        """Re-check the undirected edge ``u -- v``, given in either order:
-        record its first firing, trying R1..R4 in turn, the smaller endpoint
-        as tail first."""
-        if u > v:
-            u, v = v, u
+    def _first_firing(self, u: int, v: int) -> Optional[tuple[int, int, int, int]]:
+        """The first firing ``(rule, u, v, direction)`` on the undirected
+        edge ``u -- v``, ``u < v``, trying R1..R4 in turn, ``u`` as tail
+        first (direction 0 meaning ``u -> v``); None if no rule fires."""
         parents, children, und, adj = self.parents, self.children, self.und, self.adj
         pu, pv = parents[u], parents[v]
         # R3 and R4 look at the tail's undirected neighbours among the head's
         # parents
         shared_u, shared_v = und[u] & pv, und[v] & pu
         if pu & ~adj[v]:
-            hit = 0, 0
-        elif pv & ~adj[u]:
-            hit = 0, 1
-        elif children[u] & pv:
-            hit = 1, 0
-        elif children[v] & pu:
-            hit = 1, 1
-        elif self._r3(shared_u):
-            hit = 2, 0
-        elif self._r3(shared_v):
-            hit = 2, 1
-        elif self._r4(und[u], shared_u, v):
-            hit = 3, 0
-        elif self._r4(und[v], shared_v, u):
-            hit = 3, 1
-        else:
-            self._firing.pop((u, v), None)
-            return
-        self._firing[u, v] = (hit[0], u, v, hit[1])
+            return 0, u, v, 0
+        if pv & ~adj[u]:
+            return 0, u, v, 1
+        if children[u] & pv:
+            return 1, u, v, 0
+        if children[v] & pu:
+            return 1, u, v, 1
+        if self._r3(shared_u):
+            return 2, u, v, 0
+        if self._r3(shared_v):
+            return 2, u, v, 1
+        if self._r4(und[u], shared_u, v):
+            return 3, u, v, 0
+        if self._r4(und[v], shared_v, u):
+            return 3, u, v, 1
+        return None
 
-    def _recheck_around(self, tail: int, head: int) -> None:
-        """Re-check every edge whose rules read a mask that ``tail -> head``
-        changed: the edges at ``tail`` or ``head``, and for R4 (with ``b =
-        head``) those joining an undirected neighbour of ``head`` to a child
-        of ``head``.  All of them have an endpoint in N[head].  No edge is
-        met twice (``tail -- head`` is gone, and a child of ``head`` is not
-        an undirected neighbour of it), so each is re-checked as it is met."""
-        und, update = self.und, self._update
-        for x in (tail, head):
-            rest = und[x]
-            while rest:
-                low = rest & -rest
-                update(x, low.bit_length() - 1)
-                rest ^= low
-        children, rest = self.children[head], und[head]
-        while rest:
-            low = rest & -rest
-            u = low.bit_length() - 1
-            ends = und[u] & children
-            while ends:
-                last = ends & -ends
-                update(u, last.bit_length() - 1)
-                ends ^= last
-            rest ^= low
+    def _firings(self) -> list[tuple[int, int, int, int]]:
+        """The first firing of every undirected edge on which a rule fires,
+        edges in node order."""
+        firings = []
+        for u, mask in enumerate(self.und):
+            for v in _bit_indices(mask >> (u + 1) << (u + 1)):
+                hit = self._first_firing(u, v)
+                if hit is not None:
+                    firings.append(hit)
+        return firings
 
     def close(self) -> None:
-        """Apply R1-R4 until no rule fires anywhere, each step taking the
-        first firing (rule, edge, direction); then, on a builder not yet
-        sound, set ``sound`` if the closed graph's class is nonempty."""
-        while self._firing:
-            _, u, v, direction = min(self._firing.values())
+        """Apply R1-R4 until no rule fires anywhere.
+
+        A sound builder orients its pending orientations, in any order, each
+        whose edge is still undirected: its closure is order-independent
+        (Meek 1995), and a firing left at the fixpoint would have been
+        pushed when its last premise was made, as edges never turn back
+        undirected.  Any other builder rescans every edge at each step and
+        takes the first firing (rule, edge, direction), which decides the
+        directed cycle a class-empty graph reports; then it is proved sound
+        if the closed graph's class is nonempty."""
+        if self.sound:
+            pending, und = self._pending, self.und
+            while pending:
+                tail, head = pending.pop()
+                if und[tail] >> head & 1:
+                    self.orient(tail, head)
+            return
+        while firings := self._firings():
+            _, u, v, direction = min(firings)
             self.orient(*((v, u) if direction else (u, v)))
-        if not self.sound:
-            self.sound = _extendable(self.children, self.und, self.adj)
+        self._pending = []  # the scan's firings, which the rescans met again
+        self.sound = _extendable(self.children, self.und, self.adj)
 
 
 def _extendable(children: Sequence[int], und: Sequence[int], adj: Sequence[int]) -> bool:
@@ -404,7 +434,9 @@ def cpdag_of_dag(d: PartiallyDirectedGraph) -> Mpdag:
     und = tuple(n & ~(c | p) for n, c, p in zip(adj, children, parents))
     pattern = _AdjacencyMasks(masks.index, adj, children, und, parents)
     builder = _Builder(PartiallyDirectedGraph._trusted(d.nodes, pattern))
-    builder.sound = True  # the pattern's class holds d
+    # the pattern's class holds d, so the firings the builder's scan left
+    # pending close it by propagation
+    builder.sound = True
     builder.close()
     return builder.mpdag()
 

@@ -13,6 +13,9 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
     deadline=None,
 )
+# the same settings with random example generation, for runs that pass
+# --hypothesis-profile=ci-random with a --hypothesis-seed
+settings.register_profile("ci-random", settings.get_profile("ci"), derandomize=False)
 settings.load_profile("ci")
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import mpdag as M
-from mpdag.meek import _SOUND, _extendable
+from mpdag.meek import _SOUND, _Builder, _extendable
 from helpers import (
     FOUR_NODE_DAGS,
     brute_force_class,
@@ -361,10 +361,10 @@ class TestConsistentExtension:
 class TestSoundness:
     def test_only_graphs_not_known_sound_are_searched_for_cycles(self, monkeypatch):
         # below the CPDAG of a DAG no orientation engine call searches for a
-        # directed cycle; below a graph with the same edges, built by the
-        # validating constructor, the first closure proves the class
-        # nonempty, so a call searches once exactly when it returns that
-        # root as it is, with no closure
+        # directed cycle; a graph with the same edges, built by the
+        # validating constructor, is closed, so its builder proves its class
+        # nonempty when it is made, and no call searches below it either,
+        # not even one that returns it as it is, which is flagged
         searches = count_cycle_searches(monkeypatch)
         rng = np.random.default_rng(23)
         unidentified = 0
@@ -379,24 +379,21 @@ class TestSoundness:
             plain = M.Mpdag(M.PartiallyDirectedGraph(g.nodes, g.directed, g.undirected))
             # requests from the true DAG, on undirected and directed edges
             known = [e for e in sorted(dag.directed) if rng.random() < 0.4]
-            # per call, whether it returns the root unclosed: a walk that
-            # does not branch, or requests that orient no undirected edge
             calls = [
-                (M.enumerate_dags, lambda out: len(out) == 1),
-                (M.consistent_extension, lambda out: not g.undirected),
-                (lambda m: M.method2_graphs(m, a, y), lambda out: len(out) == 1),
-                (lambda m: M.method3_graphs(m, a, y), lambda out: len(out) == 1),
-                (lambda m: M.construct_mpdag(m, known), lambda out: out.graph == g),
+                M.enumerate_dags,
+                M.consistent_extension,
+                lambda m: M.method2_graphs(m, a, y),
+                lambda m: M.method3_graphs(m, a, y),
+                lambda m: M.construct_mpdag(m, known),
             ]
-            for call, unclosed in calls:
-                searches.clear()
+            searches.clear()  # the validating constructor's
+            for call in calls:
                 sound = call(h)
-                assert searches == []
                 assert call(plain) == sound
-                assert len(searches) == unclosed(sound)
-            searches.clear()
+                assert searches == []
+            unchanged = M.construct_mpdag(plain, [])
+            assert unchanged.graph == g and getattr(unchanged.graph, _SOUND)
             result = M.id_graphs(h, a, y)
-            assert searches == []
             # an identified root is returned as it is, with no graph built;
             # below an unidentified one every branch is closed and proved
             assert M.id_graphs(plain, a, y).graphs == result.graphs
@@ -406,6 +403,42 @@ class TestSoundness:
             assert searches == []
             assert getattr(closed.graph, _SOUND)
         assert unidentified >= 5
+
+    def test_below_a_flagged_root_no_edge_is_checked_in_full(self, monkeypatch):
+        # a flagged root, or one proved where its builder is made, closes by
+        # propagation from each new arrow: the per-edge rule check runs only
+        # in the scan of an unflagged root and in the rescans of a closure
+        # that is not yet proved
+        checks = []
+        check = _Builder._first_firing
+
+        def counted(builder, u, v):
+            checks.append((u, v))
+            return check(builder, u, v)
+
+        monkeypatch.setattr(_Builder, "_first_firing", counted)
+        for k in (8, 9, 10):
+            names = [f"v{i}" for i in range(k)]
+            pairs = [(u, w) for i, u in enumerate(names) for w in names[i + 1:]]
+            h = M.meek_closure(M.PartiallyDirectedGraph(names, (), pairs))
+            assert len(checks) == len(pairs)  # the scan of the unflagged root
+            checks.clear()
+            assert len(M.id_graphs(h, ["v0"], ["v1"]).graphs) == 2 ** (k - 2) + 1
+            assert checks == []
+        rng = np.random.default_rng(29)
+        for _ in range(20):
+            p = int(rng.integers(4, 9))
+            dag = random_dag(rng, p, rng.choice((0.3, 0.5, 0.7)))
+            a, y = ([dag.nodes[i]] for i in rng.permutation(p)[:2])
+            h = M.cpdag_of_dag(dag)
+            checks.clear()
+            dags = M.enumerate_dags(h)
+            M.method2_graphs(h, a, y)
+            M.method3_graphs(h, a, y)
+            known = [e for e in sorted(dag.directed) if rng.random() < 0.4]
+            M.construct_mpdag(h, known)
+            assert M.consistent_extension(h) == dags[0]
+            assert checks == []
 
     def test_a_class_empty_root_is_not_proved_sound(self, monkeypatch):
         # closed, and its first DAG-shaped leaf is acyclic, but that leaf has
