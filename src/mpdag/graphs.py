@@ -30,45 +30,49 @@ triples (Bayes-ball, Shachter 1998).  :mod:`mpdag.identify` decides
 identification, the forbidden set of an identified effect and adjustment
 validity by searches of the same kind.
 
-Paths from a start set to a target set come from one walk,
-:func:`_proper_paths`: a depth-first search over per-node bitmasks on an
-explicit stack (a long chain cannot exhaust the interpreter stack), set by
-its first step, its step rule and a table of the nodes it may not append.
-It runs only where paths are the answer, or where no search over edge
-states is known to give it: listing, counting, the shortest violating path,
-the on-path nodes of an unidentified effect and the invalid-set witness.
+Paths from a start set to a target set come from one breadth-first search,
+:func:`_path_levels`, which grows path prefixes over per-node bitmasks one
+length at a time and gives each length in node sequence order.  Its callers
+set its first step, its step rule, the nodes it may not append and what a
+prefix carries.  It runs only where paths are the answer, or where no search
+over edge states is known to give it: listing, counting, the shortest
+violating path, the on-path nodes of an unidentified effect and the
+invalid-set witness.
 
-* The proper possibly causal paths (:func:`_possibly_causal_walk`) step to
-  any neighbour and never append a node with a child already on the path,
-  since a "possibly causal" verdict checks *all* ordered node pairs for a
-  backward edge.  Listing them (:func:`proper_possibly_causal_paths`),
-  collecting the nodes on them (:func:`_nodes_on_paths`, for the forbidden
-  set of an unidentified effect) and counting the violating ones (the
-  diagnostic m at the root, and the per-branch counts of the minimal
-  enumeration when read) visit every path.  The walk gives the paths of each
-  length in node sequence order, so the listing sorts by length alone, and
-  it reads every path's marks off one table of mark rows built per call.
-* The first shortest violating path (the witness of an unidentified effect,
-  and the branch-edge rule of the minimal enumeration on
-  :mod:`mpdag.meek`'s one branch walk) bounds the rest of the search to
-  shorter paths at each hit: a short witness ends the search early, while a
-  graph with no violating path, such as a leaf of the minimal enumeration,
-  still costs a full search.
+* A proper possibly causal path steps to any neighbour and never appends a
+  node with a child already on the path, since a "possibly causal" verdict
+  checks *all* ordered node pairs for a backward edge.  So what can follow a
+  prefix depends only on its last node and its node set, and the prefixes
+  that share that state can be merged without loss.  Counting the violating
+  paths (the diagnostic m at the root, and the per-branch counts of the
+  minimal enumeration when read) carries the number of prefixes per state;
+  the nodes on the paths (:func:`_nodes_on_paths`, for the forbidden set of
+  an unidentified effect) are the union of the node sets of the states that
+  reach an outcome; the first shortest violating path (the witness of an
+  unidentified effect, and the branch edge of the minimal enumeration) keeps
+  the first prefix per state and stops at the first that reaches an
+  outcome.  A length holds at most ``|V|·2^|V|`` states, where the paths
+  can be factorially many.  Listing (:func:`proper_possibly_causal_paths`)
+  keeps every prefix with its names and marks, so the paths come out in
+  length-then-node order with no sort and no rebuild.
 * The witness of an invalid adjustment set steps by the definite-status
-  rule of d-separation (:func:`_open_step`), so it visits only the paths the
-  set leaves open, and keeps the first shortest non-causal one.
+  rule of d-separation (:func:`_open_step`), which reads the node before the
+  last, so it keeps every prefix; it visits only the paths the set leaves
+  open and stops at the first non-causal one.
 
-Listing and counting paths, the shortest violating path and the invalid-set
-witness are exponential in the worst case and meant for desk-scale graphs
-(roughly p <= 15); there is no silent truncation.
+The search holds one length of prefixes or states at a time, where a
+depth-first walk holds one path.  Listing and the invalid-set witness are
+exponential in the worst case, as their answers can be; counting and the
+shortest path are exponential in the node count at worst, not factorial.
+There is no silent truncation.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Callable, Generator, Iterable, Iterator, Optional, Sequence
+from functools import cached_property, lru_cache
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Union
 
 DIRECTED_MARK = "->"
 REVERSED_MARK = "<-"
@@ -488,9 +492,9 @@ def path_in(g: PartiallyDirectedGraph, nodes: Sequence[str]) -> NodePath:
 
 def _node_path(g: PartiallyDirectedGraph, seq: Sequence[int]) -> NodePath:
     """The path of node indices ``seq`` as a :class:`NodePath`, its marks
-    read off the masks of ``g``.  For the index sequences of a walk over those
-    masks, which are paths of ``g`` by construction; :func:`path_in` checks
-    caller-given ones."""
+    read off the masks of ``g``.  For the index sequences of a search over
+    those masks, which are paths of ``g`` by construction; :func:`path_in`
+    checks caller-given ones."""
     marks = tuple(g._masks.mark(u, v) for u, v in zip(seq, seq[1:]))
     return NodePath(tuple(g.nodes[i] for i in seq), marks)
 
@@ -520,70 +524,94 @@ def _open_step(masks: _AdjacencyMasks, blocking: int) -> Callable[[int, int], in
     return step
 
 
-def _proper_paths(
+def _path_levels(
     starts: int,
     targets: int,
     first: Sequence[int],
-    step: Callable[[int, int], int],
-    back: Sequence[int],
-) -> Generator[list[int], Optional[int], None]:
-    """Depth-first search over the proper paths from the nodes of ``starts``
-    that end in a node of ``targets``, yielding each as the live list of node
-    indices (valid until the next step).
+    step: Union[Sequence[int], Callable[[int, int], int]],
+    barred: Sequence[int],
+    origin: Sequence[Any],
+    parts: Sequence[Any],
+    merge: Optional[Callable[[Any, Any], Any]] = None,
+    first_hit: bool = False,
+) -> Iterator[tuple[list[list], list[list]]]:
+    """Breadth-first search over the proper paths from the nodes of ``starts``
+    to the nodes of ``targets``, one length at a time: yields, for two
+    nodes, then three, and so on until no prefix grows, the list of the
+    prefixes of that length and the list of those that end in a target,
+    each in node sequence order.
 
-    From a start ``s`` the path moves to a node of ``first[s]``, and after
-    ``u, v`` to one of ``step(u, v)``; it never takes a node twice, a start
-    after the first node, or a node ``w`` with ``back[w]`` on the path, and it
-    stops growing once every target is on it, as no extension can end in a
-    new one.  Starts and steps are taken in node order and a path comes
-    before its extensions, so the paths of one length come out in node
-    sequence order.  Iterative, with one mask of untried extensions per path
-    node.  Sending a node count into the generator bounds the paths that are
-    still to come to that many nodes.
+    A prefix is ``[u, v, members, closed, carried]``: its last two nodes
+    (``s, s`` for a start ``s``), the mask of its nodes, the mask of the
+    nodes it may not take, and what it carries, which grows by ``+``:
+    ``origin[s]`` for a start ``s``, then ``carried + parts[v][w]`` once it
+    takes ``w`` after ``v`` (a tuple grows by concatenation, a count by
+    adding 0).  From a start ``s`` it takes a node of ``first[s]``, after
+    ``u, v`` one of ``step[v]``, or of ``step(u, v)`` for a rule.  It never
+    takes a node twice, a start after the first node, or a node of
+    ``barred[x]`` once ``x`` is on it, and it stops growing once every
+    target is on it, as no extension can end in a new one.  Starts and steps
+    are taken in node order, so each length comes out in node sequence
+    order.  With ``first_hit`` the search ends at the first prefix that
+    takes a target, the one hit of the last length yielded.
+
+    With ``merge`` and a table ``step`` the prefixes that share their last
+    node and node set are one state, as the same nodes can follow them: the
+    first stands for all, and a prefix that grows into a listed state is
+    folded into it, whose carry becomes ``merge(kept, carried)``, ``carried``
+    the carry the prefix grew from.  A length then holds at most
+    ``|V|·2^|V|`` states where the paths can be factorially many.  The
+    search holds one length of prefixes or states at a time.
     """
-    limit = len(first)
-    for a in _bit_indices(starts):
-        path, members = [a], 1 << a
-        # pending[k]: the untried extensions of path[: k + 1]
-        pending = [first[a] & ~starts]
-        while pending:
-            candidates = pending[-1]
-            if not candidates or len(path) >= limit:
-                pending.pop()
-                members ^= 1 << path.pop()
+    rule = step if callable(step) else None
+    shift = len(first)
+    level = [
+        [s, s, 1 << s, starts | barred[s], origin[s]] for s in _bit_indices(starts)
+    ]
+    while level:
+        grown, hits = [], []
+        # states[members | 1 << shift + w]: the state (w, members) in grown
+        states: dict[int, list] = {}
+        for u, v, members, closed, carried in level:
+            if not targets & ~members:
                 continue
-            low = candidates & -candidates
-            pending[-1] = candidates ^ low
-            w = low.bit_length() - 1
-            if back[w] & members:
-                continue
-            u = path[-1]
-            path.append(w)
-            members |= low
-            if low & targets:
-                limit = (yield path) or limit
-            if targets & ~members:
-                pending.append(step(u, w) & ~(members | starts))
+            if u == v:
+                rest = first[v] & ~closed
             else:
-                pending.append(0)
+                rest = (step[v] if rule is None else rule(u, v)) & ~closed
+            part = parts[v]
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                w = low.bit_length() - 1
+                prefix = [v, w, members | low, closed | low | barred[w], carried + part[w]]
+                if merge is not None:
+                    kept = states.setdefault(members | low | low << shift, prefix)
+                    if kept is not prefix:
+                        kept[4] = merge(kept[4], carried)
+                        continue
+                grown.append(prefix)
+                if low & targets:
+                    hits.append(prefix)
+                    if first_hit:
+                        yield grown, hits
+                        return
+        yield grown, hits
+        level = grown
 
 
-def _last_hit(
-    walk: Generator[list[int], Optional[int], None],
-    hit: Callable[[list[int]], bool],
-) -> Optional[tuple[int, ...]]:
-    """Drive a path walk that takes a node-count bound: each path that
-    ``hit`` accepts bounds the rest of the walk to strictly shorter paths, so
-    the last one accepted is the first shortest in the walk's order."""
-    best = bound = None
-    try:
-        while True:
-            seq = walk.send(bound)
-            if hit(seq):
-                best = tuple(seq)
-                bound = len(best) - 1
-    except StopIteration:
-        return best
+def _first_kept(kept: Any, other: Any) -> Any:
+    """The merge of a search that keeps the first prefix of each state."""
+    return kept
+
+
+@lru_cache(maxsize=64)
+def _index_carries(n: int) -> tuple[tuple[tuple[int]], tuple[tuple[tuple[int]]]]:
+    """The ``origin`` and ``parts`` tables of a :func:`_path_levels` search
+    over ``n`` nodes whose prefixes carry their node indices; immutable, as
+    every search over ``n`` nodes shares them."""
+    singles = tuple((i,) for i in range(n))
+    return singles, (singles,) * n
 
 
 def _check_known(g: PartiallyDirectedGraph, nodes: Iterable[str]) -> set[str]:
@@ -616,33 +644,21 @@ def _checked_sets(
     return g._masks.bits(a_set), g._masks.bits(y_set)
 
 
-def _possibly_causal_walk(
-    g: PartiallyDirectedGraph,
-    starts: int,
-    targets: int,
-    start_undirected_only: bool = False,
-) -> Generator[list[int], Optional[int], None]:
-    """The :func:`_proper_paths` walk over the proper possibly causal paths
-    from the treatment mask ``starts`` to the outcome mask ``targets``, as
-    :func:`_checked_sets` gives them.  It steps to any neighbour and never
-    appends a node with a child already on the path, since that edge would
-    point backwards and make the path non-causal.  With
-    ``start_undirected_only`` the first edge must be undirected."""
-    masks = g._masks
-    neighbours = masks.neighbours
-    first = masks.undirected if start_undirected_only else neighbours
-    return _proper_paths(
-        starts, targets, first, lambda u, v: neighbours[v], masks.children
-    )
-
-
 def _nodes_on_paths(g: PartiallyDirectedGraph, starts: int, targets: int) -> int:
     """The mask of the nodes after the first on some proper possibly causal
     path from ``starts`` to ``targets``, without listing the paths: the
-    on-path nodes that are not treatments."""
+    union of the node sets of the states that end in an outcome, but the
+    treatments.  A possibly causal step reads only the last node, so the
+    search merges states, and they carry nothing."""
+    masks = g._masks
+    zeros = [0] * len(g.nodes)
     on_path = 0
-    for seq in _possibly_causal_walk(g, starts, targets):
-        on_path |= sum(1 << i for i in seq)  # a path has no node twice
+    for _, hits in _path_levels(
+        starts, targets, masks.neighbours, masks.neighbours, masks.parents,
+        zeros, [zeros] * len(zeros), _first_kept,
+    ):
+        for _, _, members, _, _ in hits:
+            on_path |= members
     return on_path & ~starts
 
 
@@ -658,25 +674,25 @@ def proper_possibly_causal_paths(
     outcome set may appear in the interior (the path is recorded once per
     outcome node it reaches).  With ``start_undirected_only`` the first edge
     must be undirected.  Output is sorted by length, then by node sequence.
+
+    The search steps to any neighbour and never appends a node with a child
+    already on the path, since that edge would point backwards and make the
+    path non-causal.  It keeps every prefix, carrying its names and marks
+    interleaved, and gives each length in node sequence order.
     """
     starts, targets = _checked_sets(g, treatments, outcomes)
-    walk = _possibly_causal_walk(g, starts, targets, start_undirected_only)
-    # the walk gives each length in node sequence order, which a stable sort
-    # by length keeps
-    found = sorted((tuple(seq) for seq in walk), key=len)
     masks, nodes = g._masks, g.nodes
-    # marks[u][v]: the mark between adjacent nodes u and v, seen from u
-    marks = [
-        {v: masks.mark(u, v) for v in _bit_indices(row)}
-        for u, row in enumerate(masks.neighbours)
+    # parts[v][w]: the mark between adjacent nodes v and w, seen from v, and
+    # the name of w
+    parts = [
+        {w: (masks.mark(v, w), nodes[w]) for w in _bit_indices(row)}
+        for v, row in enumerate(masks.neighbours)
     ]
-    return [
-        NodePath(
-            tuple([nodes[i] for i in seq]),
-            tuple([marks[u][v] for u, v in zip(seq, seq[1:])]),
-        )
-        for seq in found
-    ]
+    levels = _path_levels(
+        starts, targets, masks.undirected if start_undirected_only else masks.neighbours,
+        masks.neighbours, masks.parents, [(n,) for n in nodes], parts,
+    )
+    return [NodePath(c[::2], c[1::2]) for _, hits in levels for *_, c in hits]
 
 
 def _reach(starts: int, first: Sequence[int], step: Callable[[int, int], int]) -> int:

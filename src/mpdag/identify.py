@@ -15,8 +15,12 @@ identified effect the forbidden set is the possible descendants of V1, and
 a set that avoids it is an adjustment set exactly when it d-separates the
 treatments from the outcomes once the edges ``a -> v``, ``v`` in V1, are
 removed (the proper back-door graph; Perkovic et al. 2018).  Paths are
-walked only where one is returned: the shortest violating path of an
-unidentified effect, and the open path that shows a set invalid.
+searched for only where one is returned, or counted, by the breadth-first
+search of :mod:`mpdag.graphs`: the shortest violating path of an
+unidentified effect, which starts only from the undirected first edges into
+V1 and keeps one prefix per state (last node, node set); the number of
+violating paths, carried per state; and the open path that shows a set
+invalid.
 """
 
 from __future__ import annotations
@@ -34,13 +38,13 @@ from .graphs import (
     _check_known,
     _checked_sets,
     _closure,
-    _last_hit,
+    _first_kept,
+    _index_carries,
     _node_path,
     _nodes_on_paths,
     _open_step,
+    _path_levels,
     _possibly_causal_reach,
-    _possibly_causal_walk,
-    _proper_paths,
     _reach,
     bucket_decomposition,
     parents_of_set,
@@ -67,19 +71,32 @@ class Identifiability:
 
 
 def _shortest_violating(
-    g: PartiallyDirectedGraph, starts: int, targets: int
-) -> Optional[NodePath]:
-    """The first violating path from the treatment mask ``starts`` to the
-    outcome mask ``targets`` (as :func:`_checked_sets` gives them) by length,
-    then node sequence, or None.  Violating paths are the proper possibly
-    causal paths that start with an undirected edge.
+    g: PartiallyDirectedGraph, starts: int, targets: int, v1: Optional[int]
+) -> Optional[tuple[int, ...]]:
+    """The node indices of the first violating path from the treatment mask
+    ``starts`` to the outcome mask ``targets`` (as :func:`_checked_sets`
+    gives them) by length, then node sequence, or None.  Violating paths are
+    the proper possibly causal paths that start with an undirected edge.
 
-    Each hit bounds the rest of the walk to strictly shorter paths, so the
-    last hit is the first shortest path in node order.
+    The search steps to any neighbour and never appends a node with a child
+    already on the path.  As that step reads only the last node, it keeps
+    the first prefix of each state (last node, node set), which is the first
+    in node sequence order: a later prefix of the state has the same
+    extensions, each after its counterpart.  It stops at the first prefix
+    that reaches an outcome.  Given a mask ``v1`` holding the V1 of
+    :func:`_first_edges`, not None, it starts only from the undirected first
+    edges into it, as every violating path does.
     """
-    walk = _possibly_causal_walk(g, starts, targets, True)
-    best = _last_hit(walk, lambda seq: True)
-    return None if best is None else _node_path(g, best)
+    masks = g._masks
+    undirected = masks.undirected
+    first = undirected if v1 is None else [row & v1 for row in undirected]
+    for _, hits in _path_levels(
+        starts, targets, first, masks.neighbours, masks.parents,
+        *_index_carries(len(first)), _first_kept, True,
+    ):
+        if hits:
+            return hits[0][4]
+    return None
 
 
 def _first_edges(g: PartiallyDirectedGraph, a: int, y: int) -> tuple[int, bool]:
@@ -130,18 +147,27 @@ def _first_edges(g: PartiallyDirectedGraph, a: int, y: int) -> tuple[int, bool]:
     return v1, identified
 
 
-def _violating_witness(g: PartiallyDirectedGraph, a: int, y: int) -> NodePath:
+def _violating_witness(
+    g: PartiallyDirectedGraph, a: int, y: int, v1: int
+) -> NodePath:
     """The shortest violating path of an effect that :func:`_first_edges`
-    found unidentified."""
-    witness = _shortest_violating(g, a, y)
+    found unidentified, with V1 ``v1``."""
+    witness = _shortest_violating(g, a, y, v1)
     if witness is None:
         raise InternalInconsistencyError("unidentified effect without a violating path")
-    return witness
+    return _node_path(g, witness)
 
 
 def _count_violating(g: PartiallyDirectedGraph, starts: int, targets: int) -> int:
-    """The number of violating paths, as for :func:`_shortest_violating`."""
-    return sum(1 for _ in _possibly_causal_walk(g, starts, targets, True))
+    """The number of violating paths, as for :func:`_shortest_violating`:
+    each state carries the number of prefixes it stands for."""
+    masks = g._masks
+    n = len(g.nodes)
+    levels = _path_levels(
+        starts, targets, masks.undirected, masks.neighbours, masks.parents,
+        [1] * n, [[0] * n] * n, int.__add__,
+    )
+    return sum(count for _, hits in levels for *_, count in hits)
 
 
 def violating_paths(
@@ -158,12 +184,13 @@ def is_identified(
     h: Mpdag, treatments: Iterable[str], outcomes: Iterable[str]
 ) -> Identifiability:
     """Graphical identifiability of the total effect, with a shortest witness
-    path when the answer is no.  Only a no-answer walks paths."""
+    path when the answer is no.  Only a no-answer searches paths."""
     g = h.graph
     a, y = _checked_sets(g, treatments, outcomes)
-    if _first_edges(g, a, y)[1]:
+    v1, identified = _first_edges(g, a, y)
+    if identified:
         return Identifiability(True)
-    return Identifiability(False, _violating_witness(g, a, y))
+    return Identifiability(False, _violating_witness(g, a, y, v1))
 
 
 def _require_identified(g: PartiallyDirectedGraph, a: int, y: int) -> int:
@@ -172,7 +199,7 @@ def _require_identified(g: PartiallyDirectedGraph, a: int, y: int) -> int:
     effect is identified."""
     v1, identified = _first_edges(g, a, y)
     if not identified:
-        raise NotIdentifiedError(_violating_witness(g, a, y))
+        raise NotIdentifiedError(_violating_witness(g, a, y, v1))
     return v1
 
 
@@ -252,7 +279,8 @@ def forbidden_set(
 
     On an identified effect these are the possible descendants of V1
     (:func:`_first_edges`).  On an unidentified one that set can be smaller,
-    so the nodes on the paths are collected by walking every path."""
+    so the nodes on the paths are collected by a search over every state
+    (last node, node set) of those paths."""
     g = h.graph
     a, y = _checked_sets(g, treatments, outcomes)
     v1, identified = _first_edges(g, a, y)
@@ -301,11 +329,13 @@ def _adjustment_witness(
 ) -> Optional[NodePath]:
     """The first open non-causal definite-status path from the treatments
     ``a`` to the outcomes ``y`` given ``z``, by length, then node sequence;
-    or None.  A walk over every path that ``z`` leaves open."""
+    or None.  A search over every path that ``z`` leaves open: it keeps
+    every prefix, as its step reads the node before the last and its test
+    the whole path."""
     masks = g._masks
     children = masks.children
 
-    def non_causal(seq: list[int]) -> bool:
+    def non_causal(seq: tuple[int, ...]) -> bool:
         # some node has a child earlier on the path
         members = 0
         for i in seq:
@@ -314,11 +344,15 @@ def _adjustment_witness(
             members |= 1 << i
         return False
 
-    # the first open non-causal path by length, then node sequence
     no_back = [0] * len(g.nodes)
-    walk = _proper_paths(a, y, masks.neighbours, _open_step(masks, z), no_back)
-    best = _last_hit(walk, non_causal)
-    return None if best is None else _node_path(g, best)
+    for _, hits in _path_levels(
+        a, y, masks.neighbours, _open_step(masks, z), no_back,
+        *_index_carries(len(no_back)),
+    ):
+        for *_, seq in hits:
+            if non_causal(seq):
+                return _node_path(g, seq)
+    return None
 
 
 def is_adjustment_set(
@@ -335,7 +369,7 @@ def is_adjustment_set(
     unidentified effect raises :class:`NotIdentifiedError`.
 
     A candidate outside the forbidden set is decided by one d-separation
-    search in the proper back-door graph.  Only an invalid one walks the
+    search in the proper back-door graph.  Only an invalid one searches the
     proper definite-status paths that it leaves open (a non-collider in the
     set or a collider without a descendant in it ends the path), for its
     witness: the smallest open non-causal path by length, then node

@@ -9,11 +9,16 @@ represented DAGs with pairwise distinct identification formulas.  Branching on
 a shortest violating path first is what makes the output minimal: the
 orientation order matters.
 
-The recursion tree has one node per branch plus one per output graph, and
-each node needs only its shortest violating path, which a bounded search
-finds.  No call enumerates violating paths in full: the count at each branch
-of the audit trail, the root's bound ``m`` included, is computed on first
-read.  The recursion has no stack of its own: it is the branch
+The recursion tree has one node per branch plus one per output graph.  On a
+graph that is closed and represents a DAG, the first-edge search of
+:mod:`mpdag.identify` decides each node first, in polynomial time: a leaf
+runs no path search, and a branch searches only from the undirected first
+edges into V1.  That search grows path prefixes one length at a time, keeps
+one prefix per state (last node, node set) and stops at the first violating
+path, the first shortest in node sequence order.  No call enumerates
+violating paths: the count at each branch of the audit trail, the root's
+bound ``m`` included, is computed on first read, carried per state rather
+than path by path.  The recursion has no stack of its own: it is the branch
 walk of :mod:`mpdag.meek`, whose branch-edge rule reads a shortest violating
 path, so its depth is not limited by Python's recursion limit.
 
@@ -31,11 +36,11 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional
 
-from .graphs import GraphError, InternalInconsistencyError
-from .graphs import _checked_sets
+from .graphs import GraphError, InternalInconsistencyError, PartiallyDirectedGraph
+from .graphs import _bit_indices, _checked_sets
 from .identify import GFormula, g_formula, is_identified
 from .identify import _count_violating, _first_edges, _shortest_violating
-from .meek import Mpdag, _branch_walk, _Builder, enumerate_dags
+from .meek import _SOUND, Mpdag, _branch_walk, _Builder, enumerate_dags
 
 
 @dataclass(frozen=True)
@@ -98,6 +103,30 @@ class EnumerationResult:
         return m
 
 
+def _branch_path(
+    g: PartiallyDirectedGraph, a: int, y: int, sound: bool
+) -> Optional[tuple[str, ...]]:
+    """The shortest violating path of the treatment mask ``a`` and the
+    outcome mask ``y`` in ``g``, as node names, or None.  A graph with no
+    undirected edge out of the treatments has none.  On a ``sound`` graph,
+    closed and representing a DAG, :func:`_first_edges` decides next, so an
+    identified graph is searched no further, and the search starts only from
+    the undirected first edges into V1.  Any other graph gets the search
+    from every undirected first edge, which is exact on any PDAG."""
+    undirected, first_edges = g._masks.undirected, 0
+    for t in _bit_indices(a):
+        first_edges |= undirected[t]
+    if not first_edges & ~a:
+        return None
+    v1 = None
+    if sound:
+        v1, identified = _first_edges(g, a, y)
+        if identified:
+            return None
+    seq = _shortest_violating(g, a, y, v1)
+    return None if seq is None else tuple([g.nodes[i] for i in seq])
+
+
 def select_branch_edge(
     h: Mpdag, treatments: Iterable[str], outcomes: Iterable[str]
 ) -> tuple[str, str]:
@@ -107,10 +136,11 @@ def select_branch_edge(
     identified input is an error.
     """
     g = h.graph
-    shortest = _shortest_violating(g, *_checked_sets(g, treatments, outcomes))
+    a, y = _checked_sets(g, treatments, outcomes)
+    shortest = _branch_path(g, a, y, getattr(g, _SOUND, False))
     if shortest is None:
         raise GraphError("effect already identified; no branch edge")
-    return shortest.nodes[0], shortest.nodes[1]
+    return shortest[0], shortest[1]
 
 
 def id_graphs(
@@ -122,11 +152,13 @@ def id_graphs(
     branch edge, the undirected first edge of a shortest violating path, is
     oriented both ways as background knowledge, and the results below the two
     children are merged: the branch walk of :mod:`mpdag.meek`, with no stack
-    of its own, and a rule that searches each node's graph for that path.
-    Output is canonically sorted; the audit trail records each branch in
-    depth-first order: a branch, then everything below its ``a1 -> v1``
-    child, then everything below its ``v1 -> a1`` child.  No violating path
-    is enumerated in full until ``m`` or a record's ``violating`` is read.
+    of its own, and a rule that finds that path in each node's graph
+    (:func:`_branch_path`), gated by the first-edge search wherever the
+    node's builder is sound.  Output is canonically sorted; the audit trail
+    records each branch in depth-first order: a branch, then everything
+    below its ``a1 -> v1`` child, then everything below its ``v1 -> a1``
+    child.  No violating path is counted until ``m`` or a record's
+    ``violating`` is read.
     A root not flagged sound is proved class-nonempty when its builder is
     made if it is closed, or else where its first branch closure ends
     (:mod:`mpdag.meek`), so a snapshot is searched for a directed cycle only
@@ -140,15 +172,15 @@ def id_graphs(
     def branch_edge(builder: _Builder) -> Optional[tuple[int, int]]:
         # only the root is visited before the first branch is recorded
         current = builder.mpdag() if audit else h
-        shortest = _shortest_violating(current.graph, a, y)
+        shortest = _branch_path(current.graph, a, y, builder.sound)
         if shortest is None:
             leaves[current.key()] = current
             return None
-        a1, v1 = shortest.nodes[0], shortest.nodes[1]
+        a1, v1 = shortest[0], shortest[1]
         audit.append(
             BranchRecord(
                 edge=(a1, v1),
-                path=shortest.nodes,
+                path=shortest,
                 _mpdag=current,
                 _treatments=a,
                 _outcomes=y,
@@ -198,7 +230,7 @@ def method3_graphs(
     the second nodes of those paths, from any treatment and over a directed
     or an undirected first edge.  On the treatment edges these are the nodes
     on the paths, as the property tests check against a walk over every
-    path, and no path is walked to find them.
+    path, and no path is searched to find them.
     """
     a, y = _checked_sets(h.graph, treatments, outcomes)
     return _treatment_edge_combos(h, a, _first_edges(h.graph, a, y)[0])

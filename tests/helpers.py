@@ -18,7 +18,6 @@ import numpy as np
 import mpdag as M
 from mpdag import graphs, meek
 from mpdag.graphs import _bit_indices, _checked_sets, _open_step
-from mpdag.identify import _count_violating, _shortest_violating
 from mpdag.meek import _Builder
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -535,6 +534,77 @@ def exhaustive_possibly_causal_paths(
     return [M.path_in(g, seq) for seq in found]
 
 
+def proper_paths(starts: int, targets: int, first, step, back):
+    """Depth-first search over the proper paths from the nodes of ``starts``
+    that end in a node of ``targets``, yielding each as the live list of node
+    indices (valid until the next step).
+
+    From a start ``s`` the path moves to a node of ``first[s]``, and after
+    ``u, v`` to one of ``step(u, v)``; it never takes a node twice, a start
+    after the first node, or a node ``w`` with ``back[w]`` on the path, and it
+    stops growing once every target is on it, as no extension can end in a
+    new one.  Starts and steps are taken in node order and a path comes
+    before its extensions, so the paths of one length come out in node
+    sequence order.  Iterative, with one mask of untried extensions per path
+    node.  Sending a node count into the generator bounds the paths that are
+    still to come to that many nodes.
+
+    This is the walk the package shared between its path searches before
+    they became one breadth-first search, kept as a reference for it.
+    """
+    limit = len(first)
+    for a in _bit_indices(starts):
+        path, members = [a], 1 << a
+        # pending[k]: the untried extensions of path[: k + 1]
+        pending = [first[a] & ~starts]
+        while pending:
+            candidates = pending[-1]
+            if not candidates or len(path) >= limit:
+                pending.pop()
+                members ^= 1 << path.pop()
+                continue
+            low = candidates & -candidates
+            pending[-1] = candidates ^ low
+            w = low.bit_length() - 1
+            if back[w] & members:
+                continue
+            u = path[-1]
+            path.append(w)
+            members |= low
+            if low & targets:
+                limit = (yield path) or limit
+            if targets & ~members:
+                pending.append(step(u, w) & ~(members | starts))
+            else:
+                pending.append(0)
+
+
+def last_hit(walk, hit) -> Optional[tuple[int, ...]]:
+    """Drive a path walk that takes a node-count bound: each path that
+    ``hit`` accepts bounds the rest of the walk to strictly shorter paths, so
+    the last one accepted is the first shortest in the walk's order."""
+    best = bound = None
+    try:
+        while True:
+            seq = walk.send(bound)
+            if hit(seq):
+                best = tuple(seq)
+                bound = len(best) - 1
+    except StopIteration:
+        return best
+
+
+def violating_walk(g: M.PartiallyDirectedGraph, a: int, y: int):
+    """:func:`proper_paths` over the violating paths from the treatment mask
+    ``a`` to the outcome mask ``y``: undirected first edge, any neighbour
+    after it, and no node with a child already on the path."""
+    masks = g._masks
+    neighbours = masks.neighbours
+    return proper_paths(
+        a, y, masks.undirected, lambda u, v: neighbours[v], masks.children
+    )
+
+
 def possibly_causal_walk(
     g: M.PartiallyDirectedGraph, treatments, outcomes, start_undirected_only=False
 ):
@@ -649,24 +719,30 @@ def stacked_id_graphs(h: M.Mpdag, treatments, outcomes) -> M.EnumerationResult:
     This is the loop the package used before the branch walk took a
     branch-edge rule, kept as the reference that walk is compared against.
     It counts the root's violating paths eagerly and presets that count on
-    the root record, from which the result reads ``m``.
+    the root record, from which the result reads ``m``.  Its shortest paths
+    and its count come from the depth-first :func:`violating_walk`, at every
+    node, not from the package's search.
     """
     a, y = _checked_sets(h.graph, treatments, outcomes)
     audit: list[M.BranchRecord] = []
     leaves: dict[tuple, M.Mpdag] = {}
 
-    m = _count_violating(h.graph, a, y)
-    stack = [(h, _Builder(h.graph), _shortest_violating(h.graph, a, y))]
+    def shortest(g: M.PartiallyDirectedGraph) -> Optional[tuple[str, ...]]:
+        seq = last_hit(violating_walk(g, a, y), lambda seq: True)
+        return None if seq is None else tuple(g.nodes[i] for i in seq)
+
+    m = sum(1 for _ in violating_walk(h.graph, a, y))
+    stack = [(h, _Builder(h.graph), shortest(h.graph))]
     while stack:
-        current, builder, shortest = stack.pop()
-        if shortest is None:
+        current, builder, path = stack.pop()
+        if path is None:
             leaves[current.key()] = current
             continue
-        a1, v1 = shortest.nodes[0], shortest.nodes[1]
+        a1, v1 = path[0], path[1]
         audit.append(
             M.BranchRecord(
                 edge=(a1, v1),
-                path=shortest.nodes,
+                path=path,
                 _mpdag=current,
                 _treatments=a,
                 _outcomes=y,
@@ -676,8 +752,7 @@ def stacked_id_graphs(h: M.Mpdag, treatments, outcomes) -> M.EnumerationResult:
         for child, request in ((builder.copy(), (a1, v1)), (builder, (v1, a1))):
             child.request(*request)
             graph = child.mpdag()
-            path = _shortest_violating(graph.graph, a, y)
-            children.append((graph, child, path))
+            children.append((graph, child, shortest(graph.graph)))
         # pushed in reverse, so the a1 -> v1 subtree is finished first
         stack.extend(reversed(children))
     if audit:

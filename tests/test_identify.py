@@ -331,15 +331,19 @@ def test_id_graphs_checks_its_sets_once_for_all_branches(monkeypatch):
 
 
 def refuse_path_walks(monkeypatch) -> None:
-    """Make ``graphs._proper_paths``, the exhaustive path walk, raise in
-    every package module that holds it."""
+    """Make ``graphs._path_levels``, the one path search, raise in every
+    package module that holds it.  The graphs module must hold it, or a
+    search under another name would go unrefused."""
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the exhaustive path walk was entered")
+        raise AssertionError("the path search was entered")
 
+    patched = []
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "mpdag" and hasattr(module, "_proper_paths"):
-            monkeypatch.setattr(module, "_proper_paths", refuse)
+        if name.split(".")[0] == "mpdag" and hasattr(module, "_path_levels"):
+            monkeypatch.setattr(module, "_path_levels", refuse)
+            patched.append(name)
+    assert "mpdag.graphs" in patched
 
 
 def unreachable_outcome() -> M.Mpdag:
@@ -369,6 +373,17 @@ class TestDecisionsWalkNoPath:
         assert M.is_adjustment_set(h, ["a"], ["y"], [])
         assert M.is_adjustment_set(h, ["a"], ["y"], clique)
         assert str(M.g_formula(h, ["a"], ["y"])) == "f(y)"
+
+    def test_identified_root_is_returned_without_a_search(self, monkeypatch):
+        # the minimal enumeration decides each tree node by the first-edge
+        # search before any path search, so an identified root is the one
+        # output graph, with no branch
+        h = unreachable_outcome()
+        refuse_path_walks(monkeypatch)
+        result = M.id_graphs(h, ["a"], ["y"])
+        assert result.graphs == (h,) and result.audit == () and result.m == 0
+        with pytest.raises(M.GraphError, match="already identified"):
+            M.select_branch_edge(h, ["a"], ["y"])
 
     def test_complete_dag(self, monkeypatch):
         h = complete_dag()

@@ -150,7 +150,7 @@ class TestOutputSensitiveEnumeration:
         assert walks == ["_count_violating"] * 2
         assert branch.violating == 1956
         assert walks == ["_count_violating"] * 2
-        # an identified input: its one shortest-path search shows m = 0
+        # an identified input: the first-edge search shows m = 0
         assert M.id_graphs(result.graphs[0], ["v0"], ["v1"]).m == 0
         assert walks == ["_count_violating"] * 2
 
@@ -188,6 +188,56 @@ class TestOutputSensitiveEnumeration:
         ]
         assert [g.key() for g in result.graphs] == [g.key() for g in graphs]
         assert (result.m, result.n) == (m, 61)
+
+
+class TestCompleteGraphContracts:
+    # K12 with A = v0 and Y = v1: 2^10 + 1 output graphs, and 9,864,101
+    # violating paths at the root; the contracts count calls and states, so
+    # they do not depend on the machine
+
+    K = 12
+
+    def test_a_leaf_runs_no_path_search(self, monkeypatch):
+        rule_calls, searches = [], []
+        walk, search = idgraphs._branch_walk, identify._path_levels
+
+        def counted_walk(root, rule):
+            def counted_rule(builder):
+                rule_calls.append(builder)
+                return rule(builder)
+
+            return walk(root, counted_rule)
+
+        def counted_search(*args):
+            searches.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(idgraphs, "_branch_walk", counted_walk)
+        monkeypatch.setattr(identify, "_path_levels", counted_search)
+        result = M.id_graphs(complete_graph(self.K), ["v0"], ["v1"])
+        assert result.n == 2 ** (self.K - 2) + 1
+        # one rule call per tree node, and a path search at the branches only
+        assert len(rule_calls) == 2 * result.n - 1
+        assert len(searches) == len(result.audit) == result.n - 1
+
+    def test_counts_visit_states_not_paths(self, monkeypatch):
+        result = M.id_graphs(complete_graph(self.K), ["v0"], ["v1"])
+        visits = []
+        search = identify._path_levels
+
+        def counted_search(*args):
+            states = 0
+            for level, hits in search(*args):
+                states += len(level)
+                yield level, hits
+            visits.append(states)
+
+        monkeypatch.setattr(identify, "_path_levels", counted_search)
+        assert result.m == 9_864_101
+        assert sum(record.violating for record in result.audit) == 87_800_950
+        # one count per record, m being the root record's
+        assert len(visits) == len(result.audit) == 2 ** (self.K - 2)
+        assert max(visits) <= self.K * 2 ** (self.K - 2)
 
 
 class TestBaselineEnumerations:

@@ -11,11 +11,10 @@ from mpdag.graphs import (
     _bit_indices,
     _checked_sets,
     _kahn,
-    _last_hit,
     _mask_table,
     _nodes_on_paths,
-    _possibly_causal_walk,
 )
+from mpdag.idgraphs import _branch_path
 from mpdag.identify import (
     _adjustment_witness,
     _count_violating,
@@ -42,6 +41,7 @@ from helpers import (
     exhaustive_possible_descendants,
     exhaustive_possibly_causal_paths,
     formula_effect,
+    last_hit,
     names_directed_cycle,
     partial_correlation,
     possibly_causal_walk,
@@ -365,7 +365,9 @@ def test_path_search_matches_exhaustive_oracle(query, start_undirected_only):
         assert h.graph._names(_nodes_on_paths(h.graph, *checked)) == on_paths
     else:
         assert _count_violating(h.graph, *checked) == len(expected)
-        assert _shortest_violating(h.graph, *checked) == first
+        assert _shortest_violating(h.graph, *checked, None) == (
+            None if first is None else tuple(h.graph._masks.index[n] for n in first.nodes)
+        )
         verdict = M.is_identified(h, a, y)
         assert verdict.identified == (not expected)
         assert verdict.witness == first
@@ -391,24 +393,55 @@ def test_first_edge_search_matches_exhaustive_oracle(query):
         assert forbidden == exhaustive_possible_descendants(g, g._names(v1))
 
 
+@st.composite
+def path_queries(draw):
+    """A query of :func:`mpdag_queries`, or a plain ``Mpdag(g)`` wrapper of a
+    PDAG from :func:`orientation_cases`, which may be unclosed or
+    class-empty, with treatment and outcome sets of one or two nodes each."""
+    if draw(st.booleans()):
+        return draw(mpdag_queries())
+    h = M.Mpdag(draw(orientation_cases())[0])
+    order = draw(st.permutations(h.nodes))
+    k = draw(st.integers(1, min(2, len(order) - 1)))
+    j = draw(st.integers(1, min(2, len(order) - k)))
+    return h, order[:k], order[k:k + j]
+
+
 @settings(max_examples=200)
-@given(mpdag_queries(), st.integers(0, 2**31 - 1))
+@given(path_queries(), st.integers(0, 2**31 - 1))
 def test_shared_path_walk_matches_its_two_oracles(query, seed):
-    # one walk, checked against the two depth-first searches in helpers: the
-    # same target-ending paths in the same order, in both first-step modes,
-    # the same shortest path, and the same adjustment witness for random Z
+    # the one breadth-first path search against the two depth-first walks in
+    # helpers, on MPDAGs and on unclosed or class-empty PDAGs: the listing
+    # order in both first-step modes, the on-path nodes, the violating count,
+    # the shortest violating path with and without the V1 gate, and the
+    # adjustment witness for random Z
     h, a, y = query
     g = h.graph
     starts, targets = _checked_sets(g, a, y)
+    listed = {}
     for undirected_only in (False, True):
-        walk = _possibly_causal_walk(g, starts, targets, undirected_only)
-        oracle = possibly_causal_walk(g, a, y, undirected_only)
-        assert [tuple(seq) for seq in walk] == [tuple(seq) for seq in oracle]
-        shortest = _last_hit(
-            possibly_causal_walk(g, a, y, undirected_only), lambda seq: True
-        )
-        walk = _possibly_causal_walk(g, starts, targets, undirected_only)
-        assert _last_hit(walk, lambda seq: True) == shortest
+        walked = [
+            tuple(g.nodes[i] for i in seq)
+            for seq in possibly_causal_walk(g, a, y, undirected_only)
+        ]
+        listed[undirected_only] = M.proper_possibly_causal_paths(g, a, y, undirected_only)
+        # the walk gives each length in node sequence order
+        assert listed[undirected_only] == [
+            M.path_in(g, seq) for seq in sorted(walked, key=len)
+        ]
+    on_path = {n for path in listed[False] for n in path.nodes} - set(a)
+    assert g._names(_nodes_on_paths(g, starts, targets)) == on_path
+    assert _count_violating(g, starts, targets) == len(listed[True])
+    shortest = last_hit(possibly_causal_walk(g, a, y, True), lambda seq: True)
+    assert _shortest_violating(g, starts, targets, None) == shortest
+    # V1 holds the second node of every violating path, closed graph or not,
+    # so the search from the undirected first edges into it finds the same
+    v1, identified = _first_edges(g, starts, targets)
+    assert _shortest_violating(g, starts, targets, v1) == shortest
+    assert not identified or shortest is None
+    named = None if shortest is None else tuple(g.nodes[i] for i in shortest)
+    for sound in (False, True):
+        assert _branch_path(g, starts, targets, sound) == named
 
     children = g._masks.children
 
@@ -427,7 +460,7 @@ def test_shared_path_walk_matches_its_two_oracles(query, seed):
     rest = [v for v in g.nodes if v not in a and v not in y]
     for _ in range(3):
         z = [v for v in rest if rng.random() < 0.5]
-        best = _last_hit(definite_status_walk(g, a, z), non_causal)
+        best = last_hit(definite_status_walk(g, a, z), non_causal)
         witness = _adjustment_witness(g, starts, targets, g._masks.bits(z))
         if best is None:
             assert witness is None
