@@ -39,9 +39,8 @@ from .identify import (
 )
 from .idgraphs import id_graphs, method2_graphs, method3_graphs, verify_partition
 from .linear import (
-    ExactCovariance,
     RejectionBudgetError,
-    _regression_effects,
+    _RegressionLayout,
     count_distinct,
     covariance,
     possible_effects,
@@ -65,6 +64,24 @@ CLASS_SIZE_CAP = 5000
 
 def _node_list(raw: str) -> list[str]:
     return [tok for tok in raw.split(",") if tok]
+
+
+def _at_least(kind: type, low: float):
+    """An argument type: a ``kind`` value of at least ``low``; any other,
+    NaN included, is a usage error."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {kind.__name__} value: {text!r}"
+            ) from None
+        if not value >= low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return value
+
+    return parse
 
 
 def _emit_graph(g: PartiallyDirectedGraph, fmt: str) -> str:
@@ -313,12 +330,13 @@ def _simulate_one(seed: int, args: argparse.Namespace) -> dict:
         members["2"] = members["3"] = None
 
     # ground truth: distinct per-DAG population effects, redrawing the
-    # coefficients when a tie collapses two classes
+    # coefficients when a tie collapses two classes; one regression layout
+    # over the class serves every covariance of the instance
+    layout = _RegressionLayout(h.nodes, dags, treat, outcome)
     scm = inst.scm
     tie_redraws = 0
     while True:
-        truth_effects = _regression_effects(covariance(scm), dags, treat, outcome)
-        truth = count_distinct(truth_effects, args.tie_tol)
+        truth = count_distinct(layout.effects(covariance(scm).matrix), args.tie_tol)
         if truth == result.n or tie_redraws >= 3:
             break
         tie_redraws += 1
@@ -334,22 +352,17 @@ def _simulate_one(seed: int, args: argparse.Namespace) -> dict:
         target = Path(args.dump_data)
         target.mkdir(parents=True, exist_ok=True)
         (target / f"instance_{seed}.csv").write_text(data.to_csv(), encoding="utf-8")
-    # one sweep over the class (method 1) and the members' extensions; each
-    # member is identified where its enumeration stopped
-    fitted = {"1": dags}
+    # method 1 fits the class; a member of methods 2-4 (identified where its
+    # enumeration stopped) is fitted by its consistent extension, a DAG of
+    # the class, so its estimate is that DAG's row
+    estimates = layout.effects(data.covariance())
+    row = {dag._masks.children: k for k, dag in enumerate(dags)}
+    distinct_estimates: dict[str, Optional[int]] = dict.fromkeys("1234")
+    distinct_estimates["1"] = count_distinct(estimates, 1e-9)
     for key in ("2", "3", "4"):
         if members[key] is not None:
-            fitted[key] = [consistent_extension(m) for m in members[key]]
-    sample_cov = ExactCovariance(data.columns, data.covariance())
-    estimates = _regression_effects(
-        sample_cov, [d for group in fitted.values() for d in group], treat, outcome
-    )
-    distinct_estimates: dict[str, Optional[int]] = dict.fromkeys("1234")
-    start = 0
-    for key, group in fitted.items():
-        stop = start + len(group)
-        distinct_estimates[key] = count_distinct(estimates[start:stop], 1e-9)
-        start = stop
+            rows = [row[consistent_extension(m)._masks.children] for m in members[key]]
+            distinct_estimates[key] = count_distinct(estimates[rows], 1e-9)
     record["counts"] = counts
     record["distinct_estimates"] = distinct_estimates
     return record
@@ -441,12 +454,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("simulate", help="random-instance simulation study")
     sub.add_argument("--p", type=int, required=True)
-    sub.add_argument("--deg", type=float, required=True)
-    sub.add_argument("--n", type=int, required=True, help="sample size")
+    sub.add_argument("--deg", type=_at_least(float, 0), required=True)
+    sub.add_argument("--n", type=_at_least(int, 2), required=True, help="sample size")
     sub.add_argument("--reps", type=int, required=True)
     sub.add_argument("--seed", type=int, required=True)
     sub.add_argument("--out", required=True, help="JSONL output path")
-    sub.add_argument("--a-size", type=int, default=None,
+    sub.add_argument("--a-size", type=_at_least(int, 1), default=None,
                      help="fixed treatment-set size (default: random 1..4)")
     sub.add_argument("--tie-tol", type=float, default=1e-6)
     sub.add_argument("--dump-data", default=None,

@@ -325,7 +325,8 @@ class PartiallyDirectedGraph:
         of a DAG, a closed graph proved when its builder is made, or a
         closure that proved its class nonempty, and all below them), any
         other builder after its own cycle search, and the pattern of a DAG,
-        a subgraph of that DAG.
+        a subgraph of that DAG; and :func:`mpdag.linear.random_instance`,
+        whose DAG orients every edge along a random ordering of the nodes.
         """
         g = object.__new__(cls)
         object.__setattr__(g, "nodes", nodes)

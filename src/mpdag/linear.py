@@ -10,13 +10,16 @@ population covariances this returns the identified effect exactly (and does
 not depend on which extension was chosen); on finite samples it is a
 consistent, though not efficient, estimator of the same target.
 
-Effects of many DAGs on one covariance come from one batched sweep,
-:func:`_regression_effects`: it solves each distinct regression (a node on a
-parent set) once, with one stacked ``solve`` per parent-set size, and then
-inverts every DAG's ``I - B`` in one more stacked ``solve``.  A stacked
-``solve`` runs the same LAPACK routine on the same matrices as one call per
-matrix, so a sweep is bit-identical to fitting the DAGs one at a time, in
-any order and with any repeats.
+Effects of many DAGs come from one batched sweep.  A
+:class:`_RegressionLayout` over the DAGs collects each distinct regression
+(a node on a parent set) once; its pass over a covariance solves them with
+one stacked ``solve`` per parent-set size, and then inverts every DAG's
+``I - B`` in one more stacked ``solve``.  The simulation study builds one
+layout per instance, over the Markov class, and runs it on every population
+covariance and on the sample covariance; :func:`_regression_effects` is a
+layout and one pass.  A stacked ``solve`` runs the same LAPACK routine on the
+same matrices as one call per matrix, so a sweep is bit-identical to fitting
+the DAGs one at a time, in any order and with any repeats.
 """
 
 from __future__ import annotations
@@ -27,9 +30,9 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .graphs import GraphError, PartiallyDirectedGraph, _bit_indices
+from .graphs import GraphError, PartiallyDirectedGraph, _AdjacencyMasks, _bit_indices
 from .idgraphs import EnumerationResult, id_graphs
-from .identify import NotIdentifiedError, is_identified
+from .identify import NotIdentifiedError, _first_edges, is_identified
 from .meek import Mpdag, consistent_extension, cpdag_of_dag
 
 
@@ -207,100 +210,141 @@ def _as_covariance(source: CovarianceLike, nodes: Iterable[str]) -> ExactCovaria
     return cov
 
 
+class _RegressionLayout:
+    """Where the regressions of each of ``dags`` sit in one sweep over a
+    covariance of ``columns``, to fit them on any number of covariances with
+    :meth:`effects`.
+
+    The DAGs' nodes must be among ``columns``, in any order.  The layout
+    collects the distinct regressions (a node's column and its parents'
+    columns, parents in name order) in first-seen order, groups them by
+    parent-set size, and records where each DAG's regressions go in a
+    ``(K, p, p)`` coefficient stack.
+    """
+
+    def __init__(
+        self,
+        columns: Sequence[str],
+        dags: Sequence[PartiallyDirectedGraph],
+        treatments: Sequence[str],
+        outcome: str,
+    ) -> None:
+        index = {n: i for i, n in enumerate(columns)}
+        p = len(index)
+        # (node column, parent columns) -> slot, in first-seen order
+        slots: dict[tuple[int, tuple[int, ...]], int] = {}
+        # node tuple -> (its columns, (node index, parent mask) -> slot): a
+        # node whose parent set was seen before costs one lookup, no key
+        # building
+        layouts: dict[tuple[str, ...], tuple[list[int], dict[tuple[int, int], int]]] = {}
+        owners: list[int] = []  # for each regression a DAG uses: that DAG
+        used: list[int] = []  # ... and the regression's slot
+        for k, dag in enumerate(dags):
+            layout = layouts.get(dag.nodes)
+            if layout is None:
+                layout = layouts[dag.nodes] = ([index[n] for n in dag.nodes], {})
+            cols, local = layout
+            for i, bits in enumerate(dag._masks.parents):
+                if not bits:
+                    continue
+                slot = local.get((i, bits))
+                if slot is None:
+                    # bits come out in node order, which is name order
+                    key = (cols[i], tuple(cols[j] for j in _bit_indices(bits)))
+                    slot = local[i, bits] = slots.setdefault(key, len(slots))
+                owners.append(k)
+                used.append(slot)
+
+        # per slot: the node's column, and its parents' columns padded with
+        # a spare column p
+        self.columns = tuple(columns)
+        self.regressions = list(slots)
+        width = max((len(parents) for _, parents in self.regressions), default=0)
+        slot_node = np.array([node for node, _ in self.regressions], dtype=np.intp)
+        slot_parents = np.full((len(slots), width), p, dtype=np.intp)
+        by_size: dict[int, list[int]] = {}
+        for slot, (_, parents) in enumerate(self.regressions):
+            slot_parents[slot, : len(parents)] = parents
+            by_size.setdefault(len(parents), []).append(slot)
+        # per parent-set size: its slots, their parents' and nodes' columns
+        self.groups = [
+            (members, slot_parents[members, :size], slot_node[members, None])
+            for size, members in by_size.items()
+        ]
+        self.width = width
+        # each used regression's coefficients go to (DAG, node, parents)
+        self.used = np.array(used, dtype=np.intp)
+        self.target = (
+            np.array(owners, dtype=np.intp)[:, None],
+            slot_node[self.used, None],
+            slot_parents[self.used],
+        )
+        self.a_cols = [index[a] for a in treatments]
+        self.y_col = index[outcome]
+        self.shape = (len(dags), p)
+
+    def effects(self, sigma: np.ndarray) -> np.ndarray:
+        """Total effects that each DAG implies for the covariance matrix
+        ``sigma`` over the layout's columns: row ``k`` holds the effects of
+        the treatments (in the given order) on the outcome when every node
+        of ``dags[k]`` is regressed on its parents.
+
+        It solves the distinct regressions with one stacked ``solve`` per
+        parent-set size, gathers each DAG's rows into a ``(K, p, p)``
+        coefficient stack with the treatment rows zeroed, and inverts every
+        ``I - B`` in one more stacked ``solve``.  A rank-deficient
+        regression raises :class:`GraphError` naming the node of the first
+        one met, DAG by DAG and node by node.
+        """
+        beta = np.zeros((len(self.regressions), self.width))
+        for members, rows, node in self.groups:
+            gram = sigma[rows[:, :, None], rows[:, None, :]]
+            try:
+                # a trailing axis of one: a stack of vectors means the same
+                # thing on numpy 1.x and 2.x
+                beta[members, : rows.shape[1]] = np.linalg.solve(
+                    gram, sigma[rows, node][..., None]
+                )[..., 0]
+            except np.linalg.LinAlgError:
+                _raise_rank_deficient(sigma, self.columns, self.regressions)
+                raise
+        k, p = self.shape
+        coef = np.zeros((k, p, p + 1))
+        coef[self.target] = beta[self.used]
+        coef[:, self.a_cols, :] = 0.0  # remove edges into the intervened nodes
+        eye = np.eye(p)
+        total = np.linalg.solve(
+            eye - coef[:, :, :p], np.broadcast_to(eye, (k, p, p))
+        )
+        return total[:, self.y_col, self.a_cols]
+
+
 def _regression_effects(
     cov: ExactCovariance,
     dags: Sequence[PartiallyDirectedGraph],
     treatments: Sequence[str],
     outcome: str,
 ) -> np.ndarray:
-    """Total effects that each DAG implies for the covariance: row ``k``
-    holds the effects of ``treatments`` (in the given order) on ``outcome``
-    when every node of ``dags[k]`` is regressed on its parents.
-
-    The DAGs' nodes must be among ``cov.columns``, in any order.  The sweep
-    collects the distinct regressions (a node's column and its parents'
-    columns, parents in name order) in first-seen order, solves them with
-    one stacked ``solve`` per parent-set size, gathers each DAG's rows into
-    a ``(K, p, p)`` coefficient stack with the treatment rows zeroed, and
-    inverts every ``I - B`` in one more stacked ``solve``.  A rank-deficient
-    regression raises :class:`GraphError` naming the node of the first one
-    met, DAG by DAG and node by node.
-    """
-    sigma = cov.matrix
-    index = {n: i for i, n in enumerate(cov.columns)}
-    p = len(index)
-    # (node column, parent columns) -> slot, in first-seen order
-    slots: dict[tuple[int, tuple[int, ...]], int] = {}
-    # node tuple -> (its columns, (node index, parent mask) -> slot): a node
-    # whose parent set was seen before costs one lookup, no key building
-    layouts: dict[tuple[str, ...], tuple[list[int], dict[tuple[int, int], int]]] = {}
-    owners: list[int] = []  # for each regression a DAG uses: that DAG
-    used: list[int] = []  # ... and the regression's slot
-    for k, dag in enumerate(dags):
-        layout = layouts.get(dag.nodes)
-        if layout is None:
-            layout = layouts[dag.nodes] = ([index[n] for n in dag.nodes], {})
-        cols, local = layout
-        for i, bits in enumerate(dag._masks.parents):
-            if not bits:
-                continue
-            slot = local.get((i, bits))
-            if slot is None:
-                # bits come out in node order, which is name order
-                key = (cols[i], tuple(cols[j] for j in _bit_indices(bits)))
-                slot = local[i, bits] = slots.setdefault(key, len(slots))
-            owners.append(k)
-            used.append(slot)
-
-    # one row per slot: the node's column, then its parents' columns and
-    # coefficients, padded with a spare column p and zeros
-    regressions = list(slots)
-    width = max((len(parents) for _, parents in regressions), default=0)
-    slot_node = np.array([node for node, _ in regressions], dtype=np.intp)
-    slot_parents = np.full((len(regressions), width), p, dtype=np.intp)
-    slot_beta = np.zeros((len(regressions), width))
-    by_size: dict[int, list[int]] = {}
-    for slot, (_, parents) in enumerate(regressions):
-        slot_parents[slot, : len(parents)] = parents
-        by_size.setdefault(len(parents), []).append(slot)
-    for size, members in by_size.items():
-        rows = slot_parents[members, :size]
-        gram = sigma[rows[:, :, None], rows[:, None, :]]
-        rhs = sigma[rows, slot_node[members, None]]
-        try:
-            # a trailing axis of one: a stack of vectors means the same
-            # thing on numpy 1.x and 2.x
-            slot_beta[members, :size] = np.linalg.solve(gram, rhs[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            _raise_rank_deficient(cov, regressions)
-            raise
-
-    coef = np.zeros((len(dags), p, p + 1))
-    owners_ = np.array(owners, dtype=np.intp)
-    used_ = np.array(used, dtype=np.intp)
-    coef[owners_[:, None], slot_node[used_, None], slot_parents[used_]] = slot_beta[used_]
-    a_cols = [index[a] for a in treatments]
-    coef[:, a_cols, :] = 0.0  # remove edges into the intervened nodes
-    eye = np.eye(p)
-    total = np.linalg.solve(
-        eye - coef[:, :, :p], np.broadcast_to(eye, (len(dags), p, p))
-    )
-    return total[:, index[outcome], a_cols]
+    """The effects of :meth:`_RegressionLayout.effects` for the DAGs on one
+    covariance."""
+    layout = _RegressionLayout(cov.columns, dags, treatments, outcome)
+    return layout.effects(cov.matrix)
 
 
 def _raise_rank_deficient(
-    cov: ExactCovariance, regressions: Sequence[tuple[int, tuple[int, ...]]]
+    sigma: np.ndarray,
+    columns: Sequence[str],
+    regressions: Sequence[tuple[int, tuple[int, ...]]],
 ) -> None:
     """Re-solve the regressions one at a time, in the given order, and raise
     for the first that is rank-deficient."""
-    sigma = cov.matrix
     for node, parents in regressions:
         rows = list(parents)
         try:
             np.linalg.solve(sigma[np.ix_(rows, rows)], sigma[rows, node])
         except np.linalg.LinAlgError as exc:
             raise GraphError(
-                f"rank-deficient regression at node {cov.columns[node]!r}"
+                f"rank-deficient regression at node {columns[node]!r}"
             ) from exc
 
 
@@ -347,16 +391,19 @@ def count_distinct(vectors: Union[Sequence[np.ndarray], np.ndarray], tol: float)
     max-abs difference.  Greedy in input order: a vector within ``tol`` of
     an earlier group's first vector joins that group, any other starts a new
     group.  ``vectors`` may be a sequence of equal-length vectors or a
-    ``(K, d)`` array, one vector per row."""
+    ``(K, d)`` array, one vector per row.
+
+    The first vector not yet grouped leads a group and takes every later
+    one within ``tol`` of it, so each group costs one comparison with the
+    rest; a vector with a NaN joins no group and takes none."""
     stack = np.asarray(vectors, dtype=float)
     if stack.ndim == 1:  # scalars
         stack = stack[:, None]
-    groups = np.empty_like(stack)
     count = 0
-    for vec in stack:
-        if not (np.abs(groups[:count] - vec).max(axis=1) <= tol).any():
-            groups[count] = vec
-            count += 1
+    while len(stack):
+        count += 1
+        rest = stack[1:]
+        stack = rest[~(np.abs(rest - stack[0]).max(axis=1) <= tol)]
     return count
 
 
@@ -400,16 +447,14 @@ class RandomInstance:
     seed: int
 
 
-def _draw_coefficients(
-    rng: np.random.Generator, dag: PartiallyDirectedGraph
-) -> dict[tuple[str, str], float]:
-    """One coefficient per edge in sorted order, uniform on [-1.5, -0.5]
-    union [0.5, 1.5]: a magnitude, then a sign."""
-    coefs = {}
-    for edge in dag.sorted_directed():
-        magnitude = rng.uniform(0.5, 1.5)
-        coefs[edge] = magnitude if rng.random() < 0.5 else -magnitude
-    return coefs
+def _draw_coefficients(rng: np.random.Generator, count: int) -> list[float]:
+    """``count`` coefficients, uniform on [-1.5, -0.5] union [0.5, 1.5]: per
+    coefficient a magnitude, then a sign, from one array of draws.  The
+    magnitude ``0.5 + u`` is what ``rng.uniform(0.5, 1.5)`` computes from
+    the same draw, bit for bit."""
+    u = rng.random(2 * count)
+    magnitude = 0.5 + u[0::2]
+    return np.where(u[1::2] < 0.5, magnitude, -magnitude).tolist()
 
 
 def random_instance(
@@ -428,38 +473,65 @@ def random_instance(
     Treatments and outcome are redrawn until the effect is unidentified in the
     CPDAG; exhausting the budget raises, and the caller retries with a new
     seed.
+
+    Each try draws, in this order: the causal ordering, one uniform per node
+    pair ``i < j`` in row-major order (the pair is an edge, from the earlier
+    to the later node of the ordering, when it falls below the edge
+    probability), one magnitude and one sign per edge in sorted order, the
+    treatment-set size unless ``n_treatments`` fixes it, and the treatments
+    and outcome.
     """
     if p < 2:
         raise GraphError("need at least two nodes")
+    if n_treatments is not None and n_treatments < 1:
+        raise GraphError(f"need at least one treatment, got {n_treatments}")
+    if not avg_degree >= 0:
+        raise GraphError(f"average degree must be nonnegative, got {avg_degree}")
     rng = np.random.default_rng(seed)
     width = len(str(p))
     names = tuple(f"x{i:0{width}d}" for i in range(1, p + 1))
+    index = {n: i for i, n in enumerate(names)}
     edge_prob = min(1.0, avg_degree / (p - 1))
+    first, second = np.triu_indices(p, 1)  # the node pairs, row-major
 
     for _ in range(max_tries):
-        order = list(rng.permutation(p))
-        rank = {names[node]: pos for pos, node in enumerate(order)}
-        edges = []
-        for i in range(p):
-            for j in range(i + 1, p):
-                if rng.random() < edge_prob:
-                    u, v = names[i], names[j]
-                    edges.append((u, v) if rank[u] < rank[v] else (v, u))
-        dag = PartiallyDirectedGraph(names, edges, ())
-        scm = LinearScm(dag, _draw_coefficients(rng, dag), {n: 1.0 for n in names})
+        rank = np.empty(p, dtype=np.intp)
+        rank[rng.permutation(p)] = np.arange(p)
+        hit = rng.random(len(first)) < edge_prob
+        u, v = first[hit], second[hit]
+        forward = rank[u] < rank[v]
+        children, parents = [0] * p, [0] * p
+        for tail, head in zip(
+            np.where(forward, u, v).tolist(), np.where(forward, v, u).tolist()
+        ):
+            children[tail] |= 1 << head
+            parents[head] |= 1 << tail
+        # acyclic, as every edge follows the ordering
+        dag = PartiallyDirectedGraph._trusted(names, _AdjacencyMasks(
+            index=index,
+            neighbours=tuple(c | q for c, q in zip(children, parents)),
+            children=tuple(children),
+            undirected=(0,) * p,
+            parents=tuple(parents),
+        ))
+        coefficients = _draw_coefficients(rng, len(u))
         cpdag = cpdag_of_dag(dag)
         k = n_treatments if n_treatments is not None else int(rng.integers(1, 5))
         k = min(k, p - 1)
-        picked = [names[i] for i in rng.choice(p, size=k + 1, replace=False)]
-        treatments = tuple(sorted(picked[:k]))
-        outcome = picked[k]
-        if not is_identified(cpdag, treatments, [outcome]):
+        picked = rng.choice(p, size=k + 1, replace=False).tolist()
+        a = sum(1 << i for i in picked[:k])
+        if not _first_edges(cpdag.graph, a, 1 << picked[k])[1]:
+            scm = LinearScm(
+                dag,
+                dict(zip(dag.sorted_directed(), coefficients)),
+                {n: 1.0 for n in names},
+            )
             return RandomInstance(
                 dag=dag,
                 scm=scm,
                 cpdag=cpdag,
-                treatments=treatments,
-                outcome=outcome,
+                treatments=tuple(names[i] for i in sorted(picked[:k])),
+                outcome=names[picked[k]],
                 seed=seed,
             )
     raise RejectionBudgetError(
@@ -470,8 +542,9 @@ def random_instance(
 
 def redraw_coefficients(m: LinearScm, seed: int) -> LinearScm:
     """Fresh coefficients from the same distribution, same DAG and noises."""
-    rng = np.random.default_rng(seed)
-    return LinearScm(m.dag, _draw_coefficients(rng, m.dag), dict(m.noise_variances))
+    edges = m.dag.sorted_directed()
+    coefficients = _draw_coefficients(np.random.default_rng(seed), len(edges))
+    return LinearScm(m.dag, dict(zip(edges, coefficients)), dict(m.noise_variances))
 
 
 def regression_effect_for_dag(

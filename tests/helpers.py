@@ -8,6 +8,7 @@ stay independent of the code paths they check.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -423,6 +424,138 @@ def looped_count_distinct(vectors, tol: float) -> int:
         else:
             groups.append(vec)
     return len(groups)
+
+def rowwise_count_distinct(vectors, tol: float) -> int:
+    """The greedy grouping of :func:`mpdag.count_distinct` one row at a
+    time: each row is compared with every group's first row so far."""
+    stack = np.asarray(vectors, dtype=float)
+    if stack.ndim == 1:  # scalars
+        stack = stack[:, None]
+    groups = np.empty_like(stack)
+    count = 0
+    for vec in stack:
+        if not (np.abs(groups[:count] - vec).max(axis=1) <= tol).any():
+            groups[count] = vec
+            count += 1
+    return count
+
+
+def per_draw_coefficients(rng: np.random.Generator, dag: M.PartiallyDirectedGraph):
+    """One coefficient per edge in sorted order, one scalar draw at a time:
+    a magnitude ``rng.uniform(0.5, 1.5)``, then a sign."""
+    coefs = {}
+    for edge in dag.sorted_directed():
+        magnitude = rng.uniform(0.5, 1.5)
+        coefs[edge] = magnitude if rng.random() < 0.5 else -magnitude
+    return coefs
+
+
+def per_draw_redraw_coefficients(m: M.LinearScm, seed: int) -> M.LinearScm:
+    """:func:`mpdag.redraw_coefficients` with :func:`per_draw_coefficients`."""
+    rng = np.random.default_rng(seed)
+    return M.LinearScm(m.dag, per_draw_coefficients(rng, m.dag), dict(m.noise_variances))
+
+
+def per_draw_random_instance(
+    p: int,
+    avg_degree: float,
+    seed: int,
+    n_treatments: Optional[int] = None,
+    max_tries: int = 200,
+) -> M.RandomInstance:
+    """:func:`mpdag.random_instance` one scalar draw per node pair and per
+    coefficient, every try's DAG and SCM built through the checking
+    constructors, and each try decided by the public ``is_identified``."""
+    rng = np.random.default_rng(seed)
+    width = len(str(p))
+    names = tuple(f"x{i:0{width}d}" for i in range(1, p + 1))
+    edge_prob = min(1.0, avg_degree / (p - 1))
+    for _ in range(max_tries):
+        order = list(rng.permutation(p))
+        rank = {names[node]: pos for pos, node in enumerate(order)}
+        edges = []
+        for i in range(p):
+            for j in range(i + 1, p):
+                if rng.random() < edge_prob:
+                    u, v = names[i], names[j]
+                    edges.append((u, v) if rank[u] < rank[v] else (v, u))
+        dag = M.PartiallyDirectedGraph(names, edges, ())
+        scm = M.LinearScm(dag, per_draw_coefficients(rng, dag), {n: 1.0 for n in names})
+        cpdag = M.cpdag_of_dag(dag)
+        k = n_treatments if n_treatments is not None else int(rng.integers(1, 5))
+        k = min(k, p - 1)
+        picked = [names[i] for i in rng.choice(p, size=k + 1, replace=False)]
+        treatments = tuple(sorted(picked[:k]))
+        outcome = picked[k]
+        if not M.is_identified(cpdag, treatments, [outcome]):
+            return M.RandomInstance(
+                dag=dag, scm=scm, cpdag=cpdag, treatments=treatments,
+                outcome=outcome, seed=seed,
+            )
+    raise M.RejectionBudgetError(
+        f"no unidentified treatment/outcome pair found in {max_tries} tries "
+        f"(p={p}, avg_degree={avg_degree}, seed={seed})"
+    )
+
+
+def two_sweep_study_arrays(inst: M.RandomInstance, n: int, tie_tol: float):
+    """The effect arrays that the simulation study of ``inst`` counts, with
+    the tolerance of each count, in order: the per-DAG population effects of
+    the class for each coefficient draw, then the sample estimates of
+    methods 1-4 (2 and 3 only under the study's combination cap).  Each
+    covariance gets a sweep of its own, and the estimates fit the class
+    followed by every member's consistent extension."""
+    from mpdag.cli import METHOD_COMBO_EDGE_CAP
+    from mpdag.linear import _regression_effects
+
+    h, treat, outcome = inst.cpdag, inst.treatments, inst.outcome
+    dags = M.enumerate_dags(h)
+    result = M.id_graphs(h, treat, [outcome])
+    fitted = {"1": dags}
+    a_edges = [e for e in h.graph.undirected if e[0] in treat or e[1] in treat]
+    groups = {"2": None, "3": None, "4": list(result.graphs)}
+    if len(a_edges) <= METHOD_COMBO_EDGE_CAP:
+        groups["2"] = M.method2_graphs(h, treat, [outcome])
+        groups["3"] = M.method3_graphs(h, treat, [outcome])
+    for key, members in groups.items():
+        if members is not None:
+            fitted[key] = [M.consistent_extension(m) for m in members]
+    out = []
+    scm, tie_redraws = inst.scm, 0
+    while True:
+        truth = _regression_effects(M.covariance(scm), dags, treat, outcome)
+        out.append((truth, tie_tol))
+        if rowwise_count_distinct(truth, tie_tol) == result.n or tie_redraws >= 3:
+            break
+        tie_redraws += 1
+        scm = per_draw_redraw_coefficients(scm, inst.seed * 1000 + tie_redraws)
+    data = M.sample(scm, n, inst.seed)
+    sample_cov = M.ExactCovariance(data.columns, data.covariance())
+    estimates = _regression_effects(
+        sample_cov, [d for group in fitted.values() for d in group], treat, outcome
+    )
+    start = 0
+    for group in fitted.values():
+        out.append((estimates[start : start + len(group)], 1e-9))
+        start += len(group)
+    return out
+
+
+def refuse_path_walks(monkeypatch) -> None:
+    """Make ``graphs._path_levels``, the one path search, raise in every
+    package module that holds it.  The graphs module must hold it, or a
+    search under another name would go unrefused."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the path search was entered")
+
+    patched = []
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "mpdag" and hasattr(module, "_path_levels"):
+            monkeypatch.setattr(module, "_path_levels", refuse)
+            patched.append(name)
+    assert "mpdag.graphs" in patched
+
 
 def partial_correlation(
     sigma: np.ndarray, nodes: tuple[str, ...], a: str, y: str, given: list[str]

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import itertools
 import json
@@ -5,12 +6,13 @@ import re
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 import mpdag.cli
 from mpdag import RejectionBudgetError
 from mpdag.cli import main
-from helpers import FIXTURES, load_fixture
+from helpers import FIXTURES, load_fixture, two_sweep_study_arrays
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "src" / "mpdag" / "schemas"
 
@@ -230,6 +232,13 @@ SIMULATE_GOLDEN_SHA256 = (
 )
 
 
+# sha256 of the JSONL of `simulate --p 12 --deg 3 --n 500 --reps 200 --seed 1`,
+# the study size of the benchmark's simulate workload
+SIMULATE_P12_GOLDEN_SHA256 = (
+    "3159c443a98244df2e00ba502d4b1b47248c91b148fa2cb70a810dda88419ece"
+)
+
+
 def test_simulate_jsonl_golden_digest(capsys, tmp_path):
     out_file = tmp_path / "sim.jsonl"
     code, _, _ = run(capsys, "simulate", "--p", "10", "--deg", "3", "--n", "200",
@@ -237,6 +246,107 @@ def test_simulate_jsonl_golden_digest(capsys, tmp_path):
     assert code == 0
     digest = hashlib.sha256(out_file.read_bytes()).hexdigest()
     assert digest == SIMULATE_GOLDEN_SHA256
+
+
+def test_simulate_p12_jsonl_golden_digest(capsys, tmp_path):
+    out_file = tmp_path / "sim.jsonl"
+    code, _, _ = run(capsys, "simulate", "--p", "12", "--deg", "3", "--n", "500",
+                     "--reps", "200", "--seed", "1", "--out", out_file)
+    assert code == 0
+    digest = hashlib.sha256(out_file.read_bytes()).hexdigest()
+    assert digest == SIMULATE_P12_GOLDEN_SHA256
+
+
+# a study parameter out of range is a usage error before any instance is drawn
+@pytest.mark.parametrize("option, value", [
+    ("--a-size", "0"), ("--a-size", "-2"), ("--n", "1"), ("--deg", "-1"),
+])
+def test_simulate_rejects_bad_parameters(capsys, tmp_path, monkeypatch, option, value):
+    def never(*args, **kwargs):
+        raise AssertionError("an instance was drawn")
+
+    monkeypatch.setattr(mpdag.cli, "random_instance", never)
+    argv = {"--p": "5", "--deg": "2", "--n": "50", option: value}
+    out_file = tmp_path / "r.jsonl"
+    with pytest.raises(SystemExit) as err:
+        main(["simulate", *itertools.chain(*argv.items()), "--reps", "2",
+              "--seed", "1", "--out", str(out_file)])
+    assert err.value.code == 2
+    assert f"argument {option}: must be at least" in capsys.readouterr().err
+    assert not out_file.exists()
+
+
+def study_args(p: int, deg: float, tie_tol: float = 1e-6, n: int = 60):
+    return argparse.Namespace(p=p, deg=deg, n=n, a_size=None, tie_tol=tie_tol,
+                              dump_data=None)
+
+
+def record_counts(monkeypatch) -> list:
+    """Make ``count_distinct`` in the CLI record a copy of each stack it
+    counts, with the tolerance."""
+    seen = []
+    count = mpdag.cli.count_distinct
+
+    def recording(vectors, tol):
+        seen.append((np.array(vectors, dtype=float), tol))
+        return count(vectors, tol)
+
+    monkeypatch.setattr(mpdag.cli, "count_distinct", recording)
+    return seen
+
+
+# a large tie tolerance collapses every class's truth to one value, so each
+# instance with two or more minimal graphs redraws its coefficients 3 times
+@pytest.mark.parametrize("p, deg, tie_tol", [
+    (4, 2.0, 1e-6), (6, 2.0, 1e-6), (8, 3.0, 1e-6), (10, 3.0, 1e-6), (6, 3.0, 10.0),
+])
+def test_simulate_counts_the_arrays_of_two_sweeps(monkeypatch, p, deg, tie_tol):
+    # the class is fitted once per covariance and the members of methods 2-4
+    # are read off its rows: each counted array must equal, bit for bit, the
+    # array of a sweep per covariance over the class and the members'
+    # extensions
+    args = study_args(p, deg, tie_tol)
+    redraws = 0
+    for seed in range(12):
+        seen = record_counts(monkeypatch)
+        record = mpdag.cli._simulate_one(seed, args)
+        if "skipped" in record:
+            continue
+        redraws += record["tie_redraws"]
+        inst = mpdag.random_instance(p, deg, seed)
+        expected = two_sweep_study_arrays(inst, args.n, tie_tol)
+        assert len(seen) == len(expected)
+        for (got, got_tol), (want, want_tol) in zip(seen, expected):
+            assert got_tol == want_tol
+            assert got.shape == want.shape and np.array_equal(got, want)
+    assert redraws > 0 or tie_tol < 1
+
+
+def test_simulate_builds_one_regression_layout_per_instance(capsys, tmp_path, monkeypatch):
+    built, passes = [], []
+    layout_class = mpdag.cli._RegressionLayout
+
+    class Counted(layout_class):
+        def __init__(self, *args):
+            built.append(args[1])
+            super().__init__(*args)
+
+        def effects(self, sigma):
+            passes.append(sigma)
+            return super().effects(sigma)
+
+    monkeypatch.setattr(mpdag.cli, "_RegressionLayout", Counted)
+    out_file = tmp_path / "r.jsonl"
+    code, _, _ = run(capsys, "simulate", "--p", "6", "--deg", "3", "--n", "50",
+                     "--reps", "6", "--seed", "1", "--tie-tol", "10", "--out", out_file)
+    rows = [json.loads(line) for line in out_file.read_text().splitlines()]
+    done = [row for row in rows if "skipped" not in row]
+    assert code == 0 and any(row["tie_redraws"] for row in done)
+    # one layout per instance, over the whole class: a pass per coefficient
+    # draw, tie redraws included, and one on the sample
+    assert len(built) == len(done)
+    assert [len(dags) for dags in built] == [row["counts"]["1"] for row in done]
+    assert len(passes) == sum(row["tie_redraws"] + 2 for row in done)
 
 
 # sha256 of the stdout of `effects --scm fixtures/sim_scm.json --treat A1,A2
@@ -375,12 +485,13 @@ def test_adjust_set_golden_digest(capsys):
 
 def test_workflow_checks_the_same_golden_digests():
     # the CI workflow re-checks each golden digest on the installed console
-    # script; its sha256 literals must be exactly the five above
+    # script; its sha256 literals must be exactly the six above
     root = Path(__file__).resolve().parent.parent
     text = (root / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
     literals = re.findall(r"\b[0-9a-f]{64}\b", text)
     assert sorted(literals) == sorted((
         SIMULATE_GOLDEN_SHA256,
+        SIMULATE_P12_GOLDEN_SHA256,
         EFFECTS_GOLDEN_SHA256,
         IDGRAPHS_AUDIT_GOLDEN_SHA256,
         BASELINES_GOLDEN_SHA256,

@@ -4,7 +4,7 @@ import sys
 import pytest
 
 import mpdag as M
-from helpers import fixture_mpdag, lines
+from helpers import fixture_mpdag, lines, refuse_path_walks
 
 
 @pytest.fixture(scope="module")
@@ -328,22 +328,6 @@ def test_id_graphs_checks_its_sets_once_for_all_branches(monkeypatch):
     assert (len(result.audit), result.n) == (64, 65)
     assert result.audit[1].violating == 1956  # a branch count, read on demand
     assert len(calls) == 1
-
-
-def refuse_path_walks(monkeypatch) -> None:
-    """Make ``graphs._path_levels``, the one path search, raise in every
-    package module that holds it.  The graphs module must hold it, or a
-    search under another name would go unrefused."""
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("the path search was entered")
-
-    patched = []
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "mpdag" and hasattr(module, "_path_levels"):
-            monkeypatch.setattr(module, "_path_levels", refuse)
-            patched.append(name)
-    assert "mpdag.graphs" in patched
 
 
 def unreachable_outcome() -> M.Mpdag:

@@ -8,7 +8,11 @@ from helpers import (
     SIM_POINT_EFFECTS,
     lines,
     looped_count_distinct,
+    per_draw_random_instance,
+    per_draw_redraw_coefficients,
+    refuse_path_walks,
     regression_coefficient_matrix,
+    rowwise_count_distinct,
     sim_scm,
     wright_covariance,
 )
@@ -260,6 +264,7 @@ class TestPossibleEffects:
                 vectors[int(rng.integers(k))] = np.nan
             for tol in (1e-9, 5e-7, 1e-6, 0.5):
                 want = looped_count_distinct(list(vectors), tol)
+                assert rowwise_count_distinct(vectors, tol) == want
                 assert M.count_distinct(list(vectors), tol) == want
                 assert M.count_distinct(vectors, tol) == want
 
@@ -294,3 +299,56 @@ class TestRandomInstance:
                 assert 0.5 <= abs(coef) <= 1.5
             assert all(v == 1.0 for v in inst.scm.noise_variances.values())
         assert produced >= 95
+
+    @pytest.mark.parametrize("p", range(2, 16))
+    def test_matches_the_per_draw_oracle(self, p):
+        # whole-array draws from the same stream give the same DAG, the same
+        # coefficients in the same order, the same query and the same
+        # rejections as one scalar draw at a time
+        for degree in range(7):
+            for n_treatments in (None, 1, 2, 3, 4):
+                seed = 100 * p + 10 * degree + (n_treatments or 0)
+                try:
+                    want = per_draw_random_instance(p, degree, seed, n_treatments, 8)
+                except M.RejectionBudgetError as exc:
+                    with pytest.raises(M.RejectionBudgetError) as err:
+                        M.random_instance(p, degree, seed, n_treatments, 8)
+                    assert str(err.value) == str(exc)
+                    continue
+                got = M.random_instance(p, degree, seed, n_treatments, 8)
+                assert got.dag == want.dag and got.cpdag == want.cpdag
+                assert lines(got.cpdag) == lines(want.cpdag)
+                assert list(got.scm.coefficients.items()) == list(
+                    want.scm.coefficients.items()
+                )
+                assert got.scm.noise_variances == want.scm.noise_variances
+                assert (got.treatments, got.outcome, got.seed) == (
+                    want.treatments, want.outcome, want.seed
+                )
+                fresh = M.redraw_coefficients(got.scm, seed)
+                oracle = per_draw_redraw_coefficients(want.scm, seed)
+                assert list(fresh.coefficients.items()) == list(
+                    oracle.coefficients.items()
+                )
+
+    def test_decides_each_try_without_a_path_search(self, monkeypatch):
+        # a try is kept or redrawn on the first-edge verdict alone: no
+        # witness path is searched for the unidentified effect it keeps
+        refuse_path_walks(monkeypatch)
+        kept = 0
+        for seed in range(40):
+            try:
+                M.random_instance(12, 3.0, seed)
+            except M.RejectionBudgetError:
+                continue
+            kept += 1
+        assert kept >= 35
+
+    @pytest.mark.parametrize("kwargs", [
+        {"n_treatments": 0}, {"n_treatments": -2},
+        {"avg_degree": -1.0}, {"avg_degree": float("nan")},
+    ])
+    def test_rejects_bad_parameters(self, kwargs):
+        args = {"p": 6, "avg_degree": 2.0, "seed": 0, **kwargs}
+        with pytest.raises(M.GraphError):
+            M.random_instance(**args)
