@@ -20,6 +20,7 @@ from .graphs import (
     GraphError,
     InternalInconsistencyError,
     PartiallyDirectedGraph,
+    _bit_indices,
     _checked_sets,
 )
 from .graphio import (
@@ -32,6 +33,7 @@ from .graphio import (
 )
 from .identify import (
     _count_violating,
+    _first_edges,
     find_adjustment_set,
     g_formula,
     is_adjustment_set,
@@ -51,7 +53,6 @@ from .linear import (
 from .meek import (
     Mpdag,
     OrientationConflictError,
-    consistent_extension,
     construct_mpdag,
     cpdag_of_dag,
     enumerate_dags,
@@ -299,6 +300,83 @@ def _cmd_effects(args: argparse.Namespace) -> int:
     return 0
 
 
+def _packed_arrows(children: Sequence[int]) -> int:
+    """A children table as one mask: bit ``u * p + v`` for each arrow
+    ``u -> v`` of the ``p`` nodes, so its set bits ascend as the directed
+    pairs of :meth:`Mpdag.key` do."""
+    p, packed = len(children), 0
+    for u, row in enumerate(children):
+        packed |= row << u * p
+    return packed
+
+
+def _treatment_edges(h: Mpdag, a: int, far: int) -> int:
+    """The undirected edges of ``h`` joining a treatment (a node of the mask
+    ``a``) to a node of the mask ``far``, each as the bit of one of its
+    orientations in :func:`_packed_arrows` layout: a class DAG's arrows masked
+    with it tell how that DAG orients them all, and its bit count is the
+    number of edges."""
+    undirected = h.graph._masks.undirected
+    p, packed = len(undirected), 0
+    for t in _bit_indices(a):
+        # an edge between two treatments only from the smaller
+        packed |= (undirected[t] & far & ~(a & (1 << t) - 1)) << t * p
+    return packed
+
+
+def _member_rows(arrows: Sequence[int], edges: int) -> list[int]:
+    """Method 2 or 3 read off a class: ``arrows`` holds its DAGs, packed, in
+    key order, and ``edges`` the treatment edges the method orients
+    (:func:`_treatment_edges`).
+
+    Orienting edges of an MPDAG and closing keeps exactly the class DAGs
+    with those orientations, and an edge left undirected takes both among
+    them (Meek 1995).  So the DAGs that orient ``edges`` alike are the class
+    of one member of :func:`mpdag.idgraphs.method2_graphs` (or
+    ``method3_graphs``), and the AND of their arrows is the member's arrows.
+    Returned: per member, in :meth:`Mpdag.key` order, the row of its first
+    DAG, its consistent extension.  The members share one skeleton, so
+    their arrows decide that order."""
+    first: dict[int, int] = {}
+    common: dict[int, int] = {}
+    for k, d in enumerate(arrows):
+        choice = d & edges
+        if choice in first:
+            common[choice] &= d
+        else:
+            first[choice], common[choice] = k, d
+    return [first[c] for c in sorted(first, key=lambda c: tuple(_bit_indices(common[c])))]
+
+
+def _class_rows(
+    h: Mpdag,
+    dags: Sequence[PartiallyDirectedGraph],
+    a: int,
+    y: int,
+    minimal: Sequence[Mpdag],
+) -> dict[str, Optional[list[int]]]:
+    """Methods 2-4 of the study read off ``dags``, the class of ``h`` in key
+    order, for the treatment and outcome masks ``a`` and ``y``: per method,
+    per member in member order, the row of the member's consistent
+    extension, the first DAG of the class that holds the member's arrows.
+    Method 4's members are ``minimal``, the graphs of :func:`id_graphs`;
+    methods 2-3 are None when more than :data:`METHOD_COMBO_EDGE_CAP`
+    undirected edges of ``h`` touch a treatment.  No orientation is walked
+    and no graph closed."""
+    arrows = [_packed_arrows(d._masks.children) for d in dags]
+    combos = _treatment_edges(h, a, (1 << len(h.nodes)) - 1)
+    rows: dict[str, Optional[list[int]]] = dict.fromkeys("234")
+    if combos.bit_count() <= METHOD_COMBO_EDGE_CAP:
+        rows["2"] = _member_rows(arrows, combos)
+        v1 = _first_edges(h.graph, a, y)[0]
+        rows["3"] = _member_rows(arrows, _treatment_edges(h, a, v1))
+    rows["4"] = [
+        next(k for k, d in enumerate(arrows) if not own & ~d)
+        for own in (_packed_arrows(m.graph._masks.children) for m in minimal)
+    ]
+    return rows
+
+
 def _simulate_one(seed: int, args: argparse.Namespace) -> dict:
     record: dict = {"seed": seed, "p": args.p, "avg_degree": args.deg}
     try:
@@ -316,18 +394,14 @@ def _simulate_one(seed: int, args: argparse.Namespace) -> dict:
         record["skipped"] = f"class size {len(dags)} above cap"
         return record
 
+    # methods 2-4 come off the class list: per member, the row of its
+    # consistent extension, and for methods 2-3 the number of members; the
+    # combination cap only decides whether methods 2-3 are reported
     result = id_graphs(h, treat, [outcome])
-    counts = {"4": result.n, "1": len(dags)}
-    a_edges = [e for e in h.graph.undirected if e[0] in treat or e[1] in treat]
-    members: dict[str, Optional[list[Mpdag]]] = {"4": list(result.graphs)}
-    if len(a_edges) <= METHOD_COMBO_EDGE_CAP:
-        two = method2_graphs(h, treat, [outcome])
-        three = method3_graphs(h, treat, [outcome])
-        counts["2"], counts["3"] = len(two), len(three)
-        members["2"], members["3"] = two, three
-    else:
-        counts["2"] = counts["3"] = None
-        members["2"] = members["3"] = None
+    rows = _class_rows(h, dags, *_checked_sets(h.graph, treat, [outcome]), result.graphs)
+    counts: dict[str, Optional[int]] = {"4": result.n, "1": len(dags)}
+    for key in ("2", "3"):
+        counts[key] = None if rows[key] is None else len(rows[key])
 
     # ground truth: distinct per-DAG population effects, redrawing the
     # coefficients when a tie collapses two classes; one regression layout
@@ -356,13 +430,11 @@ def _simulate_one(seed: int, args: argparse.Namespace) -> dict:
     # enumeration stopped) is fitted by its consistent extension, a DAG of
     # the class, so its estimate is that DAG's row
     estimates = layout.effects(data.covariance())
-    row = {dag._masks.children: k for k, dag in enumerate(dags)}
     distinct_estimates: dict[str, Optional[int]] = dict.fromkeys("1234")
     distinct_estimates["1"] = count_distinct(estimates, 1e-9)
     for key in ("2", "3", "4"):
-        if members[key] is not None:
-            rows = [row[consistent_extension(m)._masks.children] for m in members[key]]
-            distinct_estimates[key] = count_distinct(estimates[rows], 1e-9)
+        if rows[key] is not None:
+            distinct_estimates[key] = count_distinct(estimates[rows[key]], 1e-9)
     record["counts"] = counts
     record["distinct_estimates"] = distinct_estimates
     return record
@@ -447,21 +519,21 @@ def build_parser() -> argparse.ArgumentParser:
                      help="use the exact population covariance")
     sub.add_argument("--n", type=int, help="sample size for estimated effects")
     sub.add_argument("--seed", type=int, help="sampling seed")
-    sub.add_argument("--tol", type=float, default=1e-6,
+    sub.add_argument("--tol", type=_at_least(float, 0), default=1e-6,
                      help="tolerance for the distinct-value count")
     _add_format_arg(sub)
     sub.set_defaults(func=_cmd_effects)
 
     sub = subs.add_parser("simulate", help="random-instance simulation study")
-    sub.add_argument("--p", type=int, required=True)
+    sub.add_argument("--p", type=_at_least(int, 2), required=True)
     sub.add_argument("--deg", type=_at_least(float, 0), required=True)
     sub.add_argument("--n", type=_at_least(int, 2), required=True, help="sample size")
-    sub.add_argument("--reps", type=int, required=True)
+    sub.add_argument("--reps", type=_at_least(int, 1), required=True)
     sub.add_argument("--seed", type=int, required=True)
     sub.add_argument("--out", required=True, help="JSONL output path")
     sub.add_argument("--a-size", type=_at_least(int, 1), default=None,
                      help="fixed treatment-set size (default: random 1..4)")
-    sub.add_argument("--tie-tol", type=float, default=1e-6)
+    sub.add_argument("--tie-tol", type=_at_least(float, 0), default=1e-6)
     sub.add_argument("--dump-data", default=None,
                      help="directory for per-instance sample CSV files")
     sub.set_defaults(func=_cmd_simulate)

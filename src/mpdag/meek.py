@@ -422,17 +422,16 @@ def cpdag_of_dag(d: PartiallyDirectedGraph) -> Mpdag:
     masks = d._masks
     adj = masks.neighbours
     # a -> b stays directed when b has a parent nonadjacent to a: the edge is
-    # in an unshielded collider
-    parents = tuple(
-        sum(1 << a for a in _bit_indices(row) if row & ~(adj[a] | 1 << a))
-        for row in masks.parents
-    )
-    children = tuple(
-        sum(1 << b for b, row in enumerate(parents) if row >> a & 1)
-        for a in range(len(adj))
-    )
+    # in an unshielded collider; each kept arrow is set in both tables at once
+    parents = [0] * len(adj)
+    children = [0] * len(adj)
+    for b, row in enumerate(masks.parents):
+        for a in _bit_indices(row):
+            if row & ~(adj[a] | 1 << a):
+                parents[b] |= 1 << a
+                children[a] |= 1 << b
     und = tuple(n & ~(c | p) for n, c, p in zip(adj, children, parents))
-    pattern = _AdjacencyMasks(masks.index, adj, children, und, parents)
+    pattern = _AdjacencyMasks(masks.index, adj, tuple(children), und, tuple(parents))
     builder = _Builder(PartiallyDirectedGraph._trusted(d.nodes, pattern))
     # the pattern's class holds d, so the firings the builder's scan left
     # pending close it by propagation

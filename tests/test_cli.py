@@ -239,6 +239,14 @@ SIMULATE_P12_GOLDEN_SHA256 = (
 )
 
 
+# sha256 of the JSONL of `simulate --p 14 --deg 4 --n 300 --reps 150 --seed 77
+# --a-size 2`, recorded while methods 2-4 were still found by orientation
+# walks and closures: classes of up to 144 DAGs, up to 20 method-2 members
+SIMULATE_P14_GOLDEN_SHA256 = (
+    "d550f8b21f31a404617cfd3fd173833b9abed488a63e9dbe1263343e1b053435"
+)
+
+
 def test_simulate_jsonl_golden_digest(capsys, tmp_path):
     out_file = tmp_path / "sim.jsonl"
     code, _, _ = run(capsys, "simulate", "--p", "10", "--deg", "3", "--n", "200",
@@ -257,23 +265,88 @@ def test_simulate_p12_jsonl_golden_digest(capsys, tmp_path):
     assert digest == SIMULATE_P12_GOLDEN_SHA256
 
 
+def test_simulate_p14_jsonl_golden_digest(capsys, tmp_path):
+    out_file = tmp_path / "sim.jsonl"
+    code, _, _ = run(capsys, "simulate", "--p", "14", "--deg", "4", "--n", "300",
+                     "--reps", "150", "--seed", "77", "--a-size", "2", "--out", out_file)
+    assert code == 0
+    digest = hashlib.sha256(out_file.read_bytes()).hexdigest()
+    assert digest == SIMULATE_P14_GOLDEN_SHA256
+
+
+def test_simulate_walks_no_orientation_and_closes_no_member(capsys, tmp_path, monkeypatch):
+    # methods 2-4 are read off the class list: with the orientation walks
+    # and the consistent extension raising wherever the CLI could reach
+    # them, the study still writes the golden JSONL
+    def never(*args, **kwargs):
+        raise AssertionError("a method was walked or a member closed")
+
+    for module in (mpdag, mpdag.cli, mpdag.idgraphs, mpdag.meek):
+        for name in ("method2_graphs", "method3_graphs", "consistent_extension"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, never)
+    out_file = tmp_path / "sim.jsonl"
+    code, _, _ = run(capsys, "simulate", "--p", "10", "--deg", "3", "--n", "200",
+                     "--reps", "40", "--seed", "5", "--out", out_file)
+    assert code == 0
+    digest = hashlib.sha256(out_file.read_bytes()).hexdigest()
+    assert digest == SIMULATE_GOLDEN_SHA256
+
+
+def test_simulate_combination_cap_only_decides_what_is_reported(monkeypatch):
+    # every instance is unidentified, so some undirected edge touches a
+    # treatment: under a cap of 0 methods 2-3 are never reported, and
+    # methods 1 and 4 are as under the real cap
+    args = study_args(8, 3.0)
+    seeds = range(10)
+    full = [mpdag.cli._simulate_one(seed, args) for seed in seeds]
+    monkeypatch.setattr(mpdag.cli, "METHOD_COMBO_EDGE_CAP", 0)
+    capped = [mpdag.cli._simulate_one(seed, args) for seed in seeds]
+    kept = [(f, c) for f, c in zip(full, capped) if "skipped" not in f]
+    assert len(kept) >= 5
+    for f, c in kept:
+        for field in ("counts", "distinct_estimates"):
+            assert f[field]["2"] is not None and f[field]["3"] is not None
+            assert c[field]["2"] is None and c[field]["3"] is None
+            c[field]["2"], c[field]["3"] = f[field]["2"], f[field]["3"]
+        assert c == f
+
+
 # a study parameter out of range is a usage error before any instance is drawn
 @pytest.mark.parametrize("option, value", [
     ("--a-size", "0"), ("--a-size", "-2"), ("--n", "1"), ("--deg", "-1"),
+    ("--p", "1"), ("--p", "0"), ("--reps", "0"), ("--reps", "-3"),
+    ("--tie-tol", "-1"), ("--tie-tol", "nan"),
 ])
 def test_simulate_rejects_bad_parameters(capsys, tmp_path, monkeypatch, option, value):
     def never(*args, **kwargs):
         raise AssertionError("an instance was drawn")
 
     monkeypatch.setattr(mpdag.cli, "random_instance", never)
-    argv = {"--p": "5", "--deg": "2", "--n": "50", option: value}
+    argv = {"--p": "5", "--deg": "2", "--n": "50", "--reps": "2", "--seed": "1",
+            option: value}
     out_file = tmp_path / "r.jsonl"
     with pytest.raises(SystemExit) as err:
-        main(["simulate", *itertools.chain(*argv.items()), "--reps", "2",
-              "--seed", "1", "--out", str(out_file)])
+        main(["simulate", *itertools.chain(*argv.items()), "--out", str(out_file)])
     assert err.value.code == 2
     assert f"argument {option}: must be at least" in capsys.readouterr().err
     assert not out_file.exists()
+
+
+# so is a negative or NaN tolerance for the distinct count of effects, before
+# the SCM file is read
+@pytest.mark.parametrize("value", ["-1", "nan", "-0.5"])
+def test_effects_rejects_a_bad_tolerance(capsys, monkeypatch, value):
+    def never(*args, **kwargs):
+        raise AssertionError("the SCM file was read")
+
+    monkeypatch.setattr(mpdag.cli, "load_scm_file", never)
+    with pytest.raises(SystemExit) as err:
+        main(["effects", "--scm", str(FIXTURES / "sim_scm.json"), "--treat", "A1",
+              "--out", "Y", "--cov", "exact", "--tol", value])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert "argument --tol: must be at least" in captured.err and not captured.out
 
 
 def study_args(p: int, deg: float, tie_tol: float = 1e-6, n: int = 60):
@@ -485,13 +558,14 @@ def test_adjust_set_golden_digest(capsys):
 
 def test_workflow_checks_the_same_golden_digests():
     # the CI workflow re-checks each golden digest on the installed console
-    # script; its sha256 literals must be exactly the six above
+    # script; its sha256 literals must be exactly the seven above
     root = Path(__file__).resolve().parent.parent
     text = (root / ".github" / "workflows" / "tier1.yml").read_text(encoding="utf-8")
     literals = re.findall(r"\b[0-9a-f]{64}\b", text)
     assert sorted(literals) == sorted((
         SIMULATE_GOLDEN_SHA256,
         SIMULATE_P12_GOLDEN_SHA256,
+        SIMULATE_P14_GOLDEN_SHA256,
         EFFECTS_GOLDEN_SHA256,
         IDGRAPHS_AUDIT_GOLDEN_SHA256,
         BASELINES_GOLDEN_SHA256,

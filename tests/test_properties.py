@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mpdag as M
+from mpdag.cli import METHOD_COMBO_EDGE_CAP, _class_rows
 from mpdag.graphs import (
     _bit_indices,
     _checked_sets,
@@ -793,6 +794,54 @@ def test_bucket_formula_evaluates_to_the_identified_effect():
             assert np.max(np.abs(direct - estimated)) < 1e-8
             checked += 1
     assert checked >= 100
+
+
+@st.composite
+def study_queries(draw):
+    """A CPDAG, or an MPDAG with a random share of its true orientations
+    requested, on 4-10 nodes of average degree 1-5, with one to three
+    treatments and one or two outcomes.  True orientations are added until
+    at most 12 edges are left undirected, which bounds the class at 4,096
+    DAGs."""
+    seed = draw(st.integers(0, 2**31 - 1))
+    rng = np.random.default_rng(seed)
+    p = int(rng.integers(4, 11))
+    degree = float(rng.uniform(1, 5))
+    dag = random_dag(rng, p, min(1.0, degree / (p - 1)))
+    arrows = dag.sorted_directed()
+    truth = [arrows[i] for i in rng.permutation(len(arrows))]
+    share = float(rng.choice((0.0, rng.random())))
+    cut = int(share * len(truth))
+    h = M.construct_mpdag(M.cpdag_of_dag(dag), truth[:cut])
+    while len(h.graph.undirected) > 12:
+        cut += 1
+        h = M.construct_mpdag(M.cpdag_of_dag(dag), truth[:cut])
+    order = [dag.nodes[i] for i in rng.permutation(p)]
+    k = int(rng.integers(1, 4))
+    return h, order[:k], order[k:k + int(rng.integers(1, 3))]
+
+
+@settings(max_examples=150)
+@given(study_queries())
+def test_class_rows_match_the_orientation_walks(query):
+    # the study reads methods 2-4 off the class list: the counts of methods
+    # 2-3 are the numbers of graphs that the orientation walks list, and per
+    # member, in member order, the row is the class row of the member's
+    # consistent extension
+    h, treat, out = query
+    dags = M.enumerate_dags(h)
+    row = {d: k for k, d in enumerate(dags)}
+    minimal = M.id_graphs(h, treat, out).graphs
+    a, y = _checked_sets(h.graph, treat, out)
+    assert len(h.graph.undirected) <= METHOD_COMBO_EDGE_CAP
+    rows = _class_rows(h, dags, a, y, minimal)
+    members = {
+        "2": M.method2_graphs(h, treat, out),
+        "3": M.method3_graphs(h, treat, out),
+        "4": minimal,
+    }
+    for key, graphs in members.items():
+        assert rows[key] == [row[M.consistent_extension(m)] for m in graphs]
 
 
 def _oracle_effect(cov, dag, treatments, outcome):
