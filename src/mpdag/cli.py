@@ -441,6 +441,9 @@ def _simulate_one(seed: int, args: argparse.Namespace) -> dict:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    if args.a_size is not None and args.a_size >= args.p:
+        args.usage_error(f"argument --a-size: must be at least 1 and at most"
+                         f" --p - 1 = {args.p - 1}, got {args.a_size}")
     records = [_simulate_one(args.seed + i, args) for i in range(args.reps)]
     out_path = Path(args.out)
     with out_path.open("w", encoding="utf-8") as fh:
@@ -536,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--tie-tol", type=_at_least(float, 0), default=1e-6)
     sub.add_argument("--dump-data", default=None,
                      help="directory for per-instance sample CSV files")
-    sub.set_defaults(func=_cmd_simulate)
+    sub.set_defaults(func=_cmd_simulate, usage_error=sub.error)
 
     return parser
 

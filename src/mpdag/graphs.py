@@ -30,14 +30,16 @@ triples (Bayes-ball, Shachter 1998).  :mod:`mpdag.identify` decides
 identification, the forbidden set of an identified effect and adjustment
 validity by searches of the same kind.
 
-Paths from a start set to a target set come from one breadth-first search,
-:func:`_path_levels`, which grows path prefixes over per-node bitmasks one
-length at a time and gives each length in node sequence order.  Its callers
+Paths from a start set to a target set are grown breadth first over
+per-node bitmasks, one length at a time, each length in node sequence order,
+and only where paths are the answer or where no search over edge states is
+known to give it.  Listing (:func:`proper_possibly_causal_paths`) grows its
+own prefixes, flat tuples with nothing in them but what a listed path
+needs.  One search, :func:`_path_levels`, serves the rest: counting, the
+shortest violating path and the on-path nodes of an unidentified effect,
+which merge prefixes by state, and the invalid-set witness.  Its callers
 set its first step, its step rule, the nodes it may not append and what a
-prefix carries.  It runs only where paths are the answer, or where no search
-over edge states is known to give it: listing, counting, the shortest
-violating path, the on-path nodes of an unidentified effect and the
-invalid-set witness.
+prefix carries.
 
 * A proper possibly causal path steps to any neighbour and never appends a
   node with a child already on the path, since a "possibly causal" verdict
@@ -52,9 +54,9 @@ invalid-set witness.
   unidentified effect, and the branch edge of the minimal enumeration) keeps
   the first prefix per state and stops at the first that reaches an
   outcome.  A length holds at most ``|V|·2^|V|`` states, where the paths
-  can be factorially many.  Listing (:func:`proper_possibly_causal_paths`)
-  keeps every prefix with its names and marks, so the paths come out in
-  length-then-node order with no sort and no rebuild.
+  can be factorially many.  Listing keeps every prefix with its names and
+  marks, and merges none, so it needs no state table and no step rule, and
+  the paths come out in length-then-node order with no sort.
 * The witness of an invalid adjustment set steps by the definite-status
   rule of d-separation (:func:`_open_step`), which reads the node before the
   last, so it keeps every prefix; it visits only the paths the set leaves
@@ -540,7 +542,10 @@ def _path_levels(
     to the nodes of ``targets``, one length at a time: yields, for two
     nodes, then three, and so on until no prefix grows, the list of the
     prefixes of that length and the list of those that end in a target,
-    each in node sequence order.
+    each in node sequence order.  It serves the searches that merge states
+    (the shortest violating path, the count and the on-path nodes) and the
+    invalid-set witness, whose rule reads the node before the last; listing
+    grows its own prefixes (:func:`proper_possibly_causal_paths`).
 
     A prefix is ``[u, v, members, closed, carried]``: its last two nodes
     (``s, s`` for a start ``s``), the mask of its nodes, the mask of the
@@ -676,24 +681,42 @@ def proper_possibly_causal_paths(
     outcome node it reaches).  With ``start_undirected_only`` the first edge
     must be undirected.  Output is sorted by length, then by node sequence.
 
-    The search steps to any neighbour and never appends a node with a child
-    already on the path, since that edge would point backwards and make the
-    path non-causal.  It keeps every prefix, carrying its names and marks
-    interleaved, and gives each length in node sequence order.
+    The search grows every prefix one length at a time, breadth first.  A
+    prefix is ``(last node, node mask, closed mask, carried)``: the closed
+    mask holds the starts, the nodes on it and the parents of each, since a
+    node with a child already on the path would make it non-causal, and
+    ``carried`` is its names and marks interleaved.  A start takes a node of
+    the first-step table, and a prefix any neighbour outside its closed mask.
+    Starts and steps are taken in node order, so each length comes out in
+    node sequence order, and a prefix stops growing once every outcome is on
+    it, as no extension can end in a new one.
     """
     starts, targets = _checked_sets(g, treatments, outcomes)
     masks, nodes = g._masks, g.nodes
+    neighbours, parents = masks.neighbours, masks.parents
     # parts[v][w]: the mark between adjacent nodes v and w, seen from v, and
     # the name of w
-    parts = [
-        {w: (masks.mark(v, w), nodes[w]) for w in _bit_indices(row)}
-        for v, row in enumerate(masks.neighbours)
-    ]
-    levels = _path_levels(
-        starts, targets, masks.undirected if start_undirected_only else masks.neighbours,
-        masks.neighbours, masks.parents, [(n,) for n in nodes], parts,
-    )
-    return [NodePath(c[::2], c[1::2]) for _, hits in levels for *_, c in hits]
+    parts = [{w: (masks.mark(v, w), nodes[w]) for w in _bit_indices(row)}
+             for v, row in enumerate(neighbours)]
+    table = masks.undirected if start_undirected_only else neighbours
+    level = [(s, 1 << s, starts | parents[s], (nodes[s],)) for s in _bit_indices(starts)]
+    found = []
+    while level:
+        grown = []
+        for v, members, closed, carried in level:
+            rest, part = table[v] & ~closed, parts[v]
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                w = low.bit_length() - 1
+                path = carried + part[w]
+                if low & targets:
+                    found.append(path)
+                    if not targets & ~(members | low):
+                        continue
+                grown.append((w, members | low, closed | low | parents[w], path))
+        level, table = grown, neighbours
+    return [NodePath(c[::2], c[1::2]) for c in found]
 
 
 def _reach(starts: int, first: Sequence[int], step: Callable[[int, int], int]) -> int:

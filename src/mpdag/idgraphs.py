@@ -37,7 +37,7 @@ from functools import cached_property
 from typing import Iterable, Optional
 
 from .graphs import GraphError, InternalInconsistencyError, PartiallyDirectedGraph
-from .graphs import _bit_indices, _checked_sets
+from .graphs import _bit_indices, _checked_sets, _index_pairs
 from .identify import GFormula, g_formula, is_identified
 from .identify import _count_violating, _first_edges, _shortest_violating
 from .meek import _SOUND, Mpdag, _branch_walk, _Builder, enumerate_dags
@@ -167,14 +167,14 @@ def id_graphs(
     # every builder shares h's node order, so the masks hold at every node
     a, y = _checked_sets(h.graph, treatments, outcomes)
     audit: list[BranchRecord] = []
-    leaves: dict[tuple, Mpdag] = {}
+    leaves: list[Mpdag] = []
 
     def branch_edge(builder: _Builder) -> Optional[tuple[int, int]]:
         # only the root is visited before the first branch is recorded
         current = builder.mpdag() if audit else h
         shortest = _branch_path(current.graph, a, y, builder.sound)
         if shortest is None:
-            leaves[current.key()] = current
+            leaves.append(current)
             return None
         a1, v1 = shortest[0], shortest[1]
         audit.append(
@@ -190,8 +190,12 @@ def id_graphs(
 
     for _ in _branch_walk(_Builder(h.graph), branch_edge):
         pass
-    graphs = tuple(leaves[k] for k in sorted(leaves))
-    return EnumerationResult(graphs=graphs, audit=tuple(audit))
+    # The leaves partition the root's class, as sibling subtrees differ in
+    # their branch edge, so no two are equal.  All share the node tuple and
+    # the skeleton, so their directed pairs alone, the directed half of
+    # Mpdag.key, give its order.
+    leaves.sort(key=lambda leaf: _index_pairs(leaf.graph._masks.children))
+    return EnumerationResult(graphs=tuple(leaves), audit=tuple(audit))
 
 
 def _treatment_edge_combos(h: Mpdag, t: int, f: int) -> list[Mpdag]:

@@ -186,7 +186,14 @@ class _Builder:
         """Orient the undirected edge ``tail -- head`` as ``tail -> head``;
         on a sound builder, push every orientation a rule fires for with the
         new arrow as a premise, found by one mask test per way it can be
-        one."""
+        one.
+
+        R3 is not tested: the new arrow would be one of its two arrows into
+        ``head``, beside a parent ``w`` of ``head`` nonadjacent to ``tail``.
+        But R1 fired ``head -> tail`` when ``w -> head`` was made, or when
+        the builder was made, and the firings of a sound builder never
+        conflict, so it never makes ``tail -> head`` while such a ``w``
+        exists."""
         und, children, parents, adj = self.und, self.children, self.parents, self.adj
         t_bit, h_bit = 1 << tail, 1 << head
         und[tail] &= ~h_bit
@@ -209,14 +216,11 @@ class _Builder:
         common = und_t & und_h
         if not common:
             return
-        # u -> head for u -- tail, u -- head, and u undirected at another
-        # parent of head nonadjacent to tail (R3), or at a parent a of tail
-        # nonadjacent to head (R4, the arrow as b -> v)
-        others = parents[head] & ~(adj[tail] | t_bit) | parents[tail] & ~(adj[head] | h_bit)
-        if others:
-            for u in _bit_indices(common):
-                if und[u] & others:
-                    push((u, head))
+        # R4, the arrow as b -> v: u -> head for u -- tail, u -- head, and u
+        # undirected at a parent a of tail nonadjacent to head
+        for a in _bit_indices(parents[tail] & ~adj[head]):
+            for u in _bit_indices(common & und[a]):
+                push((u, head))
         # R4, the arrow as a -> b: u -> v for a child v of head nonadjacent
         # to tail and u undirected at tail, head and v
         for v in _bit_indices(children[head] & ~(adj[tail] | t_bit)):

@@ -542,19 +542,23 @@ def two_sweep_study_arrays(inst: M.RandomInstance, n: int, tie_tol: float):
 
 
 def refuse_path_walks(monkeypatch) -> None:
-    """Make ``graphs._path_levels``, the one path search, raise in every
-    package module that holds it.  The graphs module must hold it, or a
-    search under another name would go unrefused."""
+    """Make the path searches raise in every package module that holds
+    them: ``graphs._path_levels``, the search of the merged-state answers
+    and the witnesses, and ``graphs.proper_possibly_causal_paths``, which
+    grows its own prefixes for the listing.  The graphs module must hold
+    both, or a search under another name would go unrefused."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("the path search was entered")
 
-    patched = []
+    searches = ("_path_levels", "proper_possibly_causal_paths")
+    patched = set()
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "mpdag" and hasattr(module, "_path_levels"):
-            monkeypatch.setattr(module, "_path_levels", refuse)
-            patched.append(name)
-    assert "mpdag.graphs" in patched
+        for search in searches:
+            if name.split(".")[0] == "mpdag" and hasattr(module, search):
+                monkeypatch.setattr(module, search, refuse)
+                patched.add(f"{name}.{search}")
+    assert {f"mpdag.graphs.{search}" for search in searches} <= patched
 
 
 def partial_correlation(

@@ -312,9 +312,10 @@ def test_simulate_combination_cap_only_decides_what_is_reported(monkeypatch):
         assert c == f
 
 
-# a study parameter out of range is a usage error before any instance is drawn
+# a study parameter out of range is a usage error before any instance is drawn;
+# --p is 5 there, so an --a-size of 5 leaves no node for the outcome
 @pytest.mark.parametrize("option, value", [
-    ("--a-size", "0"), ("--a-size", "-2"), ("--n", "1"), ("--deg", "-1"),
+    ("--a-size", "0"), ("--a-size", "-2"), ("--a-size", "5"), ("--n", "1"), ("--deg", "-1"),
     ("--p", "1"), ("--p", "0"), ("--reps", "0"), ("--reps", "-3"),
     ("--tie-tol", "-1"), ("--tie-tol", "nan"),
 ])

@@ -13,6 +13,7 @@ from helpers import (
     PathKind,
     classify_path,
     lines,
+    proper_paths,
     random_chordal_query,
     unshielded_subsequence,
 )
@@ -227,6 +228,39 @@ class TestProperPossiblyCausalPaths:
                 digest.update("".join(f"{p}\n" for p in paths).encode())
                 digest.update(b"\n")
         assert digest.hexdigest() == self.DENSE_LISTING_SHA256
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_listing_matches_the_depth_first_oracle(self, seed):
+        # chordal queries and two members of their minimal enumeration, whose
+        # directed edges make the two first-step modes differ; with a second
+        # outcome z inside a path to y, a path through z is listed once at z
+        # and once at y, each at its length
+        h, a, y = random_chordal_query(np.random.default_rng([seed, 0x11]), p=8 + seed % 3)
+        members = M.id_graphs(h, [a], [y]).graphs
+        through = M.proper_possibly_causal_paths(h.graph, [a], [y])
+        inner = [n for p in through for n in p.nodes[1:-1]]
+        outcome_sets = [[y], [y, inner[0]]] if inner else [[y]]
+        interior_hits = 0
+        for g in (h.graph, members[0].graph, members[-1].graph):
+            masks = g._masks
+            for outcomes in outcome_sets:
+                starts, targets = masks.bits([a]), masks.bits(outcomes)
+                for undirected_only in (False, True):
+                    first = masks.undirected if undirected_only else masks.neighbours
+                    walked = [
+                        tuple(g.nodes[i] for i in seq)
+                        for seq in proper_paths(
+                            starts, targets, first,
+                            lambda u, v: masks.neighbours[v], masks.children,
+                        )
+                    ]
+                    listed = M.proper_possibly_causal_paths(g, [a], outcomes, undirected_only)
+                    assert [p.nodes for p in listed] == sorted(walked, key=len)
+                    assert listed == [M.path_in(g, p.nodes) for p in listed]
+                    interior_hits += sum(
+                        1 for p in listed if set(p.nodes[1:-1]) & set(outcomes)
+                    )
+        assert interior_hits or not inner
 
 
 class TestAncestralSets:

@@ -1,6 +1,7 @@
 import itertools
 import sys
 
+import numpy as np
 import pytest
 
 import mpdag as M
@@ -14,6 +15,7 @@ from helpers import (
     exhaustive_id_graphs,
     fixture_mpdag,
     lines,
+    random_chordal_query,
     stacked_id_graphs,
 )
 
@@ -238,6 +240,29 @@ class TestCompleteGraphContracts:
         # one count per record, m being the root record's
         assert len(visits) == len(result.audit) == 2 ** (self.K - 2)
         assert max(visits) <= self.K * 2 ** (self.K - 2)
+
+
+class TestLeafOrder:
+    def test_leaves_are_sorted_without_mpdag_key(self, monkeypatch):
+        # the leaves share the nodes and the skeleton, so their directed
+        # edges alone give the canonical order, and they are distinct, so
+        # none needs filing by its key
+        queries = [(complete_graph(8), ["v0"], ["v1"])]
+        for seed in range(8):
+            h, a, y = random_chordal_query(np.random.default_rng([seed, 0x1D]))
+            queries.append((h, [a], [y]))
+
+        def refuse(self):
+            raise AssertionError("Mpdag.key was called")
+
+        monkeypatch.setattr(M.Mpdag, "key", refuse)
+        results = [M.id_graphs(h, a, y) for h, a, y in queries]
+        monkeypatch.undo()
+        assert results[0].n == 65
+        assert sum(result.n > 2 for result in results) >= 4
+        for (h, a, y), result in zip(queries, results):
+            assert list(result.graphs) == sorted(result.graphs, key=M.Mpdag.key)
+            assert result.graphs == stacked_id_graphs(h, a, y).graphs
 
 
 class TestBaselineEnumerations:
