@@ -59,7 +59,6 @@ from .meek import (
     meek_closure,
 )
 
-METHOD_COMBO_EDGE_CAP = 14
 CLASS_SIZE_CAP = 5000
 
 
@@ -354,27 +353,24 @@ def _class_rows(
     a: int,
     y: int,
     minimal: Sequence[Mpdag],
-) -> dict[str, Optional[list[int]]]:
+) -> dict[str, list[int]]:
     """Methods 2-4 of the study read off ``dags``, the class of ``h`` in key
     order, for the treatment and outcome masks ``a`` and ``y``: per method,
     per member in member order, the row of the member's consistent
     extension, the first DAG of the class that holds the member's arrows.
-    Method 4's members are ``minimal``, the graphs of :func:`id_graphs`;
-    methods 2-3 are None when more than :data:`METHOD_COMBO_EDGE_CAP`
-    undirected edges of ``h`` touch a treatment.  No orientation is walked
-    and no graph closed."""
+    Method 4's members are ``minimal``, the graphs of :func:`id_graphs`.  No
+    orientation is walked and no graph closed, so the work is bounded by
+    the class size, which :data:`CLASS_SIZE_CAP` bounds."""
     arrows = [_packed_arrows(d._masks.children) for d in dags]
-    combos = _treatment_edges(h, a, (1 << len(h.nodes)) - 1)
-    rows: dict[str, Optional[list[int]]] = dict.fromkeys("234")
-    if combos.bit_count() <= METHOD_COMBO_EDGE_CAP:
-        rows["2"] = _member_rows(arrows, combos)
-        v1 = _first_edges(h.graph, a, y)[0]
-        rows["3"] = _member_rows(arrows, _treatment_edges(h, a, v1))
-    rows["4"] = [
-        next(k for k, d in enumerate(arrows) if not own & ~d)
-        for own in (_packed_arrows(m.graph._masks.children) for m in minimal)
-    ]
-    return rows
+    v1 = _first_edges(h.graph, a, y)[0]
+    return {
+        "2": _member_rows(arrows, _treatment_edges(h, a, (1 << len(h.nodes)) - 1)),
+        "3": _member_rows(arrows, _treatment_edges(h, a, v1)),
+        "4": [
+            next(k for k, d in enumerate(arrows) if not own & ~d)
+            for own in (_packed_arrows(m.graph._masks.children) for m in minimal)
+        ],
+    }
 
 
 def _simulate_one(seed: int, args: argparse.Namespace) -> dict:
@@ -395,13 +391,10 @@ def _simulate_one(seed: int, args: argparse.Namespace) -> dict:
         return record
 
     # methods 2-4 come off the class list: per member, the row of its
-    # consistent extension, and for methods 2-3 the number of members; the
-    # combination cap only decides whether methods 2-3 are reported
+    # consistent extension, and for methods 2-3 the number of members
     result = id_graphs(h, treat, [outcome])
     rows = _class_rows(h, dags, *_checked_sets(h.graph, treat, [outcome]), result.graphs)
-    counts: dict[str, Optional[int]] = {"4": result.n, "1": len(dags)}
-    for key in ("2", "3"):
-        counts[key] = None if rows[key] is None else len(rows[key])
+    counts = {"4": result.n, "1": len(dags), "2": len(rows["2"]), "3": len(rows["3"])}
 
     # ground truth: distinct per-DAG population effects, redrawing the
     # coefficients when a tie collapses two classes; one regression layout
@@ -430,11 +423,9 @@ def _simulate_one(seed: int, args: argparse.Namespace) -> dict:
     # enumeration stopped) is fitted by its consistent extension, a DAG of
     # the class, so its estimate is that DAG's row
     estimates = layout.effects(data.covariance())
-    distinct_estimates: dict[str, Optional[int]] = dict.fromkeys("1234")
-    distinct_estimates["1"] = count_distinct(estimates, 1e-9)
+    distinct_estimates = {"1": count_distinct(estimates, 1e-9)}
     for key in ("2", "3", "4"):
-        if rows[key] is not None:
-            distinct_estimates[key] = count_distinct(estimates[rows[key]], 1e-9)
+        distinct_estimates[key] = count_distinct(estimates[rows[key]], 1e-9)
     record["counts"] = counts
     record["distinct_estimates"] = distinct_estimates
     return record

@@ -33,36 +33,36 @@ validity by searches of the same kind.
 Paths from a start set to a target set are grown breadth first over
 per-node bitmasks, one length at a time, each length in node sequence order,
 and only where paths are the answer or where no search over edge states is
-known to give it.  Listing (:func:`proper_possibly_causal_paths`) grows its
-own prefixes, flat tuples with nothing in them but what a listed path
-needs.  One search, :func:`_path_levels`, serves the rest: counting, the
-shortest violating path and the on-path nodes of an unidentified effect,
-which merge prefixes by state, and the invalid-set witness.  Its callers
-set its first step, its step rule, the nodes it may not append and what a
-prefix carries.
+known to give it.  Listing (:func:`proper_possibly_causal_paths`) and the
+invalid-set witness (:func:`mpdag.identify._adjustment_witness`) grow their
+own prefixes, flat tuples with nothing in them but what their answer needs.
+One state search, :func:`_causal_states`, serves the rest: counting, the
+shortest violating path and the on-path nodes of an unidentified effect.
 
 * A proper possibly causal path steps to any neighbour and never appends a
   node with a child already on the path, since a "possibly causal" verdict
   checks *all* ordered node pairs for a backward edge.  So what can follow a
   prefix depends only on its last node and its node set, and the prefixes
-  that share that state can be merged without loss.  Counting the violating
-  paths (the diagnostic m at the root, and the per-branch counts of the
-  minimal enumeration when read) carries the number of prefixes per state;
-  the nodes on the paths (:func:`_nodes_on_paths`, for the forbidden set of
-  an unidentified effect) are the union of the node sets of the states that
-  reach an outcome; the first shortest violating path (the witness of an
-  unidentified effect, and the branch edge of the minimal enumeration) keeps
-  the first prefix per state and stops at the first that reaches an
-  outcome.  A length holds at most ``|V|·2^|V|`` states, where the paths
-  can be factorially many.  Listing keeps every prefix with its names and
-  marks, and merges none, so it needs no state table and no step rule, and
-  the paths come out in length-then-node order with no sort.
+  that share that state are merged without loss: a state keeps the number
+  of prefixes it stands for and, up to the first that ends in an outcome,
+  the state its first prefix grew from.
+  Counting the violating paths (the diagnostic m at the root, and the
+  per-branch counts of the minimal enumeration when read) sums the counts
+  of the states that end in an outcome; the nodes on the paths
+  (:func:`_nodes_on_paths`, for the forbidden set of an unidentified
+  effect) are the union of their node sets; the first shortest violating
+  path (the witness of an unidentified effect, and the branch edge of the
+  minimal enumeration) is the first prefix of the first of them, read back
+  state by state, and the search stops there.  A length holds at most
+  ``|V|·2^|V|`` states, where the paths can be factorially many.  Listing
+  keeps every prefix with its names and marks, and merges none, so the
+  paths come out in length-then-node order with no sort.
 * The witness of an invalid adjustment set steps by the definite-status
   rule of d-separation (:func:`_open_step`), which reads the node before the
   last, so it keeps every prefix; it visits only the paths the set leaves
   open and stops at the first non-causal one.
 
-The search holds one length of prefixes or states at a time, where a
+The searches hold one length of prefixes or states at a time, where a
 depth-first walk holds one path.  Listing and the invalid-set witness are
 exponential in the worst case, as their answers can be; counting and the
 shortest path are exponential in the node count at worst, not factorial.
@@ -73,8 +73,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Union
+from functools import cached_property
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 DIRECTED_MARK = "->"
 REVERSED_MARK = "<-"
@@ -527,97 +527,60 @@ def _open_step(masks: _AdjacencyMasks, blocking: int) -> Callable[[int, int], in
     return step
 
 
-def _path_levels(
-    starts: int,
-    targets: int,
-    first: Sequence[int],
-    step: Union[Sequence[int], Callable[[int, int], int]],
-    barred: Sequence[int],
-    origin: Sequence[Any],
-    parts: Sequence[Any],
-    merge: Optional[Callable[[Any, Any], Any]] = None,
-    first_hit: bool = False,
-) -> Iterator[tuple[list[list], list[list]]]:
-    """Breadth-first search over the proper paths from the nodes of ``starts``
-    to the nodes of ``targets``, one length at a time: yields, for two
-    nodes, then three, and so on until no prefix grows, the list of the
-    prefixes of that length and the list of those that end in a target,
-    each in node sequence order.  It serves the searches that merge states
-    (the shortest violating path, the count and the on-path nodes) and the
-    invalid-set witness, whose rule reads the node before the last; listing
-    grows its own prefixes (:func:`proper_possibly_causal_paths`).
+def _causal_states(
+    masks: _AdjacencyMasks, starts: int, targets: int, first: Sequence[int]
+) -> Iterator[list]:
+    """Breadth-first search over the states of the proper possibly causal
+    paths from the nodes of ``starts`` to the nodes of ``targets``: yields
+    each state as it is made, for two nodes, then three, and so on until no
+    state grows, each length in node sequence order.
 
-    A prefix is ``[u, v, members, closed, carried]``: its last two nodes
-    (``s, s`` for a start ``s``), the mask of its nodes, the mask of the
-    nodes it may not take, and what it carries, which grows by ``+``:
-    ``origin[s]`` for a start ``s``, then ``carried + parts[v][w]`` once it
-    takes ``w`` after ``v`` (a tuple grows by concatenation, a count by
-    adding 0).  From a start ``s`` it takes a node of ``first[s]``, after
-    ``u, v`` one of ``step[v]``, or of ``step(u, v)`` for a rule.  It never
-    takes a node twice, a start after the first node, or a node of
-    ``barred[x]`` once ``x`` is on it, and it stops growing once every
-    target is on it, as no extension can end in a new one.  Starts and steps
-    are taken in node order, so each length comes out in node sequence
-    order.  With ``first_hit`` the search ends at the first prefix that
-    takes a target, the one hit of the last length yielded.
+    A state is ``[v, members, closed, count, back]``: the last node and the
+    node mask that its prefixes share, the mask of the nodes they may not
+    take (the starts, the nodes on them and the parents of each, since a node
+    with a child already on a path would make it non-causal), the number of
+    prefixes it stands for, and the state its first prefix grew from.  A
+    start takes a node of ``first[s]`` and a later state any neighbour
+    outside its closed mask, and a state stops growing once every target is
+    on it, as no extension can end in a new one.  As what can follow a
+    prefix depends only on that state, the first prefix stands for all: a
+    later prefix that grows into a made state adds its count to it, so a
+    count is final only once its length is done.
 
-    With ``merge`` and a table ``step`` the prefixes that share their last
-    node and node set are one state, as the same nodes can follow them: the
-    first stands for all, and a prefix that grows into a listed state is
-    folded into it, whose carry becomes ``merge(kept, carried)``, ``carried``
-    the carry the prefix grew from.  A length then holds at most
-    ``|V|·2^|V|`` states where the paths can be factorially many.  The
-    search holds one length of prefixes or states at a time.
+    ``back`` is None for a start, which is not yielded, and for every state
+    made after the first that ends in a target: only that one's prefix is
+    ever read back, and a search that runs on would otherwise keep every
+    state it made alive.  So the search holds about one length of states
+    at a time, and a length at most ``|V|·2^|V|`` where the paths can be
+    factorially many.
     """
-    rule = step if callable(step) else None
-    shift = len(first)
-    level = [
-        [s, s, 1 << s, starts | barred[s], origin[s]] for s in _bit_indices(starts)
-    ]
+    neighbours, parents = masks.neighbours, masks.parents
+    shift, table = len(neighbours), first
+    level = [[s, 1 << s, starts | parents[s], 1, None] for s in _bit_indices(starts)]
+    hit = 0
     while level:
-        grown, hits = [], []
-        # states[members | 1 << shift + w]: the state (w, members) in grown
-        states: dict[int, list] = {}
-        for u, v, members, closed, carried in level:
+        # made[members | 1 << shift + w]: the state (w, members) of this length
+        made: dict[int, list] = {}
+        for state in level:
+            v, members, closed, count, _ = state
             if not targets & ~members:
                 continue
-            if u == v:
-                rest = first[v] & ~closed
-            else:
-                rest = (step[v] if rule is None else rule(u, v)) & ~closed
-            part = parts[v]
+            rest = table[v] & ~closed
             while rest:
                 low = rest & -rest
                 rest ^= low
-                w = low.bit_length() - 1
-                prefix = [v, w, members | low, closed | low | barred[w], carried + part[w]]
-                if merge is not None:
-                    kept = states.setdefault(members | low | low << shift, prefix)
-                    if kept is not prefix:
-                        kept[4] = merge(kept[4], carried)
-                        continue
-                grown.append(prefix)
-                if low & targets:
-                    hits.append(prefix)
-                    if first_hit:
-                        yield grown, hits
-                        return
-        yield grown, hits
-        level = grown
-
-
-def _first_kept(kept: Any, other: Any) -> Any:
-    """The merge of a search that keeps the first prefix of each state."""
-    return kept
-
-
-@lru_cache(maxsize=64)
-def _index_carries(n: int) -> tuple[tuple[tuple[int]], tuple[tuple[tuple[int]]]]:
-    """The ``origin`` and ``parts`` tables of a :func:`_path_levels` search
-    over ``n`` nodes whose prefixes carry their node indices; immutable, as
-    every search over ``n`` nodes shares them."""
-    singles = tuple((i,) for i in range(n))
-    return singles, (singles,) * n
+                key = members | low | low << shift
+                kept = made.get(key)
+                if kept is None:
+                    w = low.bit_length() - 1
+                    made[key] = kept = [
+                        w, members | low, closed | low | parents[w], count, None if hit else state
+                    ]
+                    hit |= low & targets
+                    yield kept
+                else:
+                    kept[3] += count
+        level, table = list(made.values()), neighbours
 
 
 def _check_known(g: PartiallyDirectedGraph, nodes: Iterable[str]) -> set[str]:
@@ -653,17 +616,11 @@ def _checked_sets(
 def _nodes_on_paths(g: PartiallyDirectedGraph, starts: int, targets: int) -> int:
     """The mask of the nodes after the first on some proper possibly causal
     path from ``starts`` to ``targets``, without listing the paths: the
-    union of the node sets of the states that end in an outcome, but the
-    treatments.  A possibly causal step reads only the last node, so the
-    search merges states, and they carry nothing."""
-    masks = g._masks
-    zeros = [0] * len(g.nodes)
-    on_path = 0
-    for _, hits in _path_levels(
-        starts, targets, masks.neighbours, masks.neighbours, masks.parents,
-        zeros, [zeros] * len(zeros), _first_kept,
-    ):
-        for _, _, members, _, _ in hits:
+    union of the node sets of the states that end in a target, but the
+    starts."""
+    masks, on_path = g._masks, 0
+    for v, members, *_ in _causal_states(masks, starts, targets, masks.neighbours):
+        if targets >> v & 1:
             on_path |= members
     return on_path & ~starts
 

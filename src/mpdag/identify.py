@@ -15,12 +15,14 @@ identified effect the forbidden set is the possible descendants of V1, and
 a set that avoids it is an adjustment set exactly when it d-separates the
 treatments from the outcomes once the edges ``a -> v``, ``v`` in V1, are
 removed (the proper back-door graph; Perkovic et al. 2018).  Paths are
-searched for only where one is returned, or counted, by the breadth-first
-search of :mod:`mpdag.graphs`: the shortest violating path of an
-unidentified effect, which starts only from the undirected first edges into
-V1 and keeps one prefix per state (last node, node set); the number of
-violating paths, carried per state; and the open path that shows a set
-invalid.
+searched for only where one is returned, or counted.  The shortest
+violating path of an unidentified effect and the number of violating paths
+are read off the states (last node, node set) of
+:func:`mpdag.graphs._causal_states`: the path is the first prefix of the
+first state that ends in an outcome, searched from the undirected first
+edges into V1, and the count is the sum of the prefix counts of those
+states.  The open path that shows a set invalid is grown prefix by prefix,
+as its step reads the node before the last.
 """
 
 from __future__ import annotations
@@ -37,13 +39,11 @@ from .graphs import (
     _bit_indices,
     _check_known,
     _checked_sets,
+    _causal_states,
     _closure,
-    _first_kept,
-    _index_carries,
     _node_path,
     _nodes_on_paths,
     _open_step,
-    _path_levels,
     _possibly_causal_reach,
     _reach,
     bucket_decomposition,
@@ -78,24 +78,22 @@ def _shortest_violating(
     gives them) by length, then node sequence, or None.  Violating paths are
     the proper possibly causal paths that start with an undirected edge.
 
-    The search steps to any neighbour and never appends a node with a child
-    already on the path.  As that step reads only the last node, it keeps
-    the first prefix of each state (last node, node set), which is the first
-    in node sequence order: a later prefix of the state has the same
-    extensions, each after its counterpart.  It stops at the first prefix
-    that reaches an outcome.  Given a mask ``v1`` holding the V1 of
-    :func:`_first_edges`, not None, it starts only from the undirected first
-    edges into it, as every violating path does.
+    The first state of :func:`mpdag.graphs._causal_states` that ends in an
+    outcome holds that path as its first prefix, read off the ``back``
+    links: a later prefix of a state has the same extensions, each after its
+    counterpart.  The search ends there, inside its length.  Given a mask
+    ``v1`` holding the V1 of :func:`_first_edges`, not None, it starts only
+    from the undirected first edges into it, as every violating path does.
     """
-    masks = g._masks
-    undirected = masks.undirected
+    undirected = g._masks.undirected
     first = undirected if v1 is None else [row & v1 for row in undirected]
-    for _, hits in _path_levels(
-        starts, targets, first, masks.neighbours, masks.parents,
-        *_index_carries(len(first)), _first_kept, True,
-    ):
-        if hits:
-            return hits[0][4]
+    for state in _causal_states(g._masks, starts, targets, first):
+        if targets >> state[0] & 1:
+            seq = []
+            while state is not None:
+                seq.append(state[0])
+                state = state[4]
+            return tuple(reversed(seq))
     return None
 
 
@@ -160,14 +158,15 @@ def _violating_witness(
 
 def _count_violating(g: PartiallyDirectedGraph, starts: int, targets: int) -> int:
     """The number of violating paths, as for :func:`_shortest_violating`:
-    each state carries the number of prefixes it stands for."""
+    the sum of the counts of the states that end in an outcome.  A later
+    prefix of the same length may still add to a state after it is yielded,
+    so the counts are summed once the search is done."""
     masks = g._masks
-    n = len(g.nodes)
-    levels = _path_levels(
-        starts, targets, masks.undirected, masks.neighbours, masks.parents,
-        [1] * n, [[0] * n] * n, int.__add__,
-    )
-    return sum(count for _, hits in levels for *_, count in hits)
+    hits = [
+        state for state in _causal_states(masks, starts, targets, masks.undirected)
+        if targets >> state[0] & 1
+    ]
+    return sum(state[3] for state in hits)
 
 
 def violating_paths(
@@ -329,11 +328,16 @@ def _adjustment_witness(
 ) -> Optional[NodePath]:
     """The first open non-causal definite-status path from the treatments
     ``a`` to the outcomes ``y`` given ``z``, by length, then node sequence;
-    or None.  A search over every path that ``z`` leaves open: it keeps
-    every prefix, as its step reads the node before the last and its test
-    the whole path."""
+    or None.  A breadth-first search over every path that ``z`` leaves open,
+    one length at a time, each in node sequence order: it keeps every
+    prefix, as its step (:func:`_open_step`) reads the node before the last
+    and its test the whole path.  A prefix is ``(u, v, closed, seq)``: its
+    last two nodes (``s, s`` for a start ``s``), the mask of the treatments
+    and its nodes, and its node indices; it stops growing once every outcome
+    is on it."""
     masks = g._masks
-    children = masks.children
+    neighbours, children = masks.neighbours, masks.children
+    step = _open_step(masks, z)
 
     def non_causal(seq: tuple[int, ...]) -> bool:
         # some node has a child earlier on the path
@@ -344,14 +348,21 @@ def _adjustment_witness(
             members |= 1 << i
         return False
 
-    no_back = [0] * len(g.nodes)
-    for _, hits in _path_levels(
-        a, y, masks.neighbours, _open_step(masks, z), no_back,
-        *_index_carries(len(no_back)),
-    ):
-        for *_, seq in hits:
-            if non_causal(seq):
-                return _node_path(g, seq)
+    level = [(s, s, a, (s,)) for s in _bit_indices(a)]
+    while level:
+        grown = []
+        for u, v, closed, seq in level:
+            if not y & ~closed:
+                continue
+            rest = (neighbours[v] if u == v else step(u, v)) & ~closed
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                path = seq + (low.bit_length() - 1,)
+                if low & y and non_causal(path):
+                    return _node_path(g, path)
+                grown.append((v, path[-1], closed | low, path))
+        level = grown
     return None
 
 

@@ -502,24 +502,21 @@ def two_sweep_study_arrays(inst: M.RandomInstance, n: int, tie_tol: float):
     """The effect arrays that the simulation study of ``inst`` counts, with
     the tolerance of each count, in order: the per-DAG population effects of
     the class for each coefficient draw, then the sample estimates of
-    methods 1-4 (2 and 3 only under the study's combination cap).  Each
-    covariance gets a sweep of its own, and the estimates fit the class
-    followed by every member's consistent extension."""
-    from mpdag.cli import METHOD_COMBO_EDGE_CAP
+    methods 1-4.  Each covariance gets a sweep of its own, and the estimates
+    fit the class followed by every member's consistent extension."""
     from mpdag.linear import _regression_effects
 
     h, treat, outcome = inst.cpdag, inst.treatments, inst.outcome
     dags = M.enumerate_dags(h)
     result = M.id_graphs(h, treat, [outcome])
     fitted = {"1": dags}
-    a_edges = [e for e in h.graph.undirected if e[0] in treat or e[1] in treat]
-    groups = {"2": None, "3": None, "4": list(result.graphs)}
-    if len(a_edges) <= METHOD_COMBO_EDGE_CAP:
-        groups["2"] = M.method2_graphs(h, treat, [outcome])
-        groups["3"] = M.method3_graphs(h, treat, [outcome])
+    groups = {
+        "2": M.method2_graphs(h, treat, [outcome]),
+        "3": M.method3_graphs(h, treat, [outcome]),
+        "4": list(result.graphs),
+    }
     for key, members in groups.items():
-        if members is not None:
-            fitted[key] = [M.consistent_extension(m) for m in members]
+        fitted[key] = [M.consistent_extension(m) for m in members]
     out = []
     scm, tie_redraws = inst.scm, 0
     while True:
@@ -543,22 +540,28 @@ def two_sweep_study_arrays(inst: M.RandomInstance, n: int, tie_tol: float):
 
 def refuse_path_walks(monkeypatch) -> None:
     """Make the path searches raise in every package module that holds
-    them: ``graphs._path_levels``, the search of the merged-state answers
-    and the witnesses, and ``graphs.proper_possibly_causal_paths``, which
-    grows its own prefixes for the listing.  The graphs module must hold
-    both, or a search under another name would go unrefused."""
+    them: ``graphs._causal_states``, the state search of the count, the
+    shortest violating path and the on-path nodes;
+    ``graphs.proper_possibly_causal_paths``, which lists the paths; and
+    ``identify._adjustment_witness``, which grows the open paths of an
+    invalid set.  Each must be found where it is defined, or a search under
+    another name would go unrefused."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("the path search was entered")
 
-    searches = ("_path_levels", "proper_possibly_causal_paths")
+    homes = {
+        "_causal_states": "graphs",
+        "proper_possibly_causal_paths": "graphs",
+        "_adjustment_witness": "identify",
+    }
     patched = set()
     for name, module in list(sys.modules.items()):
-        for search in searches:
+        for search in homes:
             if name.split(".")[0] == "mpdag" and hasattr(module, search):
                 monkeypatch.setattr(module, search, refuse)
                 patched.add(f"{name}.{search}")
-    assert {f"mpdag.graphs.{search}" for search in searches} <= patched
+    assert {f"mpdag.{home}.{search}" for search, home in homes.items()} <= patched
 
 
 def partial_correlation(
@@ -746,9 +749,9 @@ def possibly_causal_walk(
     g: M.PartiallyDirectedGraph, treatments, outcomes, start_undirected_only=False
 ):
     """The proper possibly causal path walk as its own depth-first search,
-    kept as the reference the package's one shared path walk is compared
-    against: the possibly causal walk's set-up and loop as they were before
-    the loop was shared.
+    kept as the reference the package's listing and state search are
+    compared against: the possibly causal walk's set-up and loop as they
+    were before the package's searches went breadth first.
 
     Yields every path that ends in an outcome, as the live list of node
     indices (valid until the next step).  Sending a node count into the
@@ -792,8 +795,8 @@ def possibly_causal_walk(
 def definite_status_walk(g: M.PartiallyDirectedGraph, starts, given):
     """Depth-first search over the proper definite-status paths from each
     node of ``starts`` that ``given`` leaves open (``graphs._open_step``),
-    kept as its own walk for the reference the package's one shared path
-    walk is compared against.
+    kept as its own walk for the reference the package's invalid-set
+    witness is compared against.
 
     Proper: no node after the first is in ``starts``.  Iterative, with one
     mask of untried extensions per path node; starts and extensions are

@@ -9,8 +9,10 @@ import jsonschema
 import numpy as np
 import pytest
 
+import mpdag as M
 import mpdag.cli
 from mpdag import RejectionBudgetError
+from mpdag.graphs import _checked_sets
 from mpdag.cli import main
 from helpers import FIXTURES, load_fixture, two_sweep_study_arrays
 
@@ -293,23 +295,25 @@ def test_simulate_walks_no_orientation_and_closes_no_member(capsys, tmp_path, mo
     assert digest == SIMULATE_GOLDEN_SHA256
 
 
-def test_simulate_combination_cap_only_decides_what_is_reported(monkeypatch):
-    # every instance is unidentified, so some undirected edge touches a
-    # treatment: under a cap of 0 methods 2-3 are never reported, and
-    # methods 1 and 4 are as under the real cap
-    args = study_args(8, 3.0)
-    seeds = range(10)
-    full = [mpdag.cli._simulate_one(seed, args) for seed in seeds]
-    monkeypatch.setattr(mpdag.cli, "METHOD_COMBO_EDGE_CAP", 0)
-    capped = [mpdag.cli._simulate_one(seed, args) for seed in seeds]
-    kept = [(f, c) for f, c in zip(full, capped) if "skipped" not in f]
-    assert len(kept) >= 5
-    for f, c in kept:
-        for field in ("counts", "distinct_estimates"):
-            assert f[field]["2"] is not None and f[field]["3"] is not None
-            assert c[field]["2"] is None and c[field]["3"] is None
-            c[field]["2"], c[field]["3"] = f[field]["2"], f[field]["3"]
-        assert c == f
+def test_class_rows_read_methods_2_3_at_any_number_of_treatment_edges():
+    # an undirected star on the treatment t with 15 leaves: its class is the
+    # 16 DAGs with at most one leaf into t, one per method-2 member, and the
+    # rows are read off that class whatever the number of treatment edges
+    leaves = [f"l{i:02d}" for i in range(15)]
+    h = M.meek_closure(M.PartiallyDirectedGraph(["t", *leaves], (), [("t", v) for v in leaves]))
+    treat, out = ["t"], ["l00"]
+    dags = M.enumerate_dags(h)
+    row = {d: k for k, d in enumerate(dags)}
+    minimal = M.id_graphs(h, treat, out).graphs
+    rows = mpdag.cli._class_rows(h, dags, *_checked_sets(h.graph, treat, out), minimal)
+    members = {
+        "2": M.method2_graphs(h, treat, out),
+        "3": M.method3_graphs(h, treat, out),
+        "4": minimal,
+    }
+    assert len(dags) == len(members["2"]) == 16
+    for key, graphs in members.items():
+        assert rows[key] == [row[M.consistent_extension(m)] for m in graphs]
 
 
 # a study parameter out of range is a usage error before any instance is drawn;

@@ -201,7 +201,7 @@ class TestCompleteGraphContracts:
 
     def test_a_leaf_runs_no_path_search(self, monkeypatch):
         rule_calls, searches = [], []
-        walk, search = idgraphs._branch_walk, identify._path_levels
+        walk, search = idgraphs._branch_walk, identify._causal_states
 
         def counted_walk(root, rule):
             def counted_rule(builder):
@@ -215,7 +215,7 @@ class TestCompleteGraphContracts:
             return search(*args)
 
         monkeypatch.setattr(idgraphs, "_branch_walk", counted_walk)
-        monkeypatch.setattr(identify, "_path_levels", counted_search)
+        monkeypatch.setattr(identify, "_causal_states", counted_search)
         result = M.id_graphs(complete_graph(self.K), ["v0"], ["v1"])
         assert result.n == 2 ** (self.K - 2) + 1
         # one rule call per tree node, and a path search at the branches only
@@ -225,21 +225,40 @@ class TestCompleteGraphContracts:
     def test_counts_visit_states_not_paths(self, monkeypatch):
         result = M.id_graphs(complete_graph(self.K), ["v0"], ["v1"])
         visits = []
-        search = identify._path_levels
+        search = identify._causal_states
 
         def counted_search(*args):
             states = 0
-            for level, hits in search(*args):
-                states += len(level)
-                yield level, hits
+            for state in search(*args):
+                states += 1
+                yield state
             visits.append(states)
 
-        monkeypatch.setattr(identify, "_path_levels", counted_search)
+        monkeypatch.setattr(identify, "_causal_states", counted_search)
         assert result.m == 9_864_101
         assert sum(record.violating for record in result.audit) == 87_800_950
         # one count per record, m being the root record's
         assert len(visits) == len(result.audit) == 2 ** (self.K - 2)
         assert max(visits) <= self.K * 2 ** (self.K - 2)
+
+
+class TestStateSearch:
+    def test_states_after_the_first_hit_link_back_to_none(self):
+        # only the first hit's prefix is read back, so the states made after
+        # it hold no link, and a search that runs on (a count) does not keep
+        # every state it made alive; on P_12^2 (each node joined to the next
+        # two) from v00 to v11 the first hit has seven nodes
+        names = [f"v{i:02d}" for i in range(12)]
+        g = M.PartiallyDirectedGraph(
+            names, (), [(u, w) for i, u in enumerate(names) for w in names[i + 1:i + 3]]
+        )
+        masks = g._masks
+        states = list(graphs._causal_states(masks, 1, 1 << 11, masks.undirected))
+        first = next(k for k, state in enumerate(states) if state[0] == 11)
+        assert states[first][1].bit_count() == 7
+        assert all(state[4] is not None for state in states[:first + 1])
+        assert all(state[4] is None for state in states[first + 1:])
+        assert len(states) > 4 * (first + 1)
 
 
 class TestLeafOrder:
