@@ -27,8 +27,8 @@ a local rule, in O(|E|·Δ) whatever the number of paths.  In an MPDAG every
 possibly causal path has an unshielded possibly causal subsequence (Perković,
 Kalisch & Maathuis, UAI 2017), and d-connection is a rule on consecutive
 triples (Bayes-ball, Shachter 1998).  :mod:`mpdag.identify` decides
-identification, the forbidden set of an identified effect and adjustment
-validity by searches of the same kind.
+identification, the forbidden set and adjustment validity by searches of
+the same kind.
 
 Paths from a start set to a target set are grown breadth first over
 per-node bitmasks, one length at a time, each length in node sequence order,
@@ -36,8 +36,8 @@ and only where paths are the answer or where no search over edge states is
 known to give it.  Listing (:func:`proper_possibly_causal_paths`) and the
 invalid-set witness (:func:`mpdag.identify._adjustment_witness`) grow their
 own prefixes, flat tuples with nothing in them but what their answer needs.
-One state search, :func:`_causal_states`, serves the rest: counting, the
-shortest violating path and the on-path nodes of an unidentified effect.
+One state search, :func:`_causal_states`, serves the rest: counting and
+the shortest violating path, both from the undirected first edges.
 
 * A proper possibly causal path steps to any neighbour and never appends a
   node with a child already on the path, since a "possibly causal" verdict
@@ -48,10 +48,8 @@ shortest violating path and the on-path nodes of an unidentified effect.
   the state its first prefix grew from.
   Counting the violating paths (the diagnostic m at the root, and the
   per-branch counts of the minimal enumeration when read) sums the counts
-  of the states that end in an outcome; the nodes on the paths
-  (:func:`_nodes_on_paths`, for the forbidden set of an unidentified
-  effect) are the union of their node sets; the first shortest violating
-  path (the witness of an unidentified effect, and the branch edge of the
+  of the states that end in an outcome; the first shortest violating path
+  (the witness of an unidentified effect, and the branch edge of the
   minimal enumeration) is the first prefix of the first of them, read back
   state by state, and the search stops there.  A length holds at most
   ``|V|·2^|V|`` states, where the paths can be factorially many.  Listing
@@ -611,18 +609,6 @@ def _checked_sets(
     if not a_set or not y_set:
         raise GraphError("treatment and outcome sets must be nonempty")
     return g._masks.bits(a_set), g._masks.bits(y_set)
-
-
-def _nodes_on_paths(g: PartiallyDirectedGraph, starts: int, targets: int) -> int:
-    """The mask of the nodes after the first on some proper possibly causal
-    path from ``starts`` to ``targets``, without listing the paths: the
-    union of the node sets of the states that end in a target, but the
-    starts."""
-    masks, on_path = g._masks, 0
-    for v, members, *_ in _causal_states(masks, starts, targets, masks.neighbours):
-        if targets >> v & 1:
-            on_path |= members
-    return on_path & ~starts
 
 
 def proper_possibly_causal_paths(

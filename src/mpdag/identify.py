@@ -10,19 +10,22 @@ Maathuis, JMLR 2018), so that set is the only candidate tried.
 The decisions rest on one polynomial search, :func:`_first_edges`: the set
 V1 of the second nodes of the proper possibly causal paths from the
 treatments to the outcomes, and whether some such path starts with an
-undirected edge.  The effect is identified exactly when none does.  On an
-identified effect the forbidden set is the possible descendants of V1, and
-a set that avoids it is an adjustment set exactly when it d-separates the
-treatments from the outcomes once the edges ``a -> v``, ``v`` in V1, are
-removed (the proper back-door graph; Perkovic et al. 2018).  Paths are
-searched for only where one is returned, or counted.  The shortest
-violating path of an unidentified effect and the number of violating paths
-are read off the states (last node, node set) of
-:func:`mpdag.graphs._causal_states`: the path is the first prefix of the
-first state that ends in an outcome, searched from the undirected first
-edges into V1, and the count is the sum of the prefix counts of those
-states.  The open path that shows a set invalid is grown prefix by prefix,
-as its step reads the node before the last.
+undirected edge.  The effect is identified exactly when none does.  Every
+query that needs an identified effect (the identification formula, the
+forbidden set and the adjustment criterion) refuses an unidentified one in
+:func:`_require_identified`, with the witness of :func:`is_identified`.
+The forbidden set is the possible descendants of V1, and a set that avoids
+it is an adjustment set exactly when it d-separates the treatments from the
+outcomes once the edges ``a -> v``, ``v`` in V1, are removed (the proper
+back-door graph; Perkovic et al. 2018).  Paths are searched for only where
+one is returned, or counted.  The shortest violating path of an
+unidentified effect and the number of violating paths are read off the
+states (last node, node set) of :func:`mpdag.graphs._causal_states`: the
+path is the first prefix of the first state that ends in an outcome,
+searched from the undirected first edges into V1, and the count is the sum
+of the prefix counts of those states.  The open path that shows a set
+invalid is grown prefix by prefix, as its step reads the node before the
+last.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ from .graphs import (
     _causal_states,
     _closure,
     _node_path,
-    _nodes_on_paths,
     _open_step,
     _possibly_causal_reach,
     _reach,
@@ -274,18 +276,17 @@ def forbidden_set(
     h: Mpdag, treatments: Iterable[str], outcomes: Iterable[str]
 ) -> frozenset[str]:
     """Possible descendants of every non-treatment node lying on some proper
-    possibly causal path from the treatments to the outcomes.
+    possibly causal path from the treatments to the outcomes: the possible
+    descendants of V1 (:func:`_first_edges`).
 
-    On an identified effect these are the possible descendants of V1
-    (:func:`_first_edges`).  On an unidentified one that set can be smaller,
-    so the nodes on the paths are collected by a search over every state
-    (last node, node set) of those paths."""
+    The forbidden set is an input to the generalized adjustment criterion,
+    which is stated for identified effects only (Perkovic et al. 2018), so
+    an unidentified effect raises :class:`NotIdentifiedError`, with the
+    witness path of :func:`is_identified`."""
     g = h.graph
-    a, y = _checked_sets(g, treatments, outcomes)
-    v1, identified = _first_edges(g, a, y)
-    return g._names(_possibly_causal_reach(
-        g._masks, v1 if identified else _nodes_on_paths(g, a, y)
-    ))
+    return g._names(_possibly_causal_reach(g._masks, _require_identified(
+        g, *_checked_sets(g, treatments, outcomes)
+    )))
 
 
 @dataclass(frozen=True)

@@ -30,9 +30,11 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .graphs import GraphError, PartiallyDirectedGraph, _AdjacencyMasks, _bit_indices
+from .graphs import (
+    GraphError, PartiallyDirectedGraph, _AdjacencyMasks, _bit_indices, _checked_sets
+)
 from .idgraphs import EnumerationResult, id_graphs
-from .identify import NotIdentifiedError, _first_edges, is_identified
+from .identify import _first_edges, _require_identified
 from .meek import Mpdag, consistent_extension, cpdag_of_dag
 
 
@@ -363,9 +365,7 @@ def estimate_effect(
     extension is used.
     """
     a_list = tuple(sorted(set(treatments)))
-    verdict = is_identified(h, a_list, [outcome])
-    if not verdict:
-        raise NotIdentifiedError(verdict.witness)
+    _require_identified(h.graph, *_checked_sets(h.graph, a_list, [outcome]))
     dag = extension if extension is not None else consistent_extension(h)
     cov = _as_covariance(source, h.graph.nodes)
     (values,) = _regression_effects(cov, [dag], a_list, outcome)

@@ -540,12 +540,11 @@ def two_sweep_study_arrays(inst: M.RandomInstance, n: int, tie_tol: float):
 
 def refuse_path_walks(monkeypatch) -> None:
     """Make the path searches raise in every package module that holds
-    them: ``graphs._causal_states``, the state search of the count, the
-    shortest violating path and the on-path nodes;
-    ``graphs.proper_possibly_causal_paths``, which lists the paths; and
-    ``identify._adjustment_witness``, which grows the open paths of an
-    invalid set.  Each must be found where it is defined, or a search under
-    another name would go unrefused."""
+    them: ``graphs._causal_states``, the state search of the count and the
+    shortest violating path; ``graphs.proper_possibly_causal_paths``, which
+    lists the paths; and ``identify._adjustment_witness``, which grows the
+    open paths of an invalid set.  Each must be found where it is defined,
+    or a search under another name would go unrefused."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("the path search was entered")

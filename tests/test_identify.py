@@ -117,19 +117,26 @@ class TestForbiddenSet:
         assert M.forbidden_set(h, ["A"], ["Y"]) == frozenset()
 
     def test_long_undirected_chain(self):
-        # with Y next to A, the one on-path node n0001 has every node as a
-        # possible descendant, reached along a path of 1,199 edges; with Y at
-        # the far end, all 1,199 non-treatment nodes lie on the path
+        # directed, n0000 -> n0001 -> ... -> n1199: with Y next to A or at
+        # the far end, every non-treatment node is a descendant of the one
+        # second node n0001, reached along a path of up to 1,198 edges
         names = [f"n{i:04d}" for i in range(1200)]
+        h = M.Mpdag(M.PartiallyDirectedGraph(names, zip(names, names[1:])))
+        assert M.forbidden_set(h, [names[0]], [names[1]]) == set(names[1:])
+        assert M.forbidden_set(h, [names[0]], [names[-1]]) == set(names[1:])
+        # undirected, each query is unidentified, and the refusal carries the
+        # violating path: the one edge, or the whole chain
         h = M.Mpdag(M.PartiallyDirectedGraph(names, (), zip(names, names[1:])))
-        assert M.forbidden_set(h, [names[0]], [names[1]]) == set(names)
-        assert M.forbidden_set(h, [names[0]], [names[-1]]) == set(names)
+        for y, witness in ((names[1], names[:2]), (names[-1], names)):
+            with pytest.raises(M.NotIdentifiedError) as exc:
+                M.forbidden_set(h, [names[0]], [y])
+            assert exc.value.witness.nodes == tuple(witness)
+            assert exc.value.witness.marks == ("--",) * (len(witness) - 1)
 
-    def test_unidentified_keeps_descendants_of_every_on_path_node(self):
-        # n6 lies on n7 -- n4 -- n6 -> n5 and n2 is a possible descendant of
-        # n6 (n6 -- n2), but not one of the second nodes n0, n1, n3, n4 of
-        # the paths, as n2 -> n4: the unidentified query's forbidden set is
-        # taken from every on-path node
+    def test_unidentified_effect_is_refused_with_the_identification_witness(self):
+        # the forbidden set is an input to the adjustment criterion, which is
+        # stated for identified effects only; this one is not, as the
+        # violating path n7 -- n4 -> n3 shows
         text = (
             "n0 -> n3\nn1 -> n5\nn2 -> n0\nn2 -> n3\nn2 -> n4\nn2 -> n5\n"
             "n2 -> n7\nn4 -> n1\nn4 -> n3\nn4 -> n5\nn5 -> n3\nn6 -> n0\n"
@@ -139,12 +146,10 @@ class TestForbiddenSet:
         h = M.meek_closure(M.parse_graph(text))
         assert len(M.enumerate_dags(h)) == 8
         a, y = ["n7"], ["n3", "n5"]
-        assert not M.is_identified(h, a, y)
-        second = {p.nodes[1] for p in M.proper_possibly_causal_paths(h.graph, a, y)}
-        assert second == {"n0", "n1", "n3", "n4"}
-        reach = set().union(*(M.possible_descendants(h.graph, v) for v in second))
-        assert "n2" not in reach
-        assert "n2" in M.forbidden_set(h, a, y)
+        with pytest.raises(M.NotIdentifiedError) as exc:
+            M.forbidden_set(h, a, y)
+        assert str(exc.value.witness) == "n7 -- n4 -> n3"
+        assert exc.value.witness == M.is_identified(h, a, y).witness
 
     def test_direct_from_definition(self, parent_of_both):
         g = parent_of_both.graph

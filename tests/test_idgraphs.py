@@ -126,9 +126,7 @@ class TestOutputSensitiveEnumeration:
         # every function that walks all paths, wherever a module holds it
         walks = []
         for module in (graphs, identify, idgraphs):
-            for name in (
-                "proper_possibly_causal_paths", "_nodes_on_paths", "_count_violating"
-            ):
+            for name in ("proper_possibly_causal_paths", "_count_violating"):
                 full = getattr(module, name, None)
                 if full is None:
                     continue

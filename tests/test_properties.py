@@ -13,7 +13,6 @@ from mpdag.graphs import (
     _checked_sets,
     _kahn,
     _mask_table,
-    _nodes_on_paths,
 )
 from mpdag.idgraphs import _branch_path
 from mpdag.identify import (
@@ -361,10 +360,7 @@ def test_path_search_matches_exhaustive_oracle(query, start_undirected_only):
     assert M.proper_possibly_causal_paths(h.graph, a, y, start_undirected_only) == expected
     checked = _checked_sets(h.graph, a, y)
     first = expected[0] if expected else None
-    if not start_undirected_only:
-        on_paths = {n for path in expected for n in path.nodes} - set(a)
-        assert h.graph._names(_nodes_on_paths(h.graph, *checked)) == on_paths
-    else:
+    if start_undirected_only:
         assert _count_violating(h.graph, *checked) == len(expected)
         assert _shortest_violating(h.graph, *checked, None) == (
             None if first is None else tuple(h.graph._masks.index[n] for n in first.nodes)
@@ -372,6 +368,21 @@ def test_path_search_matches_exhaustive_oracle(query, start_undirected_only):
         verdict = M.is_identified(h, a, y)
         assert verdict.identified == (not expected)
         assert verdict.witness == first
+
+
+def _checked_forbidden_set(h: M.Mpdag, a, y) -> bool:
+    """Check ``forbidden_set`` on one query: on an identified effect against
+    the definition (``exhaustive_forbidden_set``), and on an unidentified one
+    its refusal, with the witness of ``is_identified``.  Returns whether the
+    effect is identified."""
+    verdict = M.is_identified(h, a, y)
+    if verdict:
+        assert M.forbidden_set(h, a, y) == exhaustive_forbidden_set(h, a, y)
+    else:
+        with pytest.raises(M.NotIdentifiedError) as exc:
+            M.forbidden_set(h, a, y)
+        assert exc.value.witness == verdict.witness
+    return verdict.identified
 
 
 @settings(max_examples=300)
@@ -388,10 +399,9 @@ def test_first_edge_search_matches_exhaustive_oracle(query):
     assert g._names(v1) == {p.nodes[1] for p in paths}
     assert identified == all(p.marks[0] != "--" for p in paths)
     assert bool(M.is_identified(h, a, y)) == identified
-    forbidden = M.forbidden_set(h, a, y)
-    assert forbidden == exhaustive_forbidden_set(h, a, y)
+    assert _checked_forbidden_set(h, a, y) == identified
     if identified:
-        assert forbidden == exhaustive_possible_descendants(g, g._names(v1))
+        assert M.forbidden_set(h, a, y) == exhaustive_possible_descendants(g, g._names(v1))
 
 
 @st.composite
@@ -413,9 +423,9 @@ def path_queries(draw):
 def test_shared_path_walk_matches_its_two_oracles(query, seed):
     # the breadth-first path searches against the two depth-first walks in
     # helpers, on MPDAGs and on unclosed or class-empty PDAGs: the listing
-    # order in both first-step modes, the on-path nodes, the violating count,
-    # the shortest violating path with and without the V1 gate, and the
-    # adjustment witness for random Z
+    # order in both first-step modes, the violating count, the shortest
+    # violating path with and without the V1 gate, and the adjustment
+    # witness for random Z
     h, a, y = query
     g = h.graph
     starts, targets = _checked_sets(g, a, y)
@@ -430,8 +440,6 @@ def test_shared_path_walk_matches_its_two_oracles(query, seed):
         assert listed[undirected_only] == [
             M.path_in(g, seq) for seq in sorted(walked, key=len)
         ]
-    on_path = {n for path in listed[False] for n in path.nodes} - set(a)
-    assert g._names(_nodes_on_paths(g, starts, targets)) == on_path
     assert _count_violating(g, starts, targets) == len(listed[True])
     shortest = last_hit(possibly_causal_walk(g, a, y, True), lambda seq: True)
     assert _shortest_violating(g, starts, targets, None) == shortest
@@ -497,7 +505,7 @@ def test_possible_descendants_of_a_set_match_exhaustive_oracle(query, seed):
     nodes = [n for n in h.nodes if rng.random() < 0.4]
     sets = M.ancestral_sets(h.graph, nodes)
     assert sets.possible_descendants == exhaustive_possible_descendants(h.graph, nodes)
-    assert M.forbidden_set(h, a, y) == exhaustive_forbidden_set(h, a, y)
+    _checked_forbidden_set(h, a, y)
 
 
 @settings(max_examples=200)
@@ -1128,13 +1136,21 @@ def test_adjustment_verdicts_are_sound_for_the_population_functional():
 
 
 def test_forbidden_set_against_brute_force_definition():
+    # the definition where the effect is identified, and the refusal with
+    # the identification witness where it is not; both kinds are met often
     rng = np.random.default_rng(31)
+    counts = {True: 0, False: 0}
     for _ in range(40):
         dag = random_dag(rng, int(rng.integers(3, 6)), 0.5)
         h = M.cpdag_of_dag(dag)
         nodes = list(dag.nodes)
         a, y = nodes[0], nodes[-1]
-        if a == y:
+        verdict = M.is_identified(h, [a], [y])
+        counts[verdict.identified] += 1
+        if not verdict:
+            with pytest.raises(M.NotIdentifiedError) as exc:
+                M.forbidden_set(h, [a], [y])
+            assert exc.value.witness == verdict.witness
             continue
         expected = set()
         on_paths = set()
@@ -1143,3 +1159,4 @@ def test_forbidden_set_against_brute_force_definition():
         for w in on_paths - {a}:
             expected |= M.possible_descendants(h.graph, w)
         assert M.forbidden_set(h, [a], [y]) == expected
+    assert counts[True] >= 15 and counts[False] >= 15, counts
