@@ -16,9 +16,8 @@ The validating constructor builds its table from named edges with one
 function (:func:`_mask_table`) and decides acyclicity by one depth-first
 search over the children masks (:func:`_directed_cycle`).  The orientation
 engine hands its own masks to the trusted constructor, which checks nothing:
-:mod:`mpdag.meek` runs the same cycle search on them wherever acyclicity is
-not already known, so a cyclic result reports the witness the constructor
-would report for the same edges.
+:mod:`mpdag.meek` builds them only from a graph it has proved to represent a
+DAG, so no orientation and closure on them can make a cycle.
 
 Ancestors, descendants and buckets are closures over one mask table, node by
 node.  Possible descendants and ancestors and d-separation are one polynomial
@@ -321,12 +320,11 @@ class PartiallyDirectedGraph:
 
         A mask table makes known endpoints, no self loop and at most one edge
         per adjacent pair moot; acyclicity is the caller's to guarantee.  The
-        callers are :mod:`mpdag.meek`'s: a builder flagged sound (the CPDAG
-        of a DAG, a closed graph proved when its builder is made, or a
-        closure that proved its class nonempty, and all below them), any
-        other builder after its own cycle search, and the pattern of a DAG,
-        a subgraph of that DAG; and :func:`mpdag.linear.random_instance`,
-        whose DAG orients every edge along a random ordering of the nodes.
+        callers are :mod:`mpdag.meek`'s: a builder, whose graph was proved
+        to represent a DAG when it was made (or is the CPDAG of a DAG), and
+        the pattern of a DAG, a subgraph of that DAG; and
+        :func:`mpdag.linear.random_instance`, whose DAG orients every edge
+        along a random ordering of the nodes.
         """
         g = object.__new__(cls)
         object.__setattr__(g, "nodes", nodes)

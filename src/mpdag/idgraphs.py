@@ -9,8 +9,8 @@ represented DAGs with pairwise distinct identification formulas.  Branching on
 a shortest violating path first is what makes the output minimal: the
 orientation order matters.
 
-The recursion tree has one node per branch plus one per output graph.  On a
-graph that is closed and represents a DAG, the first-edge search of
+The recursion tree has one node per branch plus one per output graph.  Its
+graphs are closed and represent a DAG, and the first-edge search of
 :mod:`mpdag.identify` decides each node first, in polynomial time: a leaf
 runs no path search, and a branch searches only from the undirected first
 edges into V1.  That search grows path prefixes one length at a time, keeps
@@ -103,26 +103,20 @@ class EnumerationResult:
         return m
 
 
-def _branch_path(
-    g: PartiallyDirectedGraph, a: int, y: int, sound: bool
-) -> Optional[tuple[str, ...]]:
+def _branch_path(g: PartiallyDirectedGraph, a: int, y: int) -> Optional[tuple[str, ...]]:
     """The shortest violating path of the treatment mask ``a`` and the
     outcome mask ``y`` in ``g``, as node names, or None.  A graph with no
-    undirected edge out of the treatments has none.  On a ``sound`` graph,
-    closed and representing a DAG, :func:`_first_edges` decides next, so an
-    identified graph is searched no further, and the search starts only from
-    the undirected first edges into V1.  Any other graph gets the search
-    from every undirected first edge, which is exact on any PDAG."""
+    undirected edge out of the treatments has none.  :func:`_first_edges`
+    decides next, so an identified graph is searched no further, and the
+    search starts only from the undirected first edges into V1."""
     undirected, first_edges = g._masks.undirected, 0
     for t in _bit_indices(a):
         first_edges |= undirected[t]
     if not first_edges & ~a:
         return None
-    v1 = None
-    if sound:
-        v1, identified = _first_edges(g, a, y)
-        if identified:
-            return None
+    v1, identified = _first_edges(g, a, y)
+    if identified:
+        return None
     seq = _shortest_violating(g, a, y, v1)
     return None if seq is None else tuple([g.nodes[i] for i in seq])
 
@@ -137,7 +131,7 @@ def select_branch_edge(
     """
     g = h.graph
     a, y = _checked_sets(g, treatments, outcomes)
-    shortest = _branch_path(g, a, y, getattr(g, _SOUND, False))
+    shortest = _branch_path(g, a, y)
     if shortest is None:
         raise GraphError("effect already identified; no branch edge")
     return shortest[0], shortest[1]
@@ -153,26 +147,25 @@ def id_graphs(
     oriented both ways as background knowledge, and the results below the two
     children are merged: the branch walk of :mod:`mpdag.meek`, with no stack
     of its own, and a rule that finds that path in each node's graph
-    (:func:`_branch_path`), gated by the first-edge search wherever the
-    node's builder is sound.  Output is canonically sorted; the audit trail
-    records each branch in depth-first order: a branch, then everything
-    below its ``a1 -> v1`` child, then everything below its ``v1 -> a1``
-    child.  No violating path is counted until ``m`` or a record's
-    ``violating`` is read.
-    A root not flagged sound is proved class-nonempty when its builder is
-    made if it is closed, or else where its first branch closure ends
-    (:mod:`mpdag.meek`), so a snapshot is searched for a directed cycle only
-    below a class-empty root.
+    (:func:`_branch_path`), gated by the first-edge search.  Output is
+    canonically sorted; the audit trail records each branch in depth-first
+    order: a branch, then everything below its ``a1 -> v1`` child, then
+    everything below its ``v1 -> a1`` child.  No violating path is counted
+    until ``m`` or a record's ``violating`` is read.  A root that
+    :mod:`mpdag.meek` did not return is closed where its builder is made,
+    and refused there if it represents no DAG; the root graph is then read
+    from the builder.
     """
     # every builder shares h's node order, so the masks hold at every node
     a, y = _checked_sets(h.graph, treatments, outcomes)
     audit: list[BranchRecord] = []
     leaves: list[Mpdag] = []
+    flagged = getattr(h.graph, _SOUND, False)
 
     def branch_edge(builder: _Builder) -> Optional[tuple[int, int]]:
         # only the root is visited before the first branch is recorded
-        current = builder.mpdag() if audit else h
-        shortest = _branch_path(current.graph, a, y, builder.sound)
+        current = h if flagged and not audit else builder.mpdag()
+        shortest = _branch_path(current.graph, a, y)
         if shortest is None:
             leaves.append(current)
             return None

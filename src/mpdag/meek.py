@@ -11,19 +11,14 @@ The rules, phrased as "orient u -- v into u -> v when ...":
 
 Applying them to a fixpoint turns a valid PDAG into a maximally oriented one;
 orienting an undirected edge of an MPDAG and re-closing implements the
-background-knowledge construction.  The closure works on per-node bitmasks.
-On a graph whose class is nonempty its fixpoint is the same whatever order
-the rules fire in (Meek 1995), so there it propagates: orienting ``t -> h``
-pushes the orientations the rules fire for with ``t -> h`` as a premise,
-found by one mask test per way the arrow can be one, and the closure
-orients what is pushed.  Every rule needs an arrow, the skeleton never
-changes, and an edge never turns back undirected, so on a closed graph
-every firing is pushed when its last arrow is made.  Where no such proof
-holds the order is fixed, as it decides which directed cycle a class-empty
-PDAG reports: each step rescans every undirected edge and applies the first
-firing (rule, edge, direction) triple, rules in the order R1..R4, undirected
-edges in node order, and ``u -> v`` before ``v -> u`` for an edge ``u -- v``
-with ``u < v``.
+background-knowledge construction.  The closure works on per-node bitmasks,
+and only on graphs that represent at least one DAG.  There its fixpoint is
+the same whatever order the rules fire in (Meek 1995), so it propagates:
+orienting ``t -> h`` pushes the orientations the rules fire for with
+``t -> h`` as a premise, found by one mask test per way the arrow can be
+one, and the closure orients what is pushed.  Every rule needs an arrow,
+the skeleton never changes, and an edge never turns back undirected, so on
+a closed graph every firing is pushed when its last arrow is made.
 
 Every branching search runs on one engine, :func:`_branch_walk`, a
 depth-first walk over builders whose one parameter is its branch-edge rule:
@@ -34,32 +29,27 @@ orientations is closed once.  DAG enumeration and the consistent extension
 first treatment edge, and the minimal enumeration on the first edge of a
 shortest violating path.
 
-This module alone decides what is trusted.  A graph is flagged *sound* when
-it is closed and represents at least one DAG.  A closure proves it where it
-ends, unless its builder is sound already, by the elimination of Dor &
-Tarsi (1992), :func:`_extendable`, which is valid on any PDAG.  One proof
-covers everything below: orienting an undirected edge of a class-nonempty
-MPDAG and closing keeps exactly the DAGs of its class that have that edge,
-and there is one (Meek 1995).  The CPDAG of a DAG is flagged without a
-proof, as its class holds that DAG.  So every graph a closure ends in is
-flagged exactly when its class is nonempty; the validating constructor
-flags nothing, as a closed, acyclic PDAG can still represent no DAG (an
-undirected 4-cycle).  A builder on a sound graph closes by propagation and
-never searches for a cycle.  Any other builder scans every edge once when it
-is made; if no rule fires there, its graph is closed, and the elimination
-proves it then.  Until a proof, it closes by rescanning and searches its
-masks for a cycle at every snapshot.  So a snapshot is searched only where
-no proof holds, below a class-empty graph or at an unclosed root returned
-with no closure, and as a graph with a directed cycle is never proved, a
-class-empty input reports the directed-cycle witness the constructor would
-report for the same edges.
+This module alone decides what is trusted, in one place: a builder is made
+only on a graph that represents a DAG, and closed when it is made.  A graph
+the module returns is flagged, and taken as it is.  Any other graph is
+proved by the node elimination of Dor & Tarsi (1992), :func:`_eliminate`,
+which is valid on any PDAG; if the elimination leaves nodes, its class is
+empty and it is refused with :class:`InternalInconsistencyError` naming
+them.  Otherwise it is scanned once for the orientations a rule fires for,
+and closed by propagating them.  One proof covers everything below:
+orienting an undirected edge of a class-nonempty MPDAG and closing keeps
+exactly the DAGs of its class that have that edge, and there is one (Meek
+1995).  The CPDAG of a DAG is closed with no proof, as
+its class holds that DAG.  The validating constructor flags nothing, as a
+closed, acyclic PDAG can still represent no DAG (an undirected 4-cycle).
 
 A builder's masks are a graph's mask table, so a graph is built only where
-one is returned or searched, from the node tuple and a frozen copy of the
-masks, without naming an edge and without re-validation.  No other fact
-about a result is proved again: the CPDAG of a DAG represents it (Andersson,
-Madigan & Perlman 1997), and closing an MPDAG with an edge oriented keeps
-exactly the DAGs of its class that have that edge (Meek 1995).
+one is returned, from the node tuple and a frozen copy of the masks,
+without naming an edge, without re-validation and without a cycle search.
+No other fact about a result is proved again: the CPDAG of a DAG represents
+it (Andersson, Madigan & Perlman 1997), and closing an MPDAG with an edge
+oriented keeps exactly the DAGs of its class that have that edge (Meek
+1995).
 """
 
 from __future__ import annotations
@@ -73,7 +63,6 @@ from .graphs import (
     PartiallyDirectedGraph,
     _AdjacencyMasks,
     _bit_indices,
-    _directed_cycle,
     _index_pairs,
 )
 
@@ -115,17 +104,13 @@ class _Builder:
     """Mutable adjacency bitmasks used while running the rules.
 
     Bit ``i`` of a mask stands for ``nodes[i]``; node index order is name
-    order.  ``adj`` is the skeleton, which the rules never change.
-    ``sound`` says that the builder's root or one of its closures represents
-    a DAG, so no orientation and closure below it can make a directed cycle.
-    It is read off a graph flagged sound, or proved where a closure ends; an
-    unflagged graph is scanned once here, and proved here if no rule fires
-    on it.  A sound builder closes by propagation: ``_pending`` holds the
-    orientations ``(tail, head)`` that rules fired for since its last
-    closure, pushed as each arrow is made.  The scan leaves the firings of
-    an unflagged graph pending too, for a caller that knows its class is
-    nonempty and sets ``sound`` (:func:`cpdag_of_dag`); a closure that is
-    not sound drops them.
+    order.  ``adj`` is the skeleton, which the rules never change.  A
+    builder's graph always represents a DAG, so no orientation and closure
+    on it can make a directed cycle.  A graph flagged sound is taken as it
+    is; any other is proved by :func:`_eliminate` and refused if its class
+    is empty, else scanned once and closed.  ``_pending`` holds the orientations
+    ``(tail, head)`` that rules fired for since the last closure, pushed as
+    each arrow is made.
     """
 
     def __init__(self, g: PartiallyDirectedGraph) -> None:
@@ -136,11 +121,15 @@ class _Builder:
         self.children = list(masks.children)
         self.und = list(masks.undirected)
         self.parents = list(masks.parents)
-        self.sound = getattr(g, _SOUND, False)
         self._pending: list[tuple[int, int]] = []
-        if not self.sound:
-            self._pending = [(v, u) if d else (u, v) for _, u, v, d in self._firings()]
-            self.sound = not self._pending and _extendable(self.children, self.und, self.adj)
+        if getattr(g, _SOUND, False):
+            return
+        left = _eliminate(self.children, self.und, self.adj)
+        if left:
+            names = [self.nodes[i] for i in _bit_indices(left)]
+            raise InternalInconsistencyError(f"PDAG represents no DAG: {names}")
+        self._pending = self._firings()
+        self.close()
 
     def copy(self) -> "_Builder":
         """An independent builder in the same state: the masks and the
@@ -153,7 +142,7 @@ class _Builder:
         new.nodes, new.index, new.adj = self.nodes, self.index, self.adj
         new.children, new.und = self.children[:], self.und[:]
         new.parents = self.parents[:]
-        new._pending, new.sound = self._pending[:], self.sound
+        new._pending = self._pending[:]
         return new
 
     def request(self, tail: str, head: str) -> None:
@@ -183,25 +172,22 @@ class _Builder:
         return None
 
     def orient(self, tail: int, head: int) -> None:
-        """Orient the undirected edge ``tail -- head`` as ``tail -> head``;
-        on a sound builder, push every orientation a rule fires for with the
-        new arrow as a premise, found by one mask test per way it can be
-        one.
+        """Orient the undirected edge ``tail -- head`` as ``tail -> head``,
+        and push every orientation a rule fires for with the new arrow as a
+        premise, found by one mask test per way it can be one.
 
         R3 is not tested: the new arrow would be one of its two arrows into
         ``head``, beside a parent ``w`` of ``head`` nonadjacent to ``tail``.
         But R1 fired ``head -> tail`` when ``w -> head`` was made, or when
-        the builder was made, and the firings of a sound builder never
-        conflict, so it never makes ``tail -> head`` while such a ``w``
-        exists."""
+        the builder was scanned, and the firings on a graph that represents
+        a DAG never conflict, so it never makes ``tail -> head`` while such
+        a ``w`` exists."""
         und, children, parents, adj = self.und, self.children, self.parents, self.adj
         t_bit, h_bit = 1 << tail, 1 << head
         und[tail] &= ~h_bit
         und[head] &= ~t_bit
         children[tail] |= h_bit
         parents[head] |= t_bit
-        if not self.sound:
-            return
         push = self._pending.append
         und_t, und_h = und[tail], und[head]
         # R1, the arrow as w -> u: head -> v for v nonadjacent to tail
@@ -227,151 +213,94 @@ class _Builder:
             for u in _bit_indices(common & und[v]):
                 push((u, v))
 
-    def mpdag(self, context: str = "orientation produced an invalid graph") -> Mpdag:
-        """The current graph, its mask table the builder's masks, frozen;
-        flagged sound if the builder is sound and nothing is pending.
-
-        Only a builder that is not sound searches its masks for a directed
-        cycle.  A class-empty PDAG (one representing no DAG at all) can drive
-        the rules into one; that surfaces as an internal inconsistency,
-        ``context`` first, rather than a plain invalid-graph error."""
+    def mpdag(self) -> Mpdag:
+        """The current graph of a closed builder, its mask table the
+        builder's masks, frozen, and flagged sound."""
         rows = self.children, self.und, self.parents
         masks = _AdjacencyMasks(self.index, self.adj, *map(tuple, rows))
-        if not self.sound:
-            cycle = _directed_cycle(self.nodes, masks.children)
-            if cycle is not None:
-                raise InternalInconsistencyError(f"{context}: directed cycle: {cycle}")
         g = PartiallyDirectedGraph._trusted(self.nodes, masks)
-        object.__setattr__(g, _SOUND, self.sound and not self._pending)
+        object.__setattr__(g, _SOUND, True)
         return Mpdag(g)
 
-    # -- the rules, one edge at a time ---------------------------------------
-
-    def _r3(self, shared: int) -> bool:
-        """R3 for a tail whose undirected neighbours among the head's parents
-        are ``shared``: two of them are nonadjacent."""
-        if not shared & (shared - 1):  # fewer than two
-            return False
-        adj, rest = self.adj, shared
+    def _fires(self, tail: int, head: int) -> bool:
+        """Does a rule orient the undirected edge ``tail -- head`` as
+        ``tail -> head``?"""
+        parents, und, adj = self.parents, self.und, self.adj
+        if parents[tail] & ~adj[head] or self.children[tail] & parents[head]:
+            return True  # R1, R2
+        # R3 and R4 look at the tail's undirected neighbours among the
+        # head's parents: R3 fires if two of them are nonadjacent, R4 if
+        # one has a parent undirected at the tail and nonadjacent to the
+        # head (the head is undirected at the tail but no such parent)
+        shared = und[tail] & parents[head]
+        candidates = und[tail] & ~(adj[head] | 1 << head)
+        rest = shared
         while rest:
             low = rest & -rest
-            if shared & ~(adj[low.bit_length() - 1] | low):
+            b = low.bit_length() - 1
+            if shared & ~(adj[b] | low) or candidates & parents[b]:
                 return True
             rest ^= low
         return False
 
-    def _r4(self, und_tail: int, shared: int, head: int) -> bool:
-        """R4: some ``b`` in ``shared`` has a parent ``a`` that is an
-        undirected neighbour of the tail and nonadjacent to the head."""
-        # the head is undirected at the tail but never a parent of b; leaving
-        # it out lets the test below end early
-        candidates = und_tail & ~(self.adj[head] | 1 << head)
-        if not candidates:
-            return False
-        parents = self.parents
-        while shared:
-            low = shared & -shared
-            if candidates & parents[low.bit_length() - 1]:
-                return True
-            shared ^= low
-        return False
-
-    def _first_firing(self, u: int, v: int) -> Optional[tuple[int, int, int, int]]:
-        """The first firing ``(rule, u, v, direction)`` on the undirected
-        edge ``u -- v``, ``u < v``, trying R1..R4 in turn, ``u`` as tail
-        first (direction 0 meaning ``u -> v``); None if no rule fires."""
-        parents, children, und, adj = self.parents, self.children, self.und, self.adj
-        pu, pv = parents[u], parents[v]
-        # R3 and R4 look at the tail's undirected neighbours among the head's
-        # parents
-        shared_u, shared_v = und[u] & pv, und[v] & pu
-        if pu & ~adj[v]:
-            return 0, u, v, 0
-        if pv & ~adj[u]:
-            return 0, u, v, 1
-        if children[u] & pv:
-            return 1, u, v, 0
-        if children[v] & pu:
-            return 1, u, v, 1
-        if self._r3(shared_u):
-            return 2, u, v, 0
-        if self._r3(shared_v):
-            return 2, u, v, 1
-        if self._r4(und[u], shared_u, v):
-            return 3, u, v, 0
-        if self._r4(und[v], shared_v, u):
-            return 3, u, v, 1
-        return None
-
-    def _firings(self) -> list[tuple[int, int, int, int]]:
-        """The first firing of every undirected edge on which a rule fires,
-        edges in node order."""
-        firings = []
-        for u, mask in enumerate(self.und):
-            for v in _bit_indices(mask >> (u + 1) << (u + 1)):
-                hit = self._first_firing(u, v)
-                if hit is not None:
-                    firings.append(hit)
-        return firings
+    def _firings(self) -> list[tuple[int, int]]:
+        """Every orientation ``(tail, head)`` a rule fires for, each
+        undirected edge tested once either way."""
+        return [
+            (t, h) for t, row in enumerate(self.und) for h in _bit_indices(row)
+            if self._fires(t, h)
+        ]
 
     def close(self) -> None:
-        """Apply R1-R4 until no rule fires anywhere.
-
-        A sound builder orients its pending orientations, in any order, each
-        whose edge is still undirected: its closure is order-independent
+        """Apply R1-R4 until no rule fires anywhere: orient the pending
+        orientations, in any order, each whose edge is still undirected.
+        The closure of a graph that represents a DAG is order-independent
         (Meek 1995), and a firing left at the fixpoint would have been
         pushed when its last premise was made, as edges never turn back
-        undirected.  Any other builder rescans every edge at each step and
-        takes the first firing (rule, edge, direction), which decides the
-        directed cycle a class-empty graph reports; then it is proved sound
-        if the closed graph's class is nonempty."""
-        if self.sound:
-            pending, und = self._pending, self.und
-            while pending:
-                tail, head = pending.pop()
-                if und[tail] >> head & 1:
-                    self.orient(tail, head)
-            return
-        while firings := self._firings():
-            _, u, v, direction = min(firings)
-            self.orient(*((v, u) if direction else (u, v)))
-        self._pending = []  # the scan's firings, which the rescans met again
-        self.sound = _extendable(self.children, self.und, self.adj)
+        undirected."""
+        pending, und = self._pending, self.und
+        while pending:
+            tail, head = pending.pop()
+            if und[tail] >> head & 1:
+                self.orient(tail, head)
 
 
-def _extendable(children: Sequence[int], und: Sequence[int], adj: Sequence[int]) -> bool:
-    """Has the PDAG of these masks a consistent extension, that is a DAG
-    with its skeleton and unshielded colliders and its directed edges?  By
-    Dor & Tarsi (1992), iff its nodes can be removed one by one, each with
-    no child left and each of its undirected neighbours left adjacent to
-    all its other neighbours left.  Any node that qualifies may go first,
-    and removing nodes disqualifies none, so each sweep in node order
-    removes every node that qualifies when it is met."""
-    left = (1 << len(adj)) - 1
-    while left:
-        before = left
-        for x in _bit_indices(left):
-            near = adj[x] & left
-            if not children[x] & left and all(
-                not near & ~(adj[y] | 1 << y) for y in _bit_indices(und[x] & left)
-            ):
-                left ^= 1 << x
-        if left == before:
-            return False
-    return True
+def _eliminate(children: Sequence[int], und: Sequence[int], adj: Sequence[int]) -> int:
+    """The mask of the nodes the elimination of Dor & Tarsi (1992) leaves
+    on the PDAG of these masks: its class (the DAGs with its skeleton,
+    unshielded colliders and directed edges) is nonempty iff it leaves
+    none.  A node is removed when it has no child left and each of its
+    undirected neighbours left is adjacent to all its other neighbours
+    left.  Any node that qualifies may go first, and removing nodes
+    disqualifies none, so the nodes left do not depend on the order; a node
+    that fails is tried again only when a neighbour of it is removed, so
+    each node is tried at most once plus once per neighbour."""
+    left = queued = (1 << len(adj)) - 1
+    work = list(range(len(adj)))
+    while work:
+        x = work.pop()
+        queued ^= 1 << x
+        near = adj[x] & left
+        if children[x] & left or any(
+            near & ~(adj[y] | 1 << y) for y in _bit_indices(und[x] & left)
+        ):
+            continue
+        left ^= 1 << x
+        fresh = near & ~queued
+        queued |= fresh
+        work.extend(_bit_indices(fresh))
+    return left
 
 
 def meek_closure(g: PartiallyDirectedGraph) -> Mpdag:
     """Close a valid PDAG under R1-R4.
 
     Idempotent and monotone: the skeleton is unchanged and the directed edge
-    set only grows.  A directed cycle appears only on a class-empty input,
-    and raises an internal-inconsistency error.  The result is flagged sound
-    exactly when its class is nonempty.
+    set only grows.  A PDAG that represents no DAG is refused with an
+    internal-inconsistency error naming the nodes the elimination of Dor &
+    Tarsi leaves; every result is flagged sound.
     """
-    builder = _Builder(g)
-    builder.close()
-    return builder.mpdag("rule closure produced an invalid graph")
+    return _Builder(g).mpdag()
 
 
 def construct_mpdag(h: Mpdag, requests: Sequence[tuple[str, str]]) -> Mpdag:
@@ -381,7 +310,8 @@ def construct_mpdag(h: Mpdag, requests: Sequence[tuple[str, str]]) -> Mpdag:
     currently undirected is oriented and the rules are iterated to a fixpoint;
     one that already holds is a no-op; one that contradicts the graph (edge
     or endpoint missing, or edge directed the other way) raises
-    :class:`OrientationConflictError` -- the FAIL outcome.
+    :class:`OrientationConflictError` -- the FAIL outcome.  An ``h`` that
+    this module did not return is closed first.
     """
     builder = _Builder(h.graph)
     for tail, head in requests:
@@ -400,8 +330,8 @@ def _branch_walk(
     depth-first order.  A node's children orient the edge ``u -> v``, on a
     copy of the node's builder, then ``v -> u``, each re-closed; the
     ``u -> v`` child's whole subtree comes before the ``v -> u`` child.  The
-    root is not re-closed, so a plain ``Mpdag(g)`` wrapper branches on an
-    undirected edge of ``g`` itself.
+    root is closed where its builder is made, so a plain ``Mpdag(g)``
+    wrapper branches on an undirected edge of the closure of ``g``.
     """
     stack: list[tuple[_Builder, Optional[tuple[int, int]]]] = [(root, None)]
     while stack:
@@ -419,8 +349,8 @@ def _branch_walk(
 
 
 def cpdag_of_dag(d: PartiallyDirectedGraph) -> Mpdag:
-    """The CPDAG of a DAG: skeleton plus unshielded colliders, then closure.
-    It is flagged sound, as its class holds ``d``."""
+    """The CPDAG of a DAG: skeleton plus unshielded colliders, then closure,
+    with no proof, as its class holds ``d``."""
     if not d.is_directed:
         raise GraphError("input must be a DAG (fully directed)")
     masks = d._masks
@@ -436,10 +366,12 @@ def cpdag_of_dag(d: PartiallyDirectedGraph) -> Mpdag:
                 children[a] |= 1 << b
     und = tuple(n & ~(c | p) for n, c, p in zip(adj, children, parents))
     pattern = _AdjacencyMasks(masks.index, adj, tuple(children), und, tuple(parents))
-    builder = _Builder(PartiallyDirectedGraph._trusted(d.nodes, pattern))
-    # the pattern's class holds d, so the firings the builder's scan left
-    # pending close it by propagation
-    builder.sound = True
+    # the pattern's class holds d: flagged, it is taken as it is, and closed
+    # by propagating the firings of one scan
+    g = PartiallyDirectedGraph._trusted(d.nodes, pattern)
+    object.__setattr__(g, _SOUND, True)
+    builder = _Builder(g)
+    builder._pending = builder._firings()
     builder.close()
     return builder.mpdag()
 
@@ -482,15 +414,9 @@ def consistent_extension(h: Mpdag) -> PartiallyDirectedGraph:
 
     Only that leaf's path is closed: the smallest undirected edge ``u -- v``
     is oriented ``u -> v`` and the graph re-closed until no undirected edge
-    is left.  Orienting an undirected edge of a closed graph always succeeds.
-    A class-empty input raises :class:`InternalInconsistencyError`, naming
-    the directed cycle if that leaf has one; only a root not flagged sound
-    is checked (:func:`_extendable`).
+    is left.  Orienting an undirected edge of a closed graph that represents
+    a DAG always succeeds; a class-empty input is refused where its builder
+    is made.
     """
-    root = _Builder(h.graph)
-    extendable = root.sound or _extendable(root.children, root.und, root.adj)
-    leaf = next(_branch_walk(root, _Builder.first_undirected))
-    dag = leaf.mpdag("MPDAG admits no consistent extension").graph
-    if not extendable:
-        raise InternalInconsistencyError("MPDAG admits no consistent extension")
-    return dag
+    leaf = next(_branch_walk(_Builder(h.graph), _Builder.first_undirected))
+    return leaf.mpdag().graph

@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 import mpdag as M
-from mpdag import graphs, meek
+from mpdag import graphs
 from mpdag.graphs import _bit_indices, _checked_sets, _open_step
 from mpdag.meek import _Builder
 
@@ -231,6 +231,31 @@ def exhaustive_class_nonempty(g: M.PartiallyDirectedGraph) -> bool:
         return extend(directed | {(u, v)}, k + 1) or extend(directed | {(v, u)}, k + 1)
 
     return extend(frozenset(g.directed), 0)
+
+
+def no_dag_refusal(g: M.PartiallyDirectedGraph) -> str:
+    """The message that refuses ``g`` when it represents no DAG: the nodes
+    the elimination of Dor & Tarsi (1992) leaves, in node order.  By sweeps
+    in node order over the name-keyed adjacency, each removing every node
+    with no child left whose undirected neighbours left are adjacent to all
+    its other neighbours left, until a sweep removes none.
+
+    The sweeps the package ran before its worklist over bitmasks, over
+    names, kept as the reference for the nodes its refusal names."""
+    adjacency = NameAdjacency(g)
+    left = set(g.nodes)
+    removed = True
+    while removed:
+        removed = False
+        for x in sorted(left):
+            near = adjacency.neighbours(x) & left
+            if adjacency.children[x] & left or any(
+                near - {y} - adjacency.neighbours(y) for y in adjacency.und[x] & left
+            ):
+                continue
+            left.discard(x)
+            removed = True
+    return f"PDAG represents no DAG: {sorted(left)}"
 
 
 def random_dag(rng: np.random.Generator, p: int, edge_prob: float) -> M.PartiallyDirectedGraph:
@@ -1021,9 +1046,9 @@ def exhaustive_find_adjustment_set(h: M.Mpdag, treatments, outcomes):
 
 
 def count_cycle_searches(monkeypatch) -> list[tuple[str, ...]]:
-    """Wrap ``graphs._directed_cycle`` wherever a package module holds it:
-    the returned list gets the node tuple of every cycle search, until
-    ``monkeypatch`` undoes the wrapping."""
+    """Wrap ``graphs._directed_cycle``, the package's one cycle search: the
+    returned list gets the node tuple of every call, until ``monkeypatch``
+    undoes the wrapping."""
     searches: list[tuple[str, ...]] = []
     search = graphs._directed_cycle
 
@@ -1031,9 +1056,7 @@ def count_cycle_searches(monkeypatch) -> list[tuple[str, ...]]:
         searches.append(tuple(nodes))
         return search(nodes, children)
 
-    for module in (graphs, meek):
-        if hasattr(module, "_directed_cycle"):
-            monkeypatch.setattr(module, "_directed_cycle", counted)
+    monkeypatch.setattr(graphs, "_directed_cycle", counted)
     return searches
 
 

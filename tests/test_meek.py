@@ -1,14 +1,21 @@
+import ast
+import collections
+import sys
+
 import numpy as np
 import pytest
 
 import mpdag as M
-from mpdag.meek import _SOUND, _Builder, _extendable
+from mpdag import meek
+from mpdag.meek import _SOUND, _Builder, _eliminate
 from helpers import (
     FOUR_NODE_DAGS,
     brute_force_class,
     count_cycle_searches,
+    exhaustive_class_nonempty,
     lines,
     random_dag,
+    rescanning_construct_mpdag,
     rescanning_meek_closure,
 )
 
@@ -16,6 +23,23 @@ from helpers import (
 def pdag(directed=(), undirected=()):
     nodes = {n for e in list(directed) + list(undirected) for n in e}
     return M.PartiallyDirectedGraph(nodes, directed, undirected)
+
+
+def pairs(directed, undirected):
+    """The PDAG of two strings of two-letter edges, ``"ab"`` for a -> b or
+    a -- b."""
+    return M.PartiallyDirectedGraph(
+        {n for pair in (directed + " " + undirected).split() for n in pair},
+        [tuple(pair) for pair in directed.split()],
+        [tuple(pair) for pair in undirected.split()],
+    )
+
+
+# class-empty PDAGs and the nodes the elimination of Dor & Tarsi leaves
+CLASS_EMPTY = [
+    (pdag([("x", "y"), ("z", "w"), ("w", "y")], [("y", "z")]), "['w', 'x', 'y', 'z']"),
+    (pdag((), [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")]), "['a', 'b', 'c', 'd']"),
+]
 
 
 class TestClosureRules:
@@ -64,69 +88,131 @@ class TestClosureRules:
             assert partial.directed <= closed.graph.directed
 
     def test_closure_of_class_empty_pdag_is_internal_error(self):
-        # x -> y <- w is a collider the undirected y -- z cannot keep: either
-        # orientation of y -- z breaks the class, and the rules loop into a
-        # directed cycle; on a 4-cycle, a -> b makes R1 orient the rest of
-        # the cycle around
+        # x -> y <- w is a collider the undirected y -- z cannot keep; an
+        # undirected 4-cycle with or without a -> b represents no DAG.  Each
+        # is refused with the nodes the elimination of Dor & Tarsi leaves
         cases = [
-            (pdag([("x", "y"), ("z", "w"), ("w", "y")], [("y", "z")]),
-             "('w', 'y', 'z', 'w')"),
-            (pdag([("a", "b")], [("b", "c"), ("c", "d"), ("a", "d")]),
-             "('a', 'b', 'c', 'd', 'a')"),
+            ("xy zw wy", "yz", "['w', 'x', 'y', 'z']"),
+            ("ab", "bc cd ad", "['a', 'b', 'c', 'd']"),
+            ("", "ab bc cd ad", "['a', 'b', 'c', 'd']"),
         ]
-        for g, cycle in cases:
+        for directed, undirected, left in cases:
+            g = pairs(directed, undirected)
+            assert not exhaustive_class_nonempty(g)
             with pytest.raises(M.InternalInconsistencyError) as err:
                 M.meek_closure(g)
-            assert str(err.value) == (
-                f"rule closure produced an invalid graph: directed cycle: {cycle}"
-            )
+            assert str(err.value) == f"PDAG represents no DAG: {left}"
 
     @pytest.mark.parametrize(
-        "directed, undirected, cycle",
+        "directed, undirected, cycle, left",
         [
             # R3 fires on p -- q both ways: p -> q, the smaller tail, goes first
             (
                 "rq sq tp wp",
                 "pq pr ps qt qw rt rw st sw",
                 "('p', 'q', 'w', 'p')",
+                "['p', 'q', 'r', 's', 't', 'w']",
             ),
             # R3 on one edge goes before R4 on a smaller edge
             (
                 "eb gb gd",
                 "ab ad ae ag bc bf cd ce cg de fg",
                 "('a', 'b', 'c', 'd', 'a')",
+                "['a', 'b', 'c', 'd', 'e', 'g']",
             ),
             # R4 fires on an edge both ways: the smaller tail goes first
             (
                 "dg fe ga",
                 "ab ae af bc be bf bg cd ce cg de df eg fg",
                 "('b', 'c', 'd', 'e', 'b')",
+                "['b', 'c', 'd', 'e', 'f', 'g']",
             ),
         ],
     )
     def test_first_firing_order_decides_the_reported_cycle(
-        self, directed, undirected, cycle
+        self, directed, undirected, cycle, left
     ):
-        # class-empty PDAGs, where the rules end in a directed cycle that
-        # depends on the order of the firings
-        g = M.PartiallyDirectedGraph(
-            {n for pair in (directed + undirected).split() for n in pair},
-            [tuple(pair) for pair in directed.split()],
-            [tuple(pair) for pair in undirected.split()],
+        # class-empty PDAGs, where rules fired in the fixed order of the
+        # rescanning oracle end in a directed cycle that depends on that
+        # order.  The closure refuses each with the nodes the elimination
+        # leaves, which do not depend on any order and hold that cycle
+        g = pairs(directed, undirected)
+        assert not exhaustive_class_nonempty(g)
+        with pytest.raises(M.InternalInconsistencyError) as oracle_err:
+            rescanning_meek_closure(g)
+        assert str(oracle_err.value) == (
+            f"rule closure produced an invalid graph: directed cycle: {cycle}"
         )
         with pytest.raises(M.InternalInconsistencyError) as err:
             M.meek_closure(g)
-        assert str(err.value) == (
-            f"rule closure produced an invalid graph: directed cycle: {cycle}"
-        )
-        with pytest.raises(M.InternalInconsistencyError) as oracle_err:
-            rescanning_meek_closure(g)
-        assert str(oracle_err.value) == str(err.value)
+        assert str(err.value) == f"PDAG represents no DAG: {left}"
+        assert set(ast.literal_eval(cycle)) <= set(ast.literal_eval(left))
 
     def test_shielded_triple_stays_undirected(self):
         g = pdag(directed=[("a", "b")], undirected=[("b", "c"), ("a", "c")])
         closed = M.meek_closure(g)
         assert ("b", "c") in closed.graph.undirected
+
+
+def cascade(n: int) -> M.PartiallyDirectedGraph:
+    """``a000 -> a001 -- a002 -- ... -- a(n-1)``, not flagged: R1 fires
+    n - 2 times, each firing on the arrow the one before made."""
+    names = [f"a{i:03d}" for i in range(n)]
+    return M.PartiallyDirectedGraph(names, [(names[0], names[1])], zip(names[1:], names[2:]))
+
+
+def meek_lines(call) -> collections.Counter:
+    """The line events of each function of :mod:`mpdag.meek` while ``call``
+    runs: a step count of its pure-Python loops, free of machine noise."""
+    counts: collections.Counter = collections.Counter()
+
+    def local(frame, event, arg):
+        if event == "line":
+            counts[frame.f_code.co_name] += 1
+        return local
+
+    def start(frame, event, arg):
+        return local if frame.f_code.co_filename == meek.__file__ else None
+
+    before = sys.gettrace()
+    sys.settrace(start)
+    try:
+        call()
+    finally:
+        sys.settrace(before)
+    return counts
+
+
+class TestCascade:
+    def test_each_undirected_edge_is_tested_once_either_way(self, monkeypatch):
+        # the scan tests every undirected edge once each way, and the
+        # propagation that follows tests none
+        tests = []
+        fires = _Builder._fires
+
+        def counted(builder, tail, head):
+            tests.append((tail, head))
+            return fires(builder, tail, head)
+
+        monkeypatch.setattr(_Builder, "_fires", counted)
+        g = cascade(300)
+        closed = M.meek_closure(g)
+        assert len(closed.graph.directed) == 299 and not closed.graph.undirected
+        index = g._masks.index
+        edges = [(index[u], index[v]) for u, v in g.undirected]
+        assert sorted(tests) == sorted(edges + [(v, u) for u, v in edges])
+
+    def test_the_closure_takes_steps_linear_in_the_edges(self):
+        # the elimination re-tries only the neighbours of a removed node,
+        # where sweeps in node order remove one node of the chain each;
+        # about 11 and 30 lines per node and edge, with room for other
+        # interpreter versions
+        for n in (300, 1000):
+            g = cascade(n)
+            size = len(g.nodes) + len(g.skeleton)
+            counts = meek_lines(lambda: M.meek_closure(g))
+            assert counts["_eliminate"] <= 20 * size
+            assert sum(counts.values()) <= 60 * size
 
 
 class TestConstructMpdag:
@@ -282,27 +368,29 @@ class TestEnumerateDags:
             assert not (left & right)
 
     @pytest.mark.parametrize(
-        "directed, undirected, cycle",
+        "directed, undirected, cycle, left",
         [
             # the collider x -> y <- w leaves y -- z no orientation: the first
             # branch, y -> z, closes w -> y -> z -> w
-            ("xy zw wy", "yz", "('w', 'y', 'z', 'w')"),
+            ("xy zw wy", "yz", "('w', 'y', 'z', 'w')", "['w', 'x', 'y', 'z']"),
             # an undirected 4-cycle: the first branch, a -> b, makes R1 orient
             # the rest of the cycle around
-            ("", "ab bc cd ad", "('a', 'b', 'c', 'd', 'a')"),
+            ("", "ab bc cd ad", "('a', 'b', 'c', 'd', 'a')", "['a', 'b', 'c', 'd']"),
         ],
     )
-    def test_class_empty_input_is_internal_error(self, directed, undirected, cycle):
-        g = M.PartiallyDirectedGraph(
-            {n for pair in (directed + " " + undirected).split() for n in pair},
-            [tuple(pair) for pair in directed.split()],
-            [tuple(pair) for pair in undirected.split()],
+    def test_class_empty_input_is_internal_error(self, directed, undirected, cycle, left):
+        # a walk that branched on these would close its first branch into
+        # the cycle (as the rescanning oracle does); an unclosed wrapper is
+        # closed where its builder is made, and refused there
+        g = pairs(directed, undirected)
+        with pytest.raises(M.InternalInconsistencyError) as oracle_err:
+            rescanning_construct_mpdag(g, [min(g.undirected)])
+        assert str(oracle_err.value) == (
+            f"orientation produced an invalid graph: directed cycle: {cycle}"
         )
         with pytest.raises(M.InternalInconsistencyError) as err:
             M.enumerate_dags(M.Mpdag(g))
-        assert str(err.value) == (
-            f"orientation produced an invalid graph: directed cycle: {cycle}"
-        )
+        assert str(err.value) == f"PDAG represents no DAG: {left}"
 
 
 class TestConsistentExtension:
@@ -329,33 +417,22 @@ class TestConsistentExtension:
             assert M.is_represented(M.consistent_extension(member), member)
 
     def test_class_empty_input_is_internal_error(self):
-        # the collider x -> y <- w leaves y -- z no orientation: y -> z, the
-        # smaller tail, closes the directed cycle w -> y -> z -> w; on an
-        # undirected 4-cycle, a -> b makes R1 orient the rest around
-        cases = [
-            (pdag([("x", "y"), ("z", "w"), ("w", "y")], [("y", "z")]),
-             "('w', 'y', 'z', 'w')"),
-            (pdag((), [("a", "b"), ("b", "c"), ("c", "d"), ("a", "d")]),
-             "('a', 'b', 'c', 'd', 'a')"),
-        ]
-        for g, cycle in cases:
+        for g, left in CLASS_EMPTY:
             with pytest.raises(M.InternalInconsistencyError) as err:
                 M.consistent_extension(M.Mpdag(g))
-            assert str(err.value) == (
-                f"MPDAG admits no consistent extension: directed cycle: {cycle}"
-            )
+            assert str(err.value) == f"PDAG represents no DAG: {left}"
 
     def test_closed_class_empty_input_with_an_acyclic_first_leaf(self):
-        # the chordless cycle n1 n5 n4 n6 is closed and represents no DAG;
-        # orienting from smaller tails reaches the acyclic leaf n0 -> n5,
-        # n1 -> n6, n4 -> n6, n5 -> n1, n5 -> n4, whose collider
-        # n1 -> n6 <- n4 the input lacks, so no DAG is returned
-        h = M.meek_closure(M.parse_graph(
-            "n0 -- n5\nn1 -- n5\nn1 -- n6\nn4 -- n5\nn4 -- n6\n"
-        ))
-        with pytest.raises(M.InternalInconsistencyError) as err:
-            M.consistent_extension(h)
-        assert str(err.value) == "MPDAG admits no consistent extension"
+        # the chordless cycle n1 n5 n4 n6 is closed and represents no DAG,
+        # though orienting from smaller tails reaches an acyclic leaf (n0 ->
+        # n5, n1 -> n6, n4 -> n6, n5 -> n1, n5 -> n4, with a collider n1 ->
+        # n6 <- n4 the input lacks): as a wrapper, it is refused where its
+        # builder is made, and so is its closure
+        g = M.parse_graph("n0 -- n5\nn1 -- n5\nn1 -- n6\nn4 -- n5\nn4 -- n6\n")
+        for call in (M.consistent_extension, lambda h: M.meek_closure(h.graph)):
+            with pytest.raises(M.InternalInconsistencyError) as err:
+                call(M.Mpdag(g))
+            assert str(err.value) == "PDAG represents no DAG: ['n1', 'n4', 'n5', 'n6']"
 
 
 class TestSoundness:
@@ -405,23 +482,22 @@ class TestSoundness:
         assert unidentified >= 5
 
     def test_below_a_flagged_root_no_edge_is_checked_in_full(self, monkeypatch):
-        # a flagged root, or one proved where its builder is made, closes by
-        # propagation from each new arrow: the per-edge rule check runs only
-        # in the scan of an unflagged root and in the rescans of a closure
-        # that is not yet proved
+        # every builder closes by propagation from each new arrow: the rule
+        # check runs only in the scan of an unflagged root, once each way on
+        # each undirected edge
         checks = []
-        check = _Builder._first_firing
+        check = _Builder._fires
 
-        def counted(builder, u, v):
-            checks.append((u, v))
-            return check(builder, u, v)
+        def counted(builder, tail, head):
+            checks.append((tail, head))
+            return check(builder, tail, head)
 
-        monkeypatch.setattr(_Builder, "_first_firing", counted)
+        monkeypatch.setattr(_Builder, "_fires", counted)
         for k in (8, 9, 10):
             names = [f"v{i}" for i in range(k)]
             pairs = [(u, w) for i, u in enumerate(names) for w in names[i + 1:]]
             h = M.meek_closure(M.PartiallyDirectedGraph(names, (), pairs))
-            assert len(checks) == len(pairs)  # the scan of the unflagged root
+            assert len(checks) == 2 * len(pairs)  # the scan of the unflagged root
             checks.clear()
             assert len(M.id_graphs(h, ["v0"], ["v1"]).graphs) == 2 ** (k - 2) + 1
             assert checks == []
@@ -443,21 +519,22 @@ class TestSoundness:
     def test_a_class_empty_root_is_not_proved_sound(self, monkeypatch):
         # closed, and its first DAG-shaped leaf is acyclic, but that leaf has
         # unshielded colliders the root lacks (the chordless cycle n1 n5 n4
-        # n6): the elimination finds no DAG, so the root is not flagged.  The
-        # first branch, n1 -> n5, closes into a directed cycle, which no
-        # elimination proves either: its snapshot is the one searched, and
-        # it reports the cycle
-        h = M.meek_closure(M.parse_graph(
-            "n0 -- n5\nn1 -- n5\nn1 -- n6\nn4 -- n5\nn4 -- n6\n"
-        ))
-        masks = h.graph._masks
-        assert not _extendable(masks.children, masks.undirected, masks.neighbours)
-        assert not getattr(h.graph, _SOUND)
+        # n6): the elimination leaves the cycle, so no closure returns it,
+        # and a wrapper of it is refused where its builder is made, before
+        # any branch and with no cycle search
+        g = M.parse_graph("n0 -- n5\nn1 -- n5\nn1 -- n6\nn4 -- n5\nn4 -- n6\n")
+        masks = g._masks
+        assert g._names(_eliminate(masks.children, masks.undirected, masks.neighbours)) == {
+            "n1", "n4", "n5", "n6"
+        }
         searches = count_cycle_searches(monkeypatch)
-        with pytest.raises(M.InternalInconsistencyError) as err:
-            M.id_graphs(h, ["n1"], ["n4"])
-        assert str(err.value) == (
-            "orientation produced an invalid graph: "
-            "directed cycle: ('n1', 'n5', 'n4', 'n6', 'n1')"
-        )
-        assert searches == [h.nodes]
+        refusal = "PDAG represents no DAG: ['n1', 'n4', 'n5', 'n6']"
+        for call in (
+            M.meek_closure,
+            lambda g: M.id_graphs(M.Mpdag(g), ["n1"], ["n4"]),
+            lambda g: M.construct_mpdag(M.Mpdag(g), [("n1", "n5")]),
+        ):
+            with pytest.raises(M.InternalInconsistencyError) as err:
+                call(g)
+            assert str(err.value) == refusal
+        assert searches == []

@@ -22,7 +22,7 @@ from mpdag.identify import (
     _shortest_violating,
 )
 from mpdag.linear import _regression_effects, _total_effect_from_matrix
-from mpdag.meek import _SOUND, _Builder, _extendable
+from mpdag.meek import _SOUND, _Builder, _eliminate
 from helpers import (
     NameAdjacency,
     PathKind,
@@ -43,6 +43,7 @@ from helpers import (
     formula_effect,
     last_hit,
     names_directed_cycle,
+    no_dag_refusal,
     partial_correlation,
     possibly_causal_walk,
     random_chordal_query,
@@ -178,8 +179,8 @@ def _assert_trusted_snapshot(g):
     """``g``, a graph the trusted constructor built from a builder's masks,
     is the graph the validating constructor builds from its edges: the same
     edge sets, equality, hash and mask table.  If ``g`` is flagged sound, it
-    is closed, and its class, enumerated from the validated copy with a
-    cycle search at every leaf, is nonempty and the one ``g`` enumerates."""
+    is closed, and its class, enumerated from the validated copy, which its
+    builder proves again, is nonempty and the one ``g`` enumerates."""
     validated = M.PartiallyDirectedGraph(g.nodes, g.directed, g.undirected)
     assert g.directed == validated.directed
     assert g.undirected == validated.undirected
@@ -224,52 +225,99 @@ def digraph_parts(draw, max_nodes: int = 8):
 @given(digraph_parts())
 def test_cycle_search_matches_name_keyed_oracle(parts):
     # one search over the children bitmasks: the verdict and witness of
-    # validate_pdag, the constructor's error and the snapshot of a builder
-    # over the same masks, which is not sound where they have a cycle, all
-    # equal the name-keyed depth-first search
+    # validate_pdag and the constructor's error equal the name-keyed
+    # depth-first search.  A builder over the same masks searches nothing:
+    # no node of a directed cycle can be eliminated, so it refuses them
     nodes, directed, undirected = parts
     cycle = names_directed_cycle(nodes, directed)
     verdict = M.validate_pdag(nodes, directed, undirected)
     made = _outcome(lambda: M.PartiallyDirectedGraph(nodes, directed, undirected))
     order = tuple(sorted(nodes))
-    builder = _Builder(
-        M.PartiallyDirectedGraph._trusted(order, _mask_table(order, directed, undirected))
+    trusted = M.PartiallyDirectedGraph._trusted(
+        order, _mask_table(order, directed, undirected)
     )
-    assert not (builder.sound and cycle)
-    snapshot = _outcome(lambda: builder.mpdag().graph)
+    built = _outcome(lambda: _Builder(trusted).mpdag().graph)
     if cycle is None:
-        assert verdict.ok
-        assert made == snapshot and made[0] == "ok"
+        assert verdict.ok and made[0] == "ok"
+        assert built == _closure_outcome(made[1])
     else:
         assert (verdict.violation, verdict.witness) == ("directed cycle", cycle)
-        text = f"directed cycle: {cycle}"
-        assert made == ("error", M.GraphError, text, None, None)
-        context = "orientation produced an invalid graph"
-        error = ("error", M.InternalInconsistencyError, f"{context}: {text}")
-        assert snapshot == error + (None, None)
+        assert made == ("error", M.GraphError, f"directed cycle: {cycle}", None, None)
+        refusal = no_dag_refusal(trusted)
+        assert built == ("error", M.InternalInconsistencyError, refusal, None, None)
+        assert set(cycle) <= set(trusted._names(_eliminate(
+            trusted._masks.children, trusted._masks.undirected, trusted._masks.neighbours
+        )))
+
+
+def _closure_outcome(g):
+    """What closing ``g`` gives: the rescanning oracle's closure where its
+    class is nonempty, else the refusal naming the nodes the elimination
+    leaves."""
+    if exhaustive_class_nonempty(g):
+        return _outcome(lambda: rescanning_meek_closure(g))
+    return ("error", M.InternalInconsistencyError, no_dag_refusal(g), None, None)
 
 
 @settings(max_examples=300)
 @given(orientation_cases())
 def test_closure_matches_rescanning_oracle(case):
+    # the closure is the rescanning oracle's where the class is nonempty,
+    # and flagged; elsewhere it is refused.  A user graph is closed where
+    # its builder is made, so requests on an unclosed wrapper are the
+    # oracle's requests on its closure
     g, requests = case
     closed = _outcome(lambda: M.meek_closure(g).graph)
-    assert closed == _outcome(lambda: rescanning_meek_closure(g))
+    assert closed == _closure_outcome(g)
     outcomes = [closed]
-    # a user graph is not sound: it is scanned in full, and every snapshot
-    # is searched for a cycle until a closure proves its class nonempty
     inputs = [M.Mpdag(g)] + ([M.Mpdag(closed[1])] if closed[0] == "ok" else [])
     for h in inputs:
         oriented = _outcome(lambda: M.construct_mpdag(h, requests).graph)
-        expected = _outcome(lambda: rescanning_construct_mpdag(h.graph, requests))
+        if closed[0] == "ok":
+            expected = _outcome(
+                lambda: rescanning_construct_mpdag(rescanning_meek_closure(h.graph), requests)
+            )
+        else:
+            expected = closed
         assert oriented == expected
         outcomes.append(oriented)
     for outcome in outcomes:
         if outcome[0] == "ok":
+            assert getattr(outcome[1], _SOUND, False)
             _assert_trusted_snapshot(outcome[1])
-    if closed[0] == "ok":
-        # the closure is flagged exactly when its class is nonempty
-        assert getattr(closed[1], _SOUND, False) == exhaustive_class_nonempty(closed[1])
+
+
+@st.composite
+def unclosed_members(draw, max_nodes: int = 7):
+    """A PDAG that represents a DAG and is not closed: a random DAG with the
+    edges of its unshielded colliders and a random share of the others
+    directed as in the DAG, the rest undirected, so the DAG is in its
+    class; redrawn until a rule fires on it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    while True:
+        p = int(rng.integers(3, max_nodes + 1))
+        dag = random_dag(rng, p, rng.choice((0.3, 0.5, 0.8)))
+        colliders = {e for a, b, c in dag.unshielded_colliders() for e in ((a, b), (c, b))}
+        share = rng.random()
+        kept = {e for e in dag.directed if e in colliders or rng.random() < share}
+        g = M.PartiallyDirectedGraph(
+            dag.nodes, kept, {tuple(sorted(e)) for e in dag.directed - kept}
+        )
+        if M.meek_closure(g).graph != g:
+            return g
+
+
+@settings(max_examples=200)
+@given(unclosed_members())
+def test_an_unclosed_wrapper_has_the_class_of_its_closure(g):
+    # a plain Mpdag(g) wrapper of an unclosed g that represents a DAG is
+    # closed where its builder is made, so it lists the DAGs of its closure
+    # (which are those of g) and extends to the first of them
+    closed = M.meek_closure(g)
+    assert exhaustive_class_nonempty(g)
+    dags = M.enumerate_dags(closed)
+    assert M.enumerate_dags(M.Mpdag(g)) == dags
+    assert M.consistent_extension(M.Mpdag(g)) == dags[0]
 
 
 @settings(max_examples=300)
@@ -278,17 +326,18 @@ def test_soundness_proof_matches_the_class_definition(case, skeleton_only):
     # the Dor-Tarsi elimination succeeds exactly when some orientation of
     # the undirected edges is a DAG of the class, on a PDAG, closed or not,
     # and on its closure: a closed, acyclic PDAG can still represent no DAG,
-    # as an undirected skeleton with a chordless cycle does.  Each graph is
-    # its own reference, because a closure can add an unshielded collider
-    # and so have DAGs where a class-empty input had none
+    # as an undirected skeleton with a chordless cycle does.  A closure is
+    # returned, and flagged, exactly when the input's class is nonempty
     g = case[0]
     if skeleton_only:
         g = M.PartiallyDirectedGraph(g.nodes, (), g.skeleton)
     closed = _outcome(lambda: M.meek_closure(g).graph)
+    verdicts = []
     for pdag in [g] + ([closed[1]] if closed[0] == "ok" else []):
         masks = pdag._masks
-        proved = _extendable(masks.children, masks.undirected, masks.neighbours)
+        proved = not _eliminate(masks.children, masks.undirected, masks.neighbours)
         assert proved == exhaustive_class_nonempty(pdag)
+        verdicts.append(proved)
         if len(pdag.undirected) > 10:
             continue
         undirected = sorted(pdag.undirected)
@@ -305,11 +354,9 @@ def test_soundness_proof_matches_the_class_definition(case, skeleton_only):
                 nonempty = True
                 break
         assert proved == nonempty
+    assert (closed[0] == "ok") == verdicts[0]
     if closed[0] == "ok":
-        assert getattr(closed[1], _SOUND, False) == proved
-    else:
-        # a closure that meets a directed cycle had a class-empty input
-        assert not proved
+        assert verdicts[1] and getattr(closed[1], _SOUND, False)
 
 
 def _random_member(rng: np.random.Generator, h: M.Mpdag) -> M.PartiallyDirectedGraph:
@@ -449,8 +496,7 @@ def test_shared_path_walk_matches_its_two_oracles(query, seed):
     assert _shortest_violating(g, starts, targets, v1) == shortest
     assert not identified or shortest is None
     named = None if shortest is None else tuple(g.nodes[i] for i in shortest)
-    for sound in (False, True):
-        assert _branch_path(g, starts, targets, sound) == named
+    assert _branch_path(g, starts, targets) == named
 
     children = g._masks.children
 
@@ -945,9 +991,9 @@ def test_consistent_extension_matches_the_chained_closures(query):
 @st.composite
 def branch_cases(draw):
     """An MPDAG from :func:`mpdag_queries`, or a plain ``Mpdag(g)`` wrapper
-    of a PDAG from :func:`orientation_cases`, which is not sound, so it is
-    scanned in full and may be unclosed or class-empty; with a treatment
-    set of one to three nodes and a one-node outcome set."""
+    of a PDAG from :func:`orientation_cases`, which is not flagged, so it is
+    closed where its builder is made and may be unclosed or class-empty;
+    with a treatment set of one to three nodes and a one-node outcome set."""
     if draw(st.booleans()):
         h = draw(mpdag_queries(max_nodes=6))[0]
     else:
@@ -962,54 +1008,37 @@ def branch_cases(draw):
 def test_branch_walk_matches_the_rebuilding_oracles(case):
     # the branch walk on copied builders against one construct_mpdag per
     # tree node (DAG enumeration, the consistent extension) and against
-    # replaying every request list from the root (methods 2 and 3)
+    # replaying every request list from the root (methods 2 and 3), all on
+    # the rescanning oracle's closure of the root; a class-empty root is
+    # refused by each
     h, a, y = case
     g = h.graph
-    dags = _outcome(lambda: M.enumerate_dags(h))
-    expected = _outcome(lambda: chained_enumerate_dags(h))
-    extension = _outcome(lambda: M.consistent_extension(h))
-    chained = _outcome(lambda: chained_consistent_extension(h))
-    if dags[0] == "ok":
-        assert dags == expected
-        # the walk closes every leaf but an unbranched root, and a closure
-        # that ends in a DAG proves it sound; an unbranched root has no
-        # undirected edge, so no rule fires on it and its builder proves it
-        # when it is made
-        for dag in dags[1] + ([extension[1]] if extension[0] == "ok" else []):
-            assert getattr(dag, _SOUND, False)
-            _assert_trusted_snapshot(dag)
-    else:
-        # the walk meets a directed cycle at a leaf, the stack of MPDAGs at
-        # the first cyclic tree node it builds, so the verdict agrees and
-        # the cycle named may not; an unclosed wrapper can meet one below a
-        # nonempty class
-        assert dags[:2] == expected[:2] == (
-            "error", M.InternalInconsistencyError
-        )
+    closure = _closure_outcome(g)
+    calls = (
+        M.enumerate_dags, M.consistent_extension, M.method2_graphs, M.method3_graphs,
+    )
+    if closure[0] != "ok":
+        for call in calls[:2]:
+            assert _outcome(lambda: call(h)) == closure
+        for call in calls[2:]:
+            assert _outcome(lambda: call(h, a, y)) == closure
+        return
+    closed = M.Mpdag(closure[1])
+    dags = M.enumerate_dags(h)
+    assert dags == chained_enumerate_dags(closed)
     # the extension is the first leaf, which the chained oracle reaches by
-    # the same orientations, except that a class-empty root is refused even
-    # where that leaf is acyclic
-    if chained[0] != "ok":
-        assert extension[:2] == chained[:2]
-    elif exhaustive_class_nonempty(g):
-        assert extension == chained
-        assert dags[0] != "ok" or extension[1] in dags[1]
-    else:
-        assert extension == (
-            "error",
-            M.InternalInconsistencyError,
-            "MPDAG admits no consistent extension",
-            None,
-            None,
-        )
+    # the same orientations
+    extension = M.consistent_extension(h)
+    assert extension == chained_consistent_extension(closed) == dags[0]
+    # every leaf is closed and flagged, an unbranched root included
+    for dag in dags + [extension]:
+        assert getattr(dag, _SOUND, False)
+        _assert_trusted_snapshot(dag)
     # methods 2 and 3 read the first edges of violating paths, which are
     # exact only on a closed graph: an unclosed wrapper is compared on its
-    # closure, where it has one
-    closure = _outcome(lambda: M.meek_closure(g))
-    if closure[0] != "ok":
-        return
-    if closure[1].graph != g:
-        h, g = closure[1], closure[1].graph
+    # closure
+    if closed.graph != g:
+        h, g = M.meek_closure(g), closed.graph
     edges = sorted(e for e in g.undirected if set(e) & set(a))
     on_path = {
         n for path in exhaustive_possibly_causal_paths(g, a, y) for n in path.nodes
@@ -1020,7 +1049,7 @@ def test_branch_walk_matches_the_rebuilding_oracles(case):
     ):
         combos = _outcome(lambda: method(h, a, y))
         assert combos == _outcome(
-            lambda: replayed_treatment_edge_combos(h, request_edges)
+            lambda: replayed_treatment_edge_combos(closed, request_edges)
         )
         for member in combos[1] if combos[0] == "ok" else ():
             _assert_trusted_snapshot(member.graph)
@@ -1059,24 +1088,24 @@ def test_builder_copy_shares_no_mutable_state(query):
 def test_propagated_closure_matches_the_rule_check_and_the_rescan(
     query, validated, seed
 ):
-    # a sound builder closes by propagation from each new arrow, as requests
-    # and as branches (both orientations of an edge, one on a copy); after
+    # a builder closes by propagation from each new arrow, as requests and
+    # as branches (both orientations of an edge, one on a copy); after
     # every closure the per-edge rule check finds no firing on any
     # undirected edge, and the graph is the rescanning oracle's.  A
     # validated copy of the root is not flagged, but no rule fires on it,
-    # so its builder proves it when it is made
+    # so its builder proves it and leaves nothing pending
     h = query[0]
     root = h.graph
     if validated:
         root = M.PartiallyDirectedGraph(root.nodes, root.directed, root.undirected)
     builder = _Builder(root)
-    assert builder.sound and builder._pending == []
+    assert builder._pending == []
     rng = np.random.default_rng(seed)
     names = builder.nodes
     requests: list[tuple[str, str]] = []
 
     def check(b, done):
-        assert b.sound and b._pending == [] and b._firings() == []
+        assert b._pending == [] and b._firings() == []
         expected = rescanning_construct_mpdag(h.graph, done)
         assert b.mpdag().graph == expected
 
